@@ -1,4 +1,4 @@
-//! Serial-vs-parallel replication throughput recorder and determinism gate.
+//! Serial-vs-parallel replication throughput recorder.
 //!
 //! ```text
 //! cargo run --release -p ss-bench --bin parallel_replications
@@ -6,14 +6,11 @@
 //!     # writes BENCH_parallel_replications.json
 //! cargo run --release -p ss-bench --bin parallel_replications -- --json out.json
 //!     # same, custom output path
-//! cargo run --release -p ss-bench --bin parallel_replications -- --check
-//!     # quick serial-vs-parallel bit-identity check, no JSON; exits
-//!     # nonzero on divergence (used by the CI determinism job)
 //! ```
 //!
-//! In every mode the binary exits nonzero if any parallel run's
-//! per-replication values differ from the serial run's — determinism is a
-//! hard gate, the timings are informational.
+//! The binary exits nonzero if any parallel run's per-replication values
+//! differ from the serial run's; the timings are informational.  The
+//! determinism gate proper is `conform --target replications-check`.
 
 use ss_bench::experiments::parallel_replication_workload;
 use ss_bench::json;
@@ -45,27 +42,6 @@ fn timed(threads: usize, replications: usize) -> (f64, ss_sim::ReplicationSummar
         last = Some(summary);
     }
     (best, last.expect("three runs completed"))
-}
-
-fn check_only() -> bool {
-    let replications = 200;
-    let serial = pool::with_threads(1, || parallel_replication_workload(replications));
-    let mut ok = true;
-    for threads in [2usize, 4, 8] {
-        let parallel = pool::with_threads(threads, || parallel_replication_workload(replications));
-        let identical = parallel.values == serial.values;
-        println!(
-            "threads={threads}: {} ({} replications)",
-            if identical {
-                "bit-identical to serial"
-            } else {
-                "DIVERGED from serial"
-            },
-            replications
-        );
-        ok &= identical;
-    }
-    ok
 }
 
 fn write_json(path: &str, points: &[Point]) -> std::io::Result<()> {
@@ -100,22 +76,14 @@ fn write_json(path: &str, points: &[Point]) -> std::io::Result<()> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--check") {
-        if check_only() {
-            println!("determinism check passed");
-        } else {
-            eprintln!("determinism check FAILED: parallel values diverged from serial");
+    let json_path = match args.as_slice() {
+        [] => "BENCH_parallel_replications.json",
+        [flag, path] if flag == "--json" => path.as_str(),
+        _ => {
+            eprintln!("usage: parallel_replications [--json PATH]");
             std::process::exit(1);
         }
-        return;
-    }
-
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("BENCH_parallel_replications.json");
+    };
 
     let host = std::thread::available_parallelism()
         .map(|p| p.get())

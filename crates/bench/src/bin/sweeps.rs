@@ -1,4 +1,4 @@
-//! Serial-vs-parallel sweep throughput recorder and determinism gate.
+//! Serial-vs-parallel sweep throughput recorder.
 //!
 //! ```text
 //! cargo run --release -p ss-bench --bin sweeps
@@ -7,15 +7,11 @@
 //!     # prints tables and writes BENCH_sweeps.json
 //! cargo run --release -p ss-bench --bin sweeps -- --json out.json
 //!     # same, custom output path
-//! cargo run --release -p ss-bench --bin sweeps -- --check
-//!     # quick serial-vs-parallel bit-identity check of the three sweeps,
-//!     # no JSON; exits nonzero on divergence (used by the CI determinism
-//!     # job)
 //! ```
 //!
-//! In every mode the binary exits nonzero if any parallel run's outputs
-//! differ from the serial run's — determinism is a hard gate, the timings
-//! are informational.
+//! The binary exits nonzero if any parallel run's outputs differ from the
+//! serial run's; the timings are informational.  The determinism gate
+//! proper is `conform --target sweeps-check`.
 
 use ss_bench::experiments::{all_experiments, run_experiments, Experiment};
 use ss_bench::json;
@@ -55,28 +51,6 @@ fn timed(threads: usize, run: fn() -> Vec<f64>) -> (f64, Vec<f64>) {
         last = Some(values);
     }
     (best, last.expect("three runs completed"))
-}
-
-fn check_only() -> bool {
-    let mut ok = true;
-    for w in sweep_workloads() {
-        let serial = pool::with_threads(1, w.run);
-        for &threads in THREAD_SWEEP.iter().filter(|&&t| t != 1) {
-            let parallel = pool::with_threads(threads, w.run);
-            let identical = bits(&parallel) == bits(&serial);
-            println!(
-                "{}: threads={threads}: {}",
-                w.name,
-                if identical {
-                    "bit-identical to serial"
-                } else {
-                    "DIVERGED from serial"
-                }
-            );
-            ok &= identical;
-        }
-    }
-    ok
 }
 
 /// Bitwise fingerprint of a value vector (`==` on f64 would treat -0.0 and
@@ -173,37 +147,22 @@ fn write_json(
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: sweeps [--check | --json PATH]");
+    eprintln!("usage: sweeps [--json PATH]");
     std::process::exit(1);
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut check_mode = false;
     let mut json_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => check_mode = true,
             "--json" => match it.next() {
                 Some(path) if !path.starts_with("--") => json_path = Some(path.clone()),
                 _ => usage_error("--json needs an output path"),
             },
             other => usage_error(&format!("unknown argument {other:?}")),
         }
-    }
-    if check_mode && json_path.is_some() {
-        usage_error("--check and --json are mutually exclusive");
-    }
-
-    if check_mode {
-        if check_only() {
-            println!("sweep determinism check passed");
-        } else {
-            eprintln!("sweep determinism check FAILED: parallel outputs diverged from serial");
-            std::process::exit(1);
-        }
-        return;
     }
 
     let json_path = json_path.as_deref().unwrap_or("BENCH_sweeps.json");

@@ -17,17 +17,17 @@
 //!   threads × replications throughput);
 //! * the **`parallel_replications` and `sweeps` binaries** — record the
 //!   serial-vs-parallel wall-clock trajectories to
-//!   `BENCH_parallel_replications.json` / `BENCH_sweeps.json` and gate the
-//!   pool's serial/parallel bit-identity (`--check`, used by CI; `sweeps`
+//!   `BENCH_parallel_replications.json` / `BENCH_sweeps.json` (`sweeps`
 //!   covers the turnpike / heavy-traffic / asymptotic sweeps plus the full
-//!   concurrent E1–E22 harness).
+//!   concurrent E1–E22 harness); the serial/parallel bit-identity gate
+//!   for the same workloads is [`conformance`], run by `ss-conform`'s
+//!   `replications-check` and `sweeps-check` targets.
 //!
 //! [`workloads`] holds the shared instance builders so that the harness and
 //! the benches exercise exactly the same configurations.
 
 pub mod conformance;
 pub mod experiments;
-pub mod index_service;
 pub mod json;
 pub mod sweeps;
 pub mod workloads;

@@ -11,11 +11,12 @@
 
 use std::sync::Arc;
 
-use ss_batch::discipline::GittinsGrid;
-use ss_core::discipline::Discipline;
+use ss_bandits::discipline::WhittleQueueDiscipline;
+use ss_batch::discipline::{gittins_discipline, GittinsGrid};
+use ss_core::discipline::{Discipline, Fifo};
 use ss_core::job::JobClass;
 use ss_distributions::DynDist;
-use ss_index::{IndexService, TableKind, TierSpec};
+use ss_queueing::discipline::cmu_discipline;
 
 use crate::resilience::{
     BreakerConfig, DeadlineConfig, OutageConfig, ShedderConfig, SlowdownConfig,
@@ -261,38 +262,30 @@ impl FabricConfig {
             .collect()
     }
 
-    /// The `ss-index` tabulation spec of tier `tier` — what the index
-    /// service builds this tier's SoA table from.
-    pub fn tier_spec(&self, tier: usize) -> TierSpec {
-        TierSpec {
-            kind: match self.tiers[tier].discipline {
-                DisciplineKind::Fifo => TableKind::Fifo,
-                DisciplineKind::Cmu => TableKind::Cmu,
-                DisciplineKind::Gittins => TableKind::Gittins(GittinsGrid::default()),
-                DisciplineKind::Whittle => TableKind::Whittle {
-                    truncation: WHITTLE_TRUNCATION,
-                },
-            },
-            classes: self.job_classes(tier),
-        }
-    }
-
-    /// Instantiate tier `tier`'s discipline as a flat `ss-index` SoA table
-    /// (bit-identical indices to the per-call solver adapters it
-    /// replaced).  Index tabulation (Gittins, Whittle) can be expensive —
+    /// Instantiate tier `tier`'s discipline.  The cµ, Gittins and Whittle
+    /// adapters tabulate their indices at construction and reject NaN
+    /// there, so a lookup is a table read.  Tabulation (Gittins, Whittle)
+    /// can be expensive —
     /// build once per scenario via [`FabricConfig::build_disciplines`] and
     /// share the result across replications.
     pub fn build_discipline(&self, tier: usize) -> Arc<dyn Discipline> {
-        Arc::new(ss_index::build_table(&self.tier_spec(tier)))
+        let classes = self.job_classes(tier);
+        match self.tiers[tier].discipline {
+            DisciplineKind::Fifo => Arc::new(Fifo),
+            DisciplineKind::Cmu => Arc::new(cmu_discipline(&classes)),
+            DisciplineKind::Gittins => {
+                Arc::new(gittins_discipline(&classes, GittinsGrid::default()))
+            }
+            DisciplineKind::Whittle => {
+                Arc::new(WhittleQueueDiscipline::new(&classes, WHITTLE_TRUNCATION))
+            }
+        }
     }
 
-    /// All tier disciplines of this scenario, built once through a shared
-    /// [`IndexService`] so tiers with identical class parameters reuse
-    /// each other's converged solver state.
+    /// All tier disciplines of this scenario, in tier order.
     pub fn build_disciplines(&self) -> Vec<Arc<dyn Discipline>> {
-        let mut service = IndexService::new();
         (0..self.tiers.len())
-            .map(|t| service.build_arc(&self.tier_spec(t)))
+            .map(|t| self.build_discipline(t))
             .collect()
     }
 }

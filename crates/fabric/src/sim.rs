@@ -149,8 +149,9 @@ struct Tier {
 /// `>` — unless it sat in the *first* nonempty class, which is selected
 /// unconditionally, so the outcome depended on class position.  Clamping
 /// makes a poisoned index position-independent (lowest priority, FIFO
-/// tie-break against other `-∞` entries); `ss-index` additionally rejects
-/// NaN at table-build time, so a tabulated discipline can never get here.
+/// tie-break against other `-∞` entries).  The fabric's own disciplines
+/// never get here: `StaticIndex::new` (cµ, Gittins) and the Whittle table
+/// asserts reject NaN at build time.
 fn select_class(discipline: &dyn Discipline, queues: &[VecDeque<Request>]) -> Option<usize> {
     let mut best: Option<(usize, f64, f64)> = None; // (class, index, head enqueue time)
     for (j, q) in queues.iter().enumerate() {

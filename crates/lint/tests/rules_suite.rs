@@ -87,7 +87,7 @@ fn l002_known_good_is_silent() {
 fn l003_known_bad_fires_on_numeric_debug_asserts() {
     let lines = rule_lines(
         "L003",
-        "crates/index/src/whittle.rs",
+        "crates/bandits/src/discipline.rs",
         include_str!("fixtures/l003_bad.rs"),
     );
     assert_eq!(lines, vec![5, 6]);
@@ -99,7 +99,7 @@ fn l003_known_good_is_silent() {
     // be left alone.
     let lines = rule_lines(
         "L003",
-        "crates/index/src/whittle.rs",
+        "crates/bandits/src/discipline.rs",
         include_str!("fixtures/l003_good.rs"),
     );
     assert_eq!(lines, Vec::<u32>::new());

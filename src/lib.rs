@@ -26,11 +26,6 @@
 //!   the cµ-rule, the achievable-region LP and adaptive-greedy indices,
 //!   Klimov networks, parallel servers, multistation networks, stability,
 //!   fluid models, polling and setup thresholds).
-//! * [`index`] — the decision-serving layer: every discipline's priority
-//!   indices tabulated into flat cache-friendly SoA tables (saturating
-//!   `(class, queue_len)` lookups, zero-alloc single and batched paths)
-//!   with warm-start incremental recomputation on parameter drift, all
-//!   bit-identical to the per-call solvers they front.
 //! * [`fabric`] — service-fabric discrete-event simulator: open arrival
 //!   sources (Poisson / MMPP) feeding load-balanced multi-server tiers with
 //!   pluggable index disciplines (FIFO / cµ / Gittins / Whittle), failures,
@@ -71,7 +66,6 @@ pub use ss_conform as conform;
 pub use ss_core as core;
 pub use ss_distributions as distributions;
 pub use ss_fabric as fabric;
-pub use ss_index as index;
 pub use ss_lint as lint;
 pub use ss_lp as lp;
 pub use ss_mdp as mdp;
