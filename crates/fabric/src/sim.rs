@@ -727,8 +727,13 @@ impl EventHandler for FabricSim<'_> {
                 self.schedule_next_arrival(class, time, queue);
             }
             FabricEvent::PhaseSwitch { class } => {
-                let ArrivalProcess::Mmpp { rates, switch_rate } =
-                    self.cfg.classes[class].arrivals.clone()
+                // Borrow through a copy of the `&'a` config, not `self`, so
+                // the rates stay readable while `self` is mutated below.
+                let cfg = self.cfg;
+                let ArrivalProcess::Mmpp {
+                    ref rates,
+                    switch_rate,
+                } = cfg.classes[class].arrivals
                 else {
                     unreachable!("phase switches only exist for MMPP classes")
                 };

@@ -3,46 +3,65 @@
 //! Events are ordered by `(time, sequence)`, where the sequence number is
 //! assigned at insertion.  This makes simultaneous events (common in
 //! preemptive schedulers and in deterministic-service models) resolve in a
-//! deterministic first-scheduled-first-served order, so every simulation in
-//! the workspace is exactly reproducible from its seed.
+//! deterministic first-scheduled-first-served order, so every simulation
+//! built on the calendar is exactly reproducible from its seed.
+//!
+//! # Layout
+//!
+//! The calendar is a binary min-heap of small `Copy` nodes over a payload
+//! slab.  A node holds one `u128` sort key and the index of the slab slot
+//! that owns the event's `(time, payload)`:
+//!
+//! - the key's high 64 bits are `time_key` of the event time, its low
+//!   64 bits the event's sequence number;
+//! - a payload is moved into a free slot by `schedule` and out of it by
+//!   `pop`, which returns the slot to a free list, so sifting moves only
+//!   nodes and the slab never holds more slots than the most events ever
+//!   pending at once;
+//! - `pop` returns the time stored in the slab, bit for bit (`-0.0`
+//!   included), not a value decoded from the key.
+//!
+//! `pop` sifts the last node down from the root, choosing the smaller
+//! child without a branch.
+//!
+//! # Why the integer order is the `(time, seq)` order
+//!
+//! Read as an unsigned integer, the bits of a non-negative double grow with
+//! its value, and the bits of a negative double grow with its magnitude.
+//! `time_key` keeps the first order and sets the sign bit, which lifts
+//! every non-negative time above every negative one; it flips every bit of
+//! a negative time, which reverses the magnitude order and clears the sign
+//! bit.  `-0.0` is folded into `+0.0` first, because the two compare equal
+//! as times and must tie.  So for any two finite times `a < b` exactly when
+//! `time_key(a) < time_key(b)`, and `a == b` exactly when the keys are
+//! equal, in which case the low halves, the sequence numbers, decide.
+//! Infinities and NaN never reach a key: `schedule` rejects them.  Every
+//! key is unique because every sequence number is, so the pop order is a
+//! function of the scheduled events alone, not of the heap's shape.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-struct Entry<E> {
-    time: f64,
-    seq: u64,
-    event: E,
+/// A heap node: the packed `(time, seq)` key and the payload's slab slot.
+#[derive(Clone, Copy)]
+struct Node {
+    key: u128,
+    slot: usize,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering so the BinaryHeap (a max-heap) pops the earliest
-        // time first; ties broken by insertion sequence.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+/// Map a finite time onto a `u64` whose unsigned order is the time order
+/// (see the module docs).
+fn time_key(time: f64) -> u64 {
+    let bits = if time == 0.0 { 0 } else { time.to_bits() };
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
     }
 }
 
 /// A future-event list.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: Vec<Node>,
+    slab: Vec<Option<(f64, E)>>,
+    free: Vec<usize>,
     next_seq: u64,
 }
 
@@ -56,7 +75,9 @@ impl<E> EventQueue<E> {
     /// Create an empty calendar.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
         }
     }
@@ -64,14 +85,66 @@ impl<E> EventQueue<E> {
     /// Schedule `event` at absolute time `time` (must be finite, not NaN).
     pub fn schedule(&mut self, time: f64, event: E) {
         assert!(time.is_finite(), "event time must be finite, got {time}");
-        let seq = self.next_seq;
+        let key = u128::from(time_key(time)) << 64 | u128::from(self.next_seq);
         self.next_seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot] = Some((time, event));
+                slot
+            }
+            None => {
+                self.slab.push(Some((time, event)));
+                self.slab.len() - 1
+            }
+        };
+        // Sift up: move parents down until the new node's place is found.
+        let node = Node { key, slot };
+        let heap = &mut self.heap;
+        let mut pos = heap.len();
+        heap.push(node);
+        while pos > 0 {
+            let parent = (pos - 1) / 2;
+            if heap[parent].key < node.key {
+                break;
+            }
+            heap[pos] = heap[parent];
+            pos = parent;
+        }
+        heap[pos] = node;
     }
 
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        // Sift the former last node down from the root: move the smaller
+        // child up until the node is smaller than both children.
+        let heap = &mut self.heap[..];
+        if let Some(&node) = heap.first() {
+            let end = heap.len();
+            let mut pos = 0;
+            loop {
+                let l = 2 * pos + 1;
+                let child = if l + 1 < end {
+                    l + usize::from(heap[l + 1].key < heap[l].key)
+                } else if l < end {
+                    l
+                } else {
+                    break;
+                };
+                if node.key < heap[child].key {
+                    break;
+                }
+                heap[pos] = heap[child];
+                pos = child;
+            }
+            heap[pos] = node;
+        }
+        self.free.push(top.slot);
+        let entry = self.slab[top.slot].take();
+        Some(entry.expect("a pending event's slab slot is occupied"))
     }
 
     /// Remove and return the earliest event only if it occurs at or before
@@ -81,15 +154,16 @@ impl<E> EventQueue<E> {
     /// built on: an event past the horizon stays scheduled, so a run can be
     /// resumed later with a larger horizon without losing events.
     pub fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, E)> {
-        match self.heap.peek() {
-            Some(e) if e.time <= horizon => self.pop(),
+        match self.peek_time() {
+            Some(time) if time <= horizon => self.pop(),
             _ => None,
         }
     }
 
     /// Time of the next event without removing it.
     pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
+        let top = self.heap.first()?;
+        self.slab[top.slot].as_ref().map(|&(time, _)| time)
     }
 
     /// Number of pending events.
@@ -105,6 +179,8 @@ impl<E> EventQueue<E> {
     /// Drop all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
+        self.slab.clear();
+        self.free.clear();
     }
 }
 
@@ -174,5 +250,53 @@ mod tests {
             assert!(time >= prev);
             prev = time;
         }
+    }
+
+    #[test]
+    fn holds_reuse_slab_slots() {
+        let mut q = EventQueue::new();
+        for i in 0..64u64 {
+            q.schedule(i as f64, i);
+        }
+        let capacity = q.slab.capacity();
+        let mut t = 0.5f64;
+        for i in 0..100_000u64 {
+            let (time, _) = q.pop().unwrap();
+            t = (t * 997.0 + 0.123).fract();
+            q.schedule(time + t, i);
+        }
+        assert_eq!(q.len(), 64);
+        assert_eq!(q.slab.len(), 64, "a hold must reuse the popped slot");
+        assert_eq!(q.slab.capacity(), capacity);
+        assert!(q.free.is_empty());
+    }
+
+    #[test]
+    fn cleared_queue_is_reusable() {
+        let mut q = EventQueue::new();
+        for i in 0..10 {
+            q.schedule(f64::from(i), i);
+        }
+        q.pop();
+        q.clear();
+        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
+        for i in 0..5 {
+            q.schedule(2.0, i);
+        }
+        q.schedule(1.0, 5);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, [5, 0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn rejects_positive_infinity() {
+        EventQueue::new().schedule(f64::INFINITY, ());
+    }
+
+    #[test]
+    #[should_panic(expected = "event time must be finite")]
+    fn rejects_negative_infinity() {
+        EventQueue::new().schedule(f64::NEG_INFINITY, ());
     }
 }

@@ -4,7 +4,9 @@
 //! calendar invariants: events always pop in `(time, sequence)` order
 //! whatever the interleaving of schedules and pops, and simultaneous
 //! events resolve in first-scheduled-first-served order however many of
-//! them pile up.  These tests pin both under generated workloads.
+//! them pile up.  These tests pin both under generated workloads, and a
+//! differential test replays random operations against a plain reference
+//! model of the same contract.
 
 use proptest::prelude::*;
 use ss_sim::events::EventQueue;
@@ -158,5 +160,126 @@ proptest! {
             direct.push(pair);
         }
         prop_assert_eq!(via_horizons, direct);
+    }
+}
+
+/// Event times of the differential test: ties, both zeros, negatives,
+/// subnormals, the extremes, and neighbouring floats.
+const TIMES: [f64; 20] = [
+    0.0,
+    -0.0,
+    1.0,
+    -1.0,
+    2.5,
+    -2.5,
+    1e300,
+    -1e300,
+    f64::MAX,
+    f64::MIN,
+    f64::from_bits(f64::MAX.to_bits() - 1),
+    f64::MIN_POSITIVE,
+    -f64::MIN_POSITIVE,
+    f64::MIN_POSITIVE / 2.0,
+    f64::from_bits(1),
+    -f64::from_bits(1),
+    f64::from_bits(1.0f64.to_bits() + 1),
+    f64::from_bits(1.0f64.to_bits() - 1),
+    f64::from_bits((-1.0f64).to_bits() + 1),
+    f64::from_bits((-1.0f64).to_bits() - 1),
+];
+
+/// The calendar's contract written out on its own terms: pending
+/// `(time, seq, payload)` triples, the minimum popped by `partial_cmp` on
+/// the time and then by `seq`.
+#[derive(Default)]
+struct Reference {
+    pending: Vec<(f64, u64, u64)>,
+    next_seq: u64,
+}
+
+impl Reference {
+    fn schedule(&mut self, time: f64, payload: u64) {
+        self.pending.push((time, self.next_seq, payload));
+        self.next_seq += 1;
+    }
+
+    fn earliest(&self) -> Option<usize> {
+        (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, sa, _) = self.pending[a];
+            let (tb, sb, _) = self.pending[b];
+            ta.partial_cmp(&tb)
+                .expect("reference times are finite")
+                .then(sa.cmp(&sb))
+        })
+    }
+
+    fn pop(&mut self) -> Option<(f64, u64)> {
+        let i = self.earliest()?;
+        let (time, _, payload) = self.pending.remove(i);
+        Some((time, payload))
+    }
+
+    fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
+        match self.peek_time() {
+            Some(time) if time <= horizon => self.pop(),
+            _ => None,
+        }
+    }
+
+    fn peek_time(&self) -> Option<f64> {
+        self.earliest().map(|i| self.pending[i].0)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Differential test against [`Reference`]: random mixes of
+    /// `schedule`, `pop`, `pop_at_or_before` and `clear` over awkward
+    /// floats return the same `(time bits, payload)`, `len` and
+    /// `peek_time` bits after every operation.  The grid-time properties
+    /// above never see a negative time or `-0.0`; this one does.
+    #[test]
+    fn matches_the_reference_calendar_on_awkward_times(
+        ops in prop::collection::vec(0u32..u32::MAX, 1..600),
+    ) {
+        let mut q = EventQueue::new();
+        let mut reference = Reference::default();
+        let mut payload = 0u64;
+        let bits = |popped: Option<(f64, u64)>| popped.map(|(t, p)| (t.to_bits(), p));
+        for (step, &raw) in ops.iter().enumerate() {
+            let pick = (raw >> 5) as usize;
+            let (got, want) = match raw % 32 {
+                0..=17 => {
+                    let time = TIMES[pick % TIMES.len()];
+                    q.schedule(time, payload);
+                    reference.schedule(time, payload);
+                    payload += 1;
+                    (None, None)
+                }
+                18..=24 => (q.pop(), reference.pop()),
+                25..=30 => {
+                    let horizon = match pick % 8 {
+                        0 => f64::INFINITY,
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::NAN,
+                        _ => TIMES[(pick >> 3) % TIMES.len()],
+                    };
+                    (q.pop_at_or_before(horizon), reference.pop_at_or_before(horizon))
+                }
+                _ => {
+                    q.clear();
+                    reference.pending.clear();
+                    (None, None)
+                }
+            };
+            prop_assert_eq!(bits(got), bits(want), "step {}: op word {}", step, raw);
+            prop_assert_eq!(q.len(), reference.pending.len(), "step {}", step);
+            prop_assert_eq!(
+                q.peek_time().map(f64::to_bits),
+                reference.peek_time().map(f64::to_bits),
+                "step {}", step
+            );
+        }
     }
 }
