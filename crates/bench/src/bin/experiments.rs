@@ -5,7 +5,6 @@
 //! cargo run --release -p ss-bench --bin experiments -- E7 E10       # run a subset
 //! cargo run --release -p ss-bench --bin experiments -- --list       # list experiments
 //! cargo run --release -p ss-bench --bin experiments -- --jobs 4     # harness concurrency
-//! cargo run --release -p ss-bench --bin experiments -- --json       # timing summary as JSON
 //! cargo run --release -p ss-bench --bin experiments -- --markdown   # emit EXPERIMENTS.md
 //! ```
 //!
@@ -14,21 +13,21 @@
 //! report is buffered and printed in E-id order once all runs finish, so the
 //! report text is byte-for-byte identical for any `--jobs` value and
 //! `--jobs 1` reproduces the historical strictly sequential harness.  Two
-//! things vary run to run: the wall-clock lines (`[Ex finished in ...]`,
-//! and the `--json` timings), which CI's determinism diff filters out, and
-//! E21's report body, which embeds its own measured thread-sweep timings —
-//! byte-identity consumers must exclude E21 (CI's diff subset does).
+//! things vary run to run: the `[`-prefixed wall-clock lines (`[Ex finished
+//! in ...]` and `[harness total ...]`), which the conformance subset
+//! strips, and E21's report body, which embeds its own measured
+//! thread-sweep timings — byte-identity consumers must exclude E21 (the
+//! conformance subset does).
 //!
 //! A panicking experiment does not abort the harness: its report is
 //! replaced by a `PANICKED:` line, everything that finished still prints,
 //! and the binary exits nonzero at the end.
 
 use ss_bench::experiments::{all_experiments, markdown_document, run_experiments, Experiment};
-use ss_bench::json;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: experiments [--list] [--jobs N] [--json | --markdown] [E1 E2 ...]");
+    eprintln!("usage: experiments [--list] [--jobs N] [--markdown] [E1 E2 ...]");
     std::process::exit(1);
 }
 
@@ -37,7 +36,6 @@ fn main() {
     let experiments = all_experiments();
 
     let mut jobs: Option<usize> = None;
-    let mut json_mode = false;
     let mut markdown_mode = false;
     let mut list_mode = false;
     let mut ids: Vec<String> = Vec::new();
@@ -45,7 +43,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--list" => list_mode = true,
-            "--json" => json_mode = true,
             "--markdown" => markdown_mode = true,
             "--jobs" => {
                 let value = it
@@ -59,9 +56,6 @@ fn main() {
             flag if flag.starts_with("--") => usage_error(&format!("unknown flag {flag:?}")),
             id => ids.push(id.to_string()),
         }
-    }
-    if json_mode && markdown_mode {
-        usage_error("--json and --markdown are mutually exclusive");
     }
     if markdown_mode && !ids.is_empty() {
         // The markdown document's header claims the full E1-E22 suite; a
@@ -110,38 +104,14 @@ fn main() {
         return;
     }
 
-    if json_mode {
-        let mut body = String::from("{\n");
-        body.push_str("  \"harness\": \"experiments\",\n");
-        body.push_str(&format!("  \"jobs\": {jobs},\n"));
-        body.push_str(&json::host_env_fields());
-        body.push_str(&format!(
-            "  \"total_wall_ms\": {:.3},\n",
-            total.as_secs_f64() * 1e3
-        ));
-        body.push_str("  \"experiments\": [\n");
-        for (i, r) in reports.iter().enumerate() {
-            body.push_str(&format!(
-                "    {{\"id\": \"{}\", \"description\": \"{}\", \"wall_ms\": {:.3}, \"panicked\": {}}}{}\n",
-                json::escape(r.id),
-                json::escape(r.description),
-                r.wall.as_secs_f64() * 1e3,
-                r.panicked,
-                if i + 1 < reports.len() { "," } else { "" }
-            ));
-        }
-        body.push_str("  ]\n}");
-        println!("{body}");
-    } else {
-        for r in &reports {
-            println!("\n================================================================");
-            println!("{} — {}", r.id, r.description);
-            println!("================================================================\n");
-            println!("{}", r.report);
-            println!("[{} finished in {:.1?}]", r.id, r.wall);
-        }
-        println!("\n[harness total: {total:.1?} with --jobs {jobs}]");
+    for r in &reports {
+        println!("\n================================================================");
+        println!("{} — {}", r.id, r.description);
+        println!("================================================================\n");
+        println!("{}", r.report);
+        println!("[{} finished in {:.1?}]", r.id, r.wall);
     }
+    println!("\n[harness total: {total:.1?} with --jobs {jobs}]");
     if !panicked.is_empty() {
         eprintln!("experiments panicked: {panicked:?}");
         std::process::exit(1);

@@ -1,11 +1,10 @@
 //! Canonical artifact renderers for the `ss-conform` subsystem.
 //!
-//! The `parallel_replications` and `sweeps` binaries only compare their
-//! parallel runs against a serial run, a pass/fail bit.  These renderers
-//! turn the same workloads into deterministic text artifacts — every `f64`
-//! printed with its raw bit pattern plus a human-readable mantissa — so the
-//! conformance harness can byte-diff them across replicas, localize the
-//! first divergent byte, and pin them as golden fixtures.  A last-ulp drift
+//! These renderers turn the E21 replication workload and the three sweep
+//! workloads into deterministic text artifacts — every `f64` printed with
+//! its raw bit pattern plus a human-readable mantissa — so the conformance
+//! harness can byte-diff them across replicas, localize the first
+//! divergent byte, and pin them as golden fixtures.  A last-ulp drift
 //! that `{:.6}` formatting would round away is a full hex digit here.
 
 use crate::experiments::{all_experiments, parallel_replication_workload, run_experiments};
@@ -17,8 +16,8 @@ fn push_value_line(out: &mut String, index: usize, v: f64) {
 }
 
 /// The replication-engine artifact: per-replication values of the E21
-/// list-schedule workload (the one the `parallel_replications` binary
-/// times) on the current pool, bit-exact.
+/// list-schedule workload (the one E21 times) on the current pool,
+/// bit-exact.
 pub fn replication_values_report(replications: usize) -> String {
     let summary = parallel_replication_workload(replications);
     let mut out = format!("workload: parallel_replications n={replications}\n");

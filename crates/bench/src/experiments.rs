@@ -102,7 +102,7 @@ pub struct ExperimentReport {
 /// experiments (E21) embed their own measured wall-clock tables in the
 /// report body, which vary run to run by construction.  They always run
 /// alone, after the concurrent batch, and byte-identity consumers (the
-/// `sweeps` gate, CI's harness diff) exclude them.
+/// `experiments-subset` conformance target) exclude them.
 pub fn run_experiments(selected: &[&Experiment], jobs: usize) -> Vec<ExperimentReport> {
     assert!(jobs >= 1, "need at least one harness job");
     let timed = |e: &Experiment| {
@@ -171,8 +171,7 @@ pub fn markdown_document(reports: &[ExperimentReport]) -> String {
          index order, so these tables are bit-for-bit reproducible for any\n\
          `SS_THREADS` setting and any `--jobs` harness concurrency.  Wall-clock\n\
          lines are from the generating host ({host} logical CPU(s) for this\n\
-         revision — see E21, `BENCH_parallel_replications.json` and\n\
-         `BENCH_sweeps.json` for the serial-vs-parallel trajectories).\n\n\
+         revision — see E21 for the serial-vs-parallel trajectory).\n\n\
          Per-experiment descriptions and the claims under test are catalogued in\n\
          `DESIGN.md`; `cargo run --release -p ss-bench --bin experiments -- --list`\n\
          prints the id/description index.\n\n",
@@ -1231,7 +1230,7 @@ fn e20_setup_thresholds() -> String {
 /// The shared E21 workload: one list-schedule Monte-Carlo evaluation, sized
 /// so one replication (200 sampled jobs through the machine calendar) is
 /// heavy enough to dwarf the pool's per-chunk overhead.
-pub fn parallel_replication_workload(replications: usize) -> ss_sim::ReplicationSummary {
+pub(crate) fn parallel_replication_workload(replications: usize) -> ss_sim::ReplicationSummary {
     use ss_batch::parallel::{evaluate_list_policy, ParallelMetric};
     let inst = workloads::batch_instance(200, InstanceFamily::Mixed, 2100);
     let order: Vec<usize> = (0..inst.len()).collect();
@@ -1282,8 +1281,8 @@ fn e21_parallel_replications() -> String {
     out.push_str(&format!(
         "\nDeterminism is the contract — the pool only changes the schedule, never the \
          values — so the summary (mean {:.4} ± {:.4}) is the same for every row.  Wall-clock \
-         speedup tracks the host's core count; see BENCH_parallel_replications.json for the \
-         recorded trajectory (`cargo run --release -p ss-bench --bin parallel_replications`).\n",
+         speedup tracks the host's core count; this table is the recorded trajectory \
+         (`cargo run --release -p ss-bench --bin experiments -- E21`).\n",
         serial.mean, serial.ci95
     ));
     out

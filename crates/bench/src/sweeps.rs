@@ -1,13 +1,12 @@
-//! Shared sweep workloads for the `sweeps` binary and the `sweeps`
-//! criterion bench.
+//! Sweep workloads for the `sweeps-check` conformance target
+//! ([`crate::conformance::sweep_values_report`]).
 //!
 //! Each workload runs one of the pool-parallelised Monte-Carlo sweeps
 //! (turnpike / heavy-traffic / Weber–Weiss asymptotics) at a fixed,
 //! representative configuration and returns the flat vector of every `f64`
 //! the sweep produced — the fingerprint the serial-vs-parallel bit-identity
 //! gate compares.  The configurations deliberately mirror the E6 / E13 /
-//! E10 experiment settings (same workload builders, same derived seeds) so
-//! the recorded timings transfer to the harness.
+//! E10 experiment settings (same workload builders, same derived seeds).
 
 use crate::workloads;
 use ss_bandits::restless::asymptotic_sweep;
@@ -18,7 +17,7 @@ use ss_queueing::parallel_servers::heavy_traffic_sweep;
 /// One named sweep workload: `run()` executes the sweep on the current pool
 /// and returns its outputs flattened to `f64`s in point order.
 pub struct SweepWorkload {
-    /// Short name used in reports and `BENCH_sweeps.json`.
+    /// Short name used in the `sweep NAME:` header of the artifact.
     pub name: &'static str,
     /// Execute the sweep and flatten its outputs.
     pub run: fn() -> Vec<f64>,

@@ -64,8 +64,8 @@ impl RootCause {
                                        ss-lint L001)"
                 .to_string(),
             RootCause::Timestamp => "timestamp leakage: the diverging line carries a wall-clock \
-                                     value (epoch seconds, a date, or a timing line) — route it \
-                                     through the artifact preamble or strip it from the \
+                                     value (epoch seconds, a date, or a timing line) — move it \
+                                     to a `[`-prefixed timing line or strip it from the \
                                      deterministic report (statically caught by ss-lint L002)"
                 .to_string(),
             RootCause::FloatFormatting => "float formatting: the diverging tokens parse to the \

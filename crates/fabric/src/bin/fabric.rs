@@ -4,12 +4,10 @@
 //! cargo run --release -p ss-fabric --bin fabric
 //!     # full-budget suite: report lines + wall-clock
 //! cargo run --release -p ss-fabric --bin fabric -- --check
-//!     # fast budget, deterministic output only (no wall-clock); the CI
-//!     # determinism job diffs this byte-for-byte across SS_THREADS values
+//!     # fast budget, deterministic output only (no wall-clock); the
+//!     # `fabric-check` conform target pins these bytes across pool sizes
 //! cargo run --release -p ss-fabric --bin fabric -- --jobs 4
 //!     # run the suite on a dedicated 4-thread pool
-//! cargo run --release -p ss-fabric --bin fabric -- --json out.json
-//!     # also write a JSON summary (timings included; not diff-stable)
 //! cargo run --release -p ss-fabric --bin fabric -- --list
 //!     # print the scenario suite without running it
 //! cargo run --release -p ss-fabric --bin fabric -- --seed 7
@@ -22,50 +20,11 @@
 //! suite order.
 
 use ss_fabric::scenarios::{render_suite_report, run_suite, scenario_list, Budget, DEFAULT_SEED};
-use ss_fabric::FabricReport;
-use ss_sim::json;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: fabric [--check] [--jobs N] [--json PATH] [--seed S] [--list]");
+    eprintln!("usage: fabric [--check] [--jobs N] [--seed S] [--list]");
     std::process::exit(1);
-}
-
-fn write_json(
-    path: &str,
-    seed: u64,
-    results: &[(String, FabricReport)],
-    wall_ms: f64,
-) -> std::io::Result<()> {
-    let mut body = String::from("{\n");
-    body.push_str("  \"harness\": \"fabric\",\n");
-    body.push_str(&format!("  \"seed\": {seed},\n"));
-    body.push_str(&json::host_env_fields());
-    body.push_str(&format!("  \"wall_ms\": {wall_ms:.3},\n"));
-    body.push_str("  \"scenarios\": [\n");
-    for (i, (name, r)) in results.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"name\": \"{}\", \"offered\": {}, \"completed\": {}, \"lost\": {}, \
-             \"retries\": {}, \"shed\": {}, \"timed_out\": {}, \
-             \"rtt_mean\": {:.9}, \"rtt_p50\": {:.9}, \"rtt_p95\": {:.9}, \"rtt_p99\": {:.9}, \
-             \"events\": {}}}{}\n",
-            json::escape(name),
-            r.arrivals,
-            r.completed,
-            r.lost,
-            r.retries,
-            r.shed,
-            r.timed_out,
-            r.rtt.mean(),
-            r.rtt.quantile(0.50),
-            r.rtt.quantile(0.95),
-            r.rtt.quantile(0.99),
-            r.events,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(path, body)
 }
 
 fn main() {
@@ -73,7 +32,6 @@ fn main() {
     let mut check_mode = false;
     let mut list_mode = false;
     let mut jobs: Option<usize> = None;
-    let mut json_path: Option<String> = None;
     let mut seed = DEFAULT_SEED;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -89,10 +47,6 @@ fn main() {
                     _ => usage_error(&format!("invalid --jobs value {value:?}")),
                 }
             }
-            "--json" => match it.next() {
-                Some(path) if !path.starts_with("--") => json_path = Some(path.clone()),
-                _ => usage_error("--json needs an output path"),
-            },
             "--seed" => {
                 let value = it
                     .next()
@@ -104,9 +58,6 @@ fn main() {
             }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
-    }
-    if check_mode && json_path.is_some() {
-        usage_error("--check output must stay deterministic; use --json without --check");
     }
 
     let budget = if check_mode {
@@ -142,14 +93,7 @@ fn main() {
     print!("{}", render_suite_report(seed, &results));
     if !check_mode {
         // Wall-clock is informational and varies run to run; keep it out of
-        // the deterministic --check output that CI diffs across SS_THREADS.
+        // the deterministic --check output that conform pins.
         println!("[suite finished in {wall:.1?}]");
-    }
-    if let Some(path) = &json_path {
-        if let Err(e) = write_json(path, seed, &results, wall.as_secs_f64() * 1e3) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("[wrote {path}]");
     }
 }

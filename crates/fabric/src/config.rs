@@ -199,11 +199,19 @@ impl FabricConfig {
     pub fn validate(&self) {
         assert!(!self.classes.is_empty(), "need >= 1 class");
         assert!(!self.tiers.is_empty(), "need >= 1 tier");
+        assert!(self.horizon.is_finite(), "horizon must be finite");
         assert!(
             self.warmup >= 0.0 && self.horizon > self.warmup,
             "need 0 <= warmup < horizon"
         );
-        assert!(self.retry.base_backoff > 0.0 && self.retry.multiplier >= 1.0);
+        assert!(
+            self.retry.base_backoff > 0.0 && self.retry.base_backoff.is_finite(),
+            "retry.base_backoff must be positive and finite"
+        );
+        assert!(
+            self.retry.multiplier >= 1.0 && self.retry.multiplier.is_finite(),
+            "retry.multiplier must be finite and >= 1"
+        );
         for class in &self.classes {
             class.arrivals.validate();
             assert!(class.holding_cost > 0.0 && class.holding_cost.is_finite());
@@ -215,13 +223,24 @@ impl FabricConfig {
                 self.classes.len(),
                 "tier {t} must give a service distribution per class"
             );
-            assert!(tier.hop_delay >= 0.0);
+            assert!(
+                tier.hop_delay >= 0.0 && tier.hop_delay.is_finite(),
+                "tier {t}: hop_delay must be finite and >= 0"
+            );
             if let LbPolicy::Weighted(w) = &tier.lb {
                 assert_eq!(w.len(), tier.servers, "tier {t}: one weight per server");
                 assert!(w.iter().all(|x| *x > 0.0 && x.is_finite()));
             }
             if let Some(f) = &tier.failure {
-                assert!(f.mean_time_to_failure > 0.0 && f.mean_time_to_repair > 0.0);
+                let (mttf, mttr) = (f.mean_time_to_failure, f.mean_time_to_repair);
+                assert!(
+                    mttf > 0.0 && mttf.is_finite(),
+                    "tier {t}: mean_time_to_failure must be positive and finite"
+                );
+                assert!(
+                    mttr > 0.0 && mttr.is_finite(),
+                    "tier {t}: mean_time_to_repair must be positive and finite"
+                );
             }
             if let Some(b) = &tier.breaker {
                 b.validate();
@@ -343,6 +362,59 @@ mod tests {
         let mut c = tiny();
         c.tiers[0].service.clear();
         c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite")]
+    fn infinite_horizon_is_rejected() {
+        let mut c = tiny();
+        c.horizon = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: hop_delay must be finite")]
+    fn infinite_hop_delay_is_rejected() {
+        let mut c = tiny();
+        c.tiers[0].hop_delay = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "retry.base_backoff must be positive and finite")]
+    fn infinite_base_backoff_is_rejected() {
+        let mut c = tiny();
+        c.retry.base_backoff = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "retry.multiplier must be finite")]
+    fn infinite_backoff_multiplier_is_rejected() {
+        let mut c = tiny();
+        c.retry.multiplier = f64::INFINITY;
+        c.validate();
+    }
+
+    fn with_failures(mean_time_to_failure: f64, mean_time_to_repair: f64) -> FabricConfig {
+        let mut c = tiny();
+        c.tiers[0].failure = Some(FailureConfig {
+            mean_time_to_failure,
+            mean_time_to_repair,
+        });
+        c
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_time_to_failure must be positive and finite")]
+    fn infinite_mean_time_to_failure_is_rejected() {
+        with_failures(f64::INFINITY, 1.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_time_to_repair must be positive and finite")]
+    fn infinite_mean_time_to_repair_is_rejected() {
+        with_failures(50.0, f64::INFINITY).validate();
     }
 
     #[test]

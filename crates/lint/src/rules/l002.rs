@@ -3,12 +3,12 @@
 //! **Historical bug class:** timestamp leakage, the third hint
 //! `ss-conform` classifies: a `SystemTime::now()` or `Instant::now()`
 //! value that reaches report text diverges on every run.  The legitimate
-//! sites are few and audited: the bench-artifact preamble timestamp
-//! (`crates/sim/src/json.rs`, `unix_time`) and the binaries' wall-clock
-//! timing lines, which the conformance renderers already strip or omit
-//! (`harness_subset_report` drops `[`-prefixed lines; `--check` renderings
-//! never include them).  Each of those is a `lint.toml` allow with its
-//! reason; any *new* wall-clock read fails the lint until reviewed.
+//! sites are few and audited: the binaries' wall-clock timing lines and
+//! E21's measured thread sweep, which the conformance renderers already
+//! strip or omit (`harness_subset_report` drops `[`-prefixed lines and
+//! rejects E21; `--check` renderings never include them).  Each of those
+//! is a `lint.toml` allow with its reason; any *new* wall-clock read fails
+//! the lint until reviewed.
 
 use crate::rules::Finding;
 use crate::scan::SourceFile;
@@ -32,8 +32,8 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                 line: t.line,
                 message: format!(
                     "{}::now() outside an audited wall-clock site: clock values must never \
-                     reach deterministic report bytes — route through the artifact preamble \
-                     or a stripped timing line, then add a lint.toml allow with the reason",
+                     reach deterministic report bytes — keep them on a stripped timing line, \
+                     then add a lint.toml allow with the reason",
                     t.text
                 ),
             });

@@ -27,15 +27,13 @@ use crate::rules::Finding;
 use crate::scan::SourceFile;
 
 /// The check-report / render modules the rule polices: every module whose
-/// format calls produce bytes that land in a committed fixture, a bench
-/// artifact or a CI-diffed `--check` report.
+/// format calls produce bytes that land in a committed fixture or a
+/// `--check` report.
 pub const RENDER_PATHS: &[&str] = &[
     "crates/verify/src/run.rs",
     "crates/fabric/src/metrics.rs",
     "crates/fabric/src/scenarios.rs",
     "crates/bench/src/conformance.rs",
-    "crates/bench/src/json.rs",
-    "crates/sim/src/json.rs",
 ];
 
 /// Identifier vocabulary that marks an argument as float-valued in these

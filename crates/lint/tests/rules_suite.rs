@@ -328,6 +328,27 @@ fn workspace_self_scan_is_clean() {
 }
 
 #[test]
+fn rule_path_lists_name_files_that_exist() {
+    // A path list entry naming a deleted file or crate silently polices
+    // nothing, so every entry must resolve under the workspace root.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    for path in rules::l005::RENDER_PATHS {
+        assert!(root.join(path).is_file(), "L005 names missing file {path}");
+    }
+    for path in rules::l001::ARTIFACT_PATHS {
+        assert!(
+            root.join(path).is_dir(),
+            "L001 names missing directory {path}"
+        );
+    }
+    let rng_home = rules::l006::ALLOWED_PATH;
+    assert!(
+        root.join(rng_home).is_file(),
+        "L006 names missing file {rng_home}"
+    );
+}
+
+#[test]
 fn rule_listing_is_complete_and_ordered() {
     let ids: Vec<&str> = rules::RULES.iter().map(|r| r.id).collect();
     assert_eq!(ids, vec!["L001", "L002", "L003", "L004", "L005", "L006"]);

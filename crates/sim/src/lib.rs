@@ -19,16 +19,13 @@
 //! * [`pool`] — explicit controls over the multi-threaded execution pool
 //!   the parallel runners schedule on (thread count via `SS_THREADS`,
 //!   scoped pools, join), with a bit-for-bit serial/parallel determinism
-//!   contract;
-//! * [`json`] — the one JSON escaper + host/`SS_THREADS` preamble shared
-//!   by every harness binary's hand-assembled output (no serde offline).
+//!   contract.
 //!
 //! The queueing and batch-scheduling simulators in `ss-queueing` and
 //! `ss-batch` are built on these primitives.
 
 pub mod engine;
 pub mod events;
-pub mod json;
 pub mod pool;
 pub mod replication;
 pub mod rng;

@@ -5,12 +5,10 @@
 //!     # full-budget corpus: report lines + summary + wall-clock
 //! cargo run --release -p ss-verify --bin verify -- --check
 //!     # fast corpus slice, deterministic output only (no wall-clock);
-//!     # exits nonzero on any FAIL — used by the CI determinism job, which
-//!     # also diffs this output across SS_THREADS values
+//!     # exits nonzero on any FAIL; the `verify-check` conform target pins
+//!     # these bytes across pool sizes
 //! cargo run --release -p ss-verify --bin verify -- --jobs 4
 //!     # run the corpus on a dedicated 4-thread pool
-//! cargo run --release -p ss-verify --bin verify -- --json out.json
-//!     # also write a JSON summary (timings included; not diff-stable)
 //! cargo run --release -p ss-verify --bin verify -- --list
 //!     # print the corpus without running it
 //! cargo run --release -p ss-verify --bin verify -- --seed 7
@@ -23,58 +21,19 @@
 //!
 //! Report lines are bit-identical for any thread count (each replication
 //! owns an `RngStreams` stream keyed by `(scenario, rep)` and results are
-//! collected in corpus order), so determinism is a hard gate here exactly
-//! as in the `sweeps` binary.
+//! collected in corpus order), so determinism is a hard gate here, as it
+//! is for the fabric suite and the sweep workloads.
 
-use ss_sim::json;
 use ss_verify::corpus::generate_corpus;
 use ss_verify::oracle::OraclePair;
-use ss_verify::run::{render_check_report, run_corpus, summarize, ScenarioReport};
+use ss_verify::run::{render_check_report, run_corpus, summarize};
 use ss_verify::scenario::Budget;
 use ss_verify::DEFAULT_SEED;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!(
-        "usage: verify [--check] [--jobs N] [--json PATH] [--seed S] [--list] [--pair KEY]..."
-    );
+    eprintln!("usage: verify [--check] [--jobs N] [--seed S] [--list] [--pair KEY]...");
     std::process::exit(1);
-}
-
-fn write_json(
-    path: &str,
-    seed: u64,
-    reports: &[ScenarioReport],
-    wall_ms: f64,
-) -> std::io::Result<()> {
-    let (passed, total) = summarize(reports);
-    let mut body = String::from("{\n");
-    body.push_str("  \"harness\": \"verify\",\n");
-    body.push_str(&format!("  \"seed\": {seed},\n"));
-    body.push_str(&json::host_env_fields());
-    body.push_str(&format!("  \"passed\": {passed},\n"));
-    body.push_str(&format!("  \"total\": {total},\n"));
-    body.push_str(&format!("  \"wall_ms\": {wall_ms:.3},\n"));
-    body.push_str("  \"scenarios\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        body.push_str(&format!(
-            "    {{\"id\": {}, \"pair\": \"{}\", \"label\": \"{}\", \"pass\": {}, \
-             \"simulated\": {:.9}, \"exact\": {:.9}, \"abs_error\": {:.3e}, \
-             \"ci_half_width\": {:.3e}, \"allowed\": {:.3e}}}{}\n",
-            r.id,
-            r.pair.key(),
-            json::escape(&r.label),
-            r.verdict.pass,
-            r.verdict.simulated,
-            r.verdict.exact,
-            r.verdict.abs_error,
-            r.verdict.ci_half_width,
-            r.verdict.allowed,
-            if i + 1 < reports.len() { "," } else { "" }
-        ));
-    }
-    body.push_str("  ]\n}\n");
-    std::fs::write(path, body)
 }
 
 fn main() {
@@ -82,7 +41,6 @@ fn main() {
     let mut check_mode = false;
     let mut list_mode = false;
     let mut jobs: Option<usize> = None;
-    let mut json_path: Option<String> = None;
     let mut seed = DEFAULT_SEED;
     let mut pairs: Vec<OraclePair> = Vec::new();
     let mut it = args.iter();
@@ -111,10 +69,6 @@ fn main() {
                     _ => usage_error(&format!("invalid --jobs value {value:?}")),
                 }
             }
-            "--json" => match it.next() {
-                Some(path) if !path.starts_with("--") => json_path = Some(path.clone()),
-                _ => usage_error("--json needs an output path"),
-            },
             "--seed" => {
                 let value = it
                     .next()
@@ -126,9 +80,6 @@ fn main() {
             }
             other => usage_error(&format!("unknown argument {other:?}")),
         }
-    }
-    if check_mode && json_path.is_some() {
-        usage_error("--check output must stay deterministic; use --json without --check");
     }
 
     let mut corpus = generate_corpus(seed);
@@ -176,15 +127,8 @@ fn main() {
     let (passed, total) = summarize(&reports);
     if !check_mode {
         // Wall-clock is informational and varies run to run; keep it out of
-        // the deterministic --check output that CI diffs across SS_THREADS.
+        // the deterministic --check output that conform pins.
         println!("[corpus finished in {wall:.1?}]");
-    }
-    if let Some(path) = &json_path {
-        if let Err(e) = write_json(path, seed, &reports, wall.as_secs_f64() * 1e3) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(2);
-        }
-        println!("[wrote {path}]");
     }
     if passed != total {
         eprintln!("verify FAILED: {} oracle checks diverged", total - passed);

@@ -27,10 +27,10 @@
 //! | SEPT/LEPT/WSEPT list schedules  | exact subset-DP flowtime/makespan recursions   |
 //! | fabric M/M/c central-queue wait | Erlang-C mean-wait formula                     |
 //!
-//! The `verify` binary mirrors the `experiments`/`sweeps` harness
-//! conventions (`--jobs`, `--json`, `--check`); `--check` runs the corpus
-//! on a fast budget and prints wall-clock-free report lines, so CI can diff
-//! `SS_THREADS=1` against `SS_THREADS=4` byte-for-byte.
+//! The `verify` binary mirrors the `experiments` harness conventions
+//! (`--jobs`, `--list`); `--check` runs the corpus on a fast budget and
+//! prints wall-clock-free report lines, which the `verify-check` conform
+//! target byte-compares across pool sizes 1/2/4.
 //!
 //! ```
 //! use ss_sim::rng::RngStreams;
