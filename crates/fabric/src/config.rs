@@ -218,6 +218,12 @@ impl FabricConfig {
         }
         for (t, tier) in self.tiers.iter().enumerate() {
             assert!(tier.servers >= 1, "tier {t} has no servers");
+            assert!(
+                tier.servers <= 1 << 16,
+                "tier {t}: at most 2^16 servers, since service and failure streams \
+                 are keyed tier * 2^16 + server (got {})",
+                tier.servers
+            );
             assert_eq!(
                 tier.service.len(),
                 self.classes.len(),
@@ -377,6 +383,14 @@ mod tests {
     fn infinite_hop_delay_is_rejected() {
         let mut c = tiny();
         c.tiers[0].hop_delay = f64::INFINITY;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: at most 2^16 servers")]
+    fn a_tier_past_the_stream_key_range_is_rejected() {
+        let mut c = tiny();
+        c.tiers[0].servers = (1 << 16) + 1;
         c.validate();
     }
 

@@ -20,6 +20,11 @@
 //! | `OUTAGE_FAMILY` | tier | correlated-outage onsets/durations |
 //! | `PROBE_FAMILY` | tier | circuit-breaker open-period jitter |
 //!
+//! A key `a · 2^16 + b` is unique only while `b < 2^16`, so
+//! `FabricConfig::validate` caps a tier at 2^16 servers, and
+//! [`replication_seed`], which keys cells as `scenario · 2^16 + rep`, caps
+//! `rep` at 2^16 − 1.
+//!
 //! The resilience features (deadlines, breakers, shedding) consume no
 //! randomness at all except the breaker's open-period jitter, and the
 //! chaos epochs draw only from their own families — so switching any of
@@ -67,7 +72,16 @@ const PROBE_FAMILY: u64 = 0x4641_0009;
 
 /// The per-replication simulation seed of `(scenario, rep)` under the
 /// shared scheme used by the `fabric` binary and the determinism tests.
+///
+/// # Panics
+///
+/// If `rep >= 2^16`: the key `scenario_id · 2^16 + rep` would then equal
+/// that of a replication of scenario `scenario_id + 1`.
 pub fn replication_seed(streams: &RngStreams, scenario_id: u64, rep: u64) -> u64 {
+    assert!(
+        rep < 1 << 16,
+        "replication {rep} is out of range: stream keys hold 2^16 replications per scenario"
+    );
     streams
         .substream(FABRIC_SIM_STREAM, scenario_id * 0x1_0000 + rep)
         .gen::<u64>()
@@ -1061,6 +1075,14 @@ mod tests {
     fn sample_exp_rejects_nonpositive_rate() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         sample_exp(&mut rng, 0.0);
+    }
+
+    /// Rep 2^16 of scenario 0 would share its key, and so its seed, with
+    /// rep 0 of scenario 1.
+    #[test]
+    #[should_panic(expected = "replication 65536 is out of range")]
+    fn replication_seed_rejects_a_rep_that_collides_with_the_next_scenario() {
+        replication_seed(&RngStreams::new(1), 0, 1 << 16);
     }
 
     /// A deliberately poisoned discipline: class `nan_class` reports NaN,
