@@ -26,6 +26,16 @@ use crate::resilience::{
 /// [`DisciplineKind::Whittle`] discipline.
 pub const WHITTLE_TRUNCATION: usize = 40;
 
+/// Panics unless `value`, the `field` of tier `tier`, is positive and
+/// finite.
+#[track_caller]
+pub(crate) fn assert_positive_finite(tier: usize, field: &str, value: f64) {
+    assert!(
+        value > 0.0 && value.is_finite(),
+        "tier {tier}: {field} must be positive and finite"
+    );
+}
+
 /// Open arrival process of one request class.
 #[derive(Debug, Clone)]
 pub enum ArrivalProcess {
@@ -238,24 +248,17 @@ impl FabricConfig {
                 assert!(w.iter().all(|x| *x > 0.0 && x.is_finite()));
             }
             if let Some(f) = &tier.failure {
-                let (mttf, mttr) = (f.mean_time_to_failure, f.mean_time_to_repair);
-                assert!(
-                    mttf > 0.0 && mttf.is_finite(),
-                    "tier {t}: mean_time_to_failure must be positive and finite"
-                );
-                assert!(
-                    mttr > 0.0 && mttr.is_finite(),
-                    "tier {t}: mean_time_to_repair must be positive and finite"
-                );
+                assert_positive_finite(t, "mean_time_to_failure", f.mean_time_to_failure);
+                assert_positive_finite(t, "mean_time_to_repair", f.mean_time_to_repair);
             }
             if let Some(b) = &tier.breaker {
                 b.validate();
             }
             if let Some(s) = &tier.slowdown {
-                s.validate();
+                s.validate(t);
             }
             if let Some(o) = &tier.outage {
-                o.validate();
+                o.validate(t);
             }
         }
         if let Some(d) = &self.deadlines {
@@ -429,6 +432,51 @@ mod tests {
     #[should_panic(expected = "tier 0: mean_time_to_repair must be positive and finite")]
     fn infinite_mean_time_to_repair_is_rejected() {
         with_failures(50.0, f64::INFINITY).validate();
+    }
+
+    fn with_slowdown(mean_time_to_slowdown: f64, mean_slowdown_duration: f64) -> FabricConfig {
+        let mut c = tiny();
+        c.tiers[0].slowdown = Some(SlowdownConfig {
+            mean_time_to_slowdown,
+            mean_slowdown_duration,
+            rate_multiplier: 0.5,
+            max_epochs: 1,
+        });
+        c
+    }
+
+    fn with_outage(mean_time_to_outage: f64, mean_outage_duration: f64) -> FabricConfig {
+        let mut c = tiny();
+        c.tiers[0].outage = Some(OutageConfig {
+            mean_time_to_outage,
+            mean_outage_duration,
+            max_epochs: 1,
+        });
+        c
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_time_to_slowdown must be positive and finite")]
+    fn infinite_mean_time_to_slowdown_is_rejected() {
+        with_slowdown(f64::INFINITY, 10.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_slowdown_duration must be positive and finite")]
+    fn infinite_mean_slowdown_duration_is_rejected() {
+        with_slowdown(50.0, f64::INFINITY).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_time_to_outage must be positive and finite")]
+    fn infinite_mean_time_to_outage_is_rejected() {
+        with_outage(f64::INFINITY, 10.0).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: mean_outage_duration must be positive and finite")]
+    fn infinite_mean_outage_duration_is_rejected() {
+        with_outage(50.0, f64::INFINITY).validate();
     }
 
     #[test]

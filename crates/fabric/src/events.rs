@@ -30,7 +30,7 @@ pub enum FabricEvent {
     /// The modulating phase of `class`'s MMPP advances.
     PhaseSwitch { class: usize },
     /// `req` arrives at tier `tier` (forward path) and must be balanced
-    /// onto a server queue.
+    /// onto a server queue.  A backed-off client retry re-enters at tier 0.
     ArriveAtTier { tier: usize, req: Request },
     /// The request in service at `(tier, server)` completes — unless
     /// `epoch` no longer matches the server's epoch, in which case the
@@ -47,8 +47,6 @@ pub enum FabricEvent {
     /// The response for `req` reaches tier `tier` on the way back to the
     /// client; at tier 0 the round trip completes.
     ReturnHop { tier: usize, req: Request },
-    /// A backed-off client re-submits `req` at tier 0.
-    Retry { req: Request },
     /// A tier-wide slowdown epoch begins at `tier`: service times sampled
     /// while degraded are stretched by the tier's configured multiplier.
     SlowdownStart { tier: usize },

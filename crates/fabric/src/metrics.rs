@@ -40,8 +40,6 @@ pub struct SlaWindowReport {
     pub shed: u64,
     /// Breaker fast-fails in the window, summed over tiers.
     pub fast_failed: u64,
-    /// Retry attempts scheduled in the window.
-    pub retries: u64,
     /// Round-trip times of every trip finished in the window (including
     /// past-deadline ones, so a collapsed window shows an honest P99).
     pub rtt: QuantileSketch,

@@ -37,6 +37,8 @@
 
 use std::collections::VecDeque;
 
+use crate::config::assert_positive_finite;
+
 /// Per-class request deadlines measured from first birth (`Request::born`),
 /// shared across retry attempts: a retry does not reset the budget.
 #[derive(Debug, Clone)]
@@ -287,9 +289,9 @@ pub struct SlowdownConfig {
 }
 
 impl SlowdownConfig {
-    pub(crate) fn validate(&self) {
-        assert!(self.mean_time_to_slowdown > 0.0);
-        assert!(self.mean_slowdown_duration > 0.0);
+    pub(crate) fn validate(&self, tier: usize) {
+        assert_positive_finite(tier, "mean_time_to_slowdown", self.mean_time_to_slowdown);
+        assert_positive_finite(tier, "mean_slowdown_duration", self.mean_slowdown_duration);
         assert!(self.rate_multiplier > 0.0 && self.rate_multiplier <= 1.0);
     }
 }
@@ -311,9 +313,9 @@ pub struct OutageConfig {
 }
 
 impl OutageConfig {
-    pub(crate) fn validate(&self) {
-        assert!(self.mean_time_to_outage > 0.0);
-        assert!(self.mean_outage_duration > 0.0);
+    pub(crate) fn validate(&self, tier: usize) {
+        assert_positive_finite(tier, "mean_time_to_outage", self.mean_time_to_outage);
+        assert_positive_finite(tier, "mean_outage_duration", self.mean_outage_duration);
     }
 }
 

@@ -439,7 +439,6 @@ pub fn aggregate(reports: &[FabricReport]) -> FabricReport {
                 dropped: reports.iter().map(|r| r.windows[k].dropped).sum(),
                 shed: reports.iter().map(|r| r.windows[k].shed).sum(),
                 fast_failed: reports.iter().map(|r| r.windows[k].fast_failed).sum(),
-                retries: reports.iter().map(|r| r.windows[k].retries).sum(),
                 rtt,
             }
         })

@@ -140,8 +140,6 @@ struct Tier {
     shared_queued: usize,
     served: u64,
     wait_sum: f64,
-    dropped: u64,
-    fast_failed: u64,
     breaker: Option<CircuitBreaker>,
     rng_probe: Option<ChaCha8Rng>,
     /// A tier-wide slowdown epoch is in force.
@@ -183,31 +181,31 @@ fn select_class(discipline: &dyn Discipline, queues: &[VecDeque<Request>]) -> Op
     best.map(|(class, _, _)| class)
 }
 
-/// Per-window SLA accumulators (mirrors [`SlaWindowReport`]).
-struct WindowAcc {
-    arrivals: u64,
-    completed: u64,
-    timed_out: u64,
-    dropped: u64,
-    shed: u64,
-    fast_failed: u64,
-    retries: u64,
-    rtt: QuantileSketch,
+/// Wide geometric sketch: 1.35% relative bucket width over [1e-3, 1e3], so
+/// P50/P95/P99 stay meaningful even with long retry/backoff tails.
+fn rtt_sketch() -> QuantileSketch {
+    QuantileSketch::new(1e-3, 1e3, 1024)
 }
 
-impl WindowAcc {
-    fn new() -> Self {
-        Self {
-            arrivals: 0,
-            completed: 0,
-            timed_out: 0,
-            dropped: 0,
-            shed: 0,
-            fast_failed: 0,
-            retries: 0,
-            rtt: QuantileSketch::new(1e-3, 1e3, 1024),
-        }
-    }
+/// The outcome counters of one span of the run (see [`FabricSim::row`]).
+/// Each outcome increments one counter, in the row of the instant it
+/// happens, so run totals are sums over the post-warmup rows and the SLA
+/// windows, which are those rows, add up to them by construction.
+#[derive(Default)]
+struct Row {
+    arrivals: u64,
+    completed: u64,
+    retries: u64,
+    lost: u64,
+    shed: u64,
+    timed_out: u64,
+    /// Per tier.
+    dropped: Vec<u64>,
+    /// Per tier.
+    fast_failed: Vec<u64>,
+    /// Round-trip times of the trips finished in the span; only SLA-window
+    /// rows keep one.
+    rtt: Option<QuantileSketch>,
 }
 
 struct FabricSim<'a> {
@@ -216,14 +214,10 @@ struct FabricSim<'a> {
     classes: Vec<ClassState>,
     shedder: Option<TokenBucket>,
     next_id: u64,
-    arrivals: u64,
-    completed: u64,
-    lost: u64,
-    retries: u64,
-    shed: u64,
-    timed_out: u64,
+    /// Every post-warmup trip.  Merging the window sketches instead would
+    /// sum `rtt_mean` in another order and change its bits.
     rtt: QuantileSketch,
-    windows: Vec<WindowAcc>,
+    rows: Vec<Row>,
 }
 
 impl<'a> FabricSim<'a> {
@@ -268,8 +262,6 @@ impl<'a> FabricSim<'a> {
                 shared_queued: 0,
                 served: 0,
                 wait_sum: 0.0,
-                dropped: 0,
-                fast_failed: 0,
                 breaker: tier.breaker.map(CircuitBreaker::new),
                 rng_probe: tier
                     .breaker
@@ -286,33 +278,27 @@ impl<'a> FabricSim<'a> {
                     .map(|_| streams.substream(OUTAGE_FAMILY, t as u64)),
             })
             .collect();
-        let windows = match cfg.sla_window {
-            Some(w) => {
-                let span = cfg.horizon - cfg.warmup;
-                // The 1e-9 slack keeps a width that divides the span
-                // exactly from spawning a sliver seventh window.
-                let n = ((span / w) - 1e-9).ceil().max(1.0) as usize;
-                (0..n).map(|_| WindowAcc::new()).collect()
-            }
-            None => Vec::new(),
-        };
+        // The 1e-9 slack keeps a width that divides the span exactly from
+        // spawning a sliver seventh window.
+        let spans = cfg.sla_window.map_or(1, |w| {
+            (((cfg.horizon - cfg.warmup) / w) - 1e-9).ceil().max(1.0) as usize
+        });
+        let rows = (0..=spans)
+            .map(|k| Row {
+                dropped: vec![0; cfg.tiers.len()],
+                fast_failed: vec![0; cfg.tiers.len()],
+                rtt: (k > 0 && cfg.sla_window.is_some()).then(rtt_sketch),
+                ..Row::default()
+            })
+            .collect();
         Self {
             cfg,
             tiers,
             classes,
             shedder: cfg.shedder.map(TokenBucket::new),
             next_id: 0,
-            arrivals: 0,
-            completed: 0,
-            lost: 0,
-            retries: 0,
-            shed: 0,
-            timed_out: 0,
-            // Wide geometric sketch: 1.35% relative bucket width over
-            // [1e-3, 1e3], so P50/P95/P99 stay meaningful even with long
-            // retry/backoff tails.
-            rtt: QuantileSketch::new(1e-3, 1e3, 1024),
-            windows,
+            rtt: rtt_sketch(),
+            rows,
         }
     }
 
@@ -335,15 +321,27 @@ impl<'a> FabricSim<'a> {
         queue.schedule(now + dt, FabricEvent::NextArrival { class, epoch });
     }
 
-    /// The SLA window containing post-warmup instant `t` (`None` during
-    /// warmup or when windows are disabled).
-    fn window_index(&self, t: f64) -> Option<usize> {
-        if self.windows.is_empty() || t <= self.cfg.warmup {
-            return None;
+    /// The row of instant `t`: row 0 is the warmup `[0, warmup]`, and rows
+    /// 1.. tile `(warmup, horizon]`, one per SLA window, or one in all when
+    /// `sla_window` is unset.  No other code knows where the spans begin.
+    fn row(&self, t: f64) -> usize {
+        if t <= self.cfg.warmup {
+            return 0;
         }
-        let width = self.cfg.sla_window.expect("windows imply a width");
-        let k = ((t - self.cfg.warmup) / width) as usize;
-        Some(k.min(self.windows.len() - 1))
+        self.cfg.sla_window.map_or(1, |width| {
+            1 + (((t - self.cfg.warmup) / width) as usize).min(self.rows.len() - 2)
+        })
+    }
+
+    /// The counters of the span containing `t`.
+    fn counts(&mut self, t: f64) -> &mut Row {
+        let k = self.row(t);
+        &mut self.rows[k]
+    }
+
+    /// `f` summed over the post-warmup rows.
+    fn total(&self, f: impl Fn(&Row) -> u64) -> u64 {
+        self.rows[1..].iter().map(f).sum()
     }
 
     /// The configured deadline of `class`, if any.
@@ -424,8 +422,7 @@ impl<'a> FabricSim<'a> {
             }
             return;
         }
-        let chosen = self.pick_server(tier, req.class);
-        let Some(server) = chosen else {
+        let Some(server) = self.pick_server(tier) else {
             // Every server of the tier is down (or the tier is out).
             self.drop_request(tier, req, now, queue);
             return;
@@ -445,7 +442,7 @@ impl<'a> FabricSim<'a> {
 
     /// The load-balancer decision: an up server of `tier`, or `None` when
     /// the whole tier is down.
-    fn pick_server(&mut self, tier: usize, _class: usize) -> Option<usize> {
+    fn pick_server(&mut self, tier: usize) -> Option<usize> {
         if self.tiers[tier].outage {
             return None;
         }
@@ -550,8 +547,9 @@ impl<'a> FabricSim<'a> {
                 self.time_out_request(Some(tier), req, now, queue);
                 continue;
             }
+            let after_warmup = self.row(now) > 0;
             let t = &mut self.tiers[tier];
-            if now > self.cfg.warmup {
+            if after_warmup {
                 t.served += 1;
                 t.wait_sum += now - req.enqueued;
             }
@@ -588,26 +586,21 @@ impl<'a> FabricSim<'a> {
         queue: &mut EventQueue<FabricEvent>,
         allow_retry: bool,
     ) {
-        let after_warmup = now > self.cfg.warmup;
         let retry = &self.cfg.retry;
         if allow_retry && req.attempt < retry.max_retries {
             let attempt = req.attempt + 1;
             let jitter = 0.5 + self.classes[req.class].rng_retry.gen::<f64>();
             let backoff = retry.base_backoff * retry.multiplier.powi(attempt as i32 - 1) * jitter;
-            if after_warmup {
-                self.retries += 1;
-                if let Some(k) = self.window_index(now) {
-                    self.windows[k].retries += 1;
-                }
-            }
+            self.counts(now).retries += 1;
             queue.schedule(
                 now + backoff,
-                FabricEvent::Retry {
+                FabricEvent::ArriveAtTier {
+                    tier: 0,
                     req: Request { attempt, ..req },
                 },
             );
-        } else if after_warmup {
-            self.lost += 1;
+        } else {
+            self.counts(now).lost += 1;
         }
     }
 
@@ -620,12 +613,7 @@ impl<'a> FabricSim<'a> {
         now: f64,
         queue: &mut EventQueue<FabricEvent>,
     ) {
-        if now > self.cfg.warmup {
-            self.tiers[tier].dropped += 1;
-            if let Some(k) = self.window_index(now) {
-                self.windows[k].dropped += 1;
-            }
-        }
+        self.counts(now).dropped[tier] += 1;
         self.breaker_outcome(tier, true, now, queue);
         self.retry_or_lose(req, now, queue, true);
     }
@@ -638,23 +626,13 @@ impl<'a> FabricSim<'a> {
         now: f64,
         queue: &mut EventQueue<FabricEvent>,
     ) {
-        if now > self.cfg.warmup {
-            self.tiers[tier].fast_failed += 1;
-            if let Some(k) = self.window_index(now) {
-                self.windows[k].fast_failed += 1;
-            }
-        }
+        self.counts(now).fast_failed[tier] += 1;
         self.retry_or_lose(req, now, queue, true);
     }
 
     /// The front-tier token bucket rejected the arrival.
     fn shed_request(&mut self, req: Request, now: f64, queue: &mut EventQueue<FabricEvent>) {
-        if now > self.cfg.warmup {
-            self.shed += 1;
-            if let Some(k) = self.window_index(now) {
-                self.windows[k].shed += 1;
-            }
-        }
+        self.counts(now).shed += 1;
         self.retry_or_lose(req, now, queue, true);
     }
 
@@ -669,12 +647,7 @@ impl<'a> FabricSim<'a> {
         now: f64,
         queue: &mut EventQueue<FabricEvent>,
     ) {
-        if now > self.cfg.warmup {
-            self.timed_out += 1;
-            if let Some(k) = self.window_index(now) {
-                self.windows[k].timed_out += 1;
-            }
-        }
+        self.counts(now).timed_out += 1;
         if let Some(tier) = breaker_tier {
             self.breaker_outcome(tier, true, now, queue);
         }
@@ -731,12 +704,7 @@ impl EventHandler for FabricSim<'_> {
                     enqueued: time,
                 };
                 self.next_id += 1;
-                if time > self.cfg.warmup {
-                    self.arrivals += 1;
-                    if let Some(k) = self.window_index(time) {
-                        self.windows[k].arrivals += 1;
-                    }
-                }
+                self.counts(time).arrivals += 1;
                 self.enqueue_at_tier(0, req, time, queue);
                 self.schedule_next_arrival(class, time, queue);
             }
@@ -830,40 +798,32 @@ impl EventHandler for FabricSim<'_> {
                 queue.schedule(time + dt, FabricEvent::Fail { tier, server });
                 self.try_start(tier, server, time, queue);
             }
-            FabricEvent::ReturnHop { tier, req } => {
-                if tier == 0 {
-                    let missed = self.expired(&req, time);
-                    if time > self.cfg.warmup {
-                        // Every finished trip lands in the sketch — a
-                        // collapsed window must show its honest P99.
-                        self.rtt.record(time - req.born);
-                        if !missed {
-                            self.completed += 1;
-                        }
-                        if let Some(k) = self.window_index(time) {
-                            self.windows[k].rtt.record(time - req.born);
-                            if !missed {
-                                self.windows[k].completed += 1;
-                            }
-                        }
-                    }
-                    if missed {
-                        // Finished past deadline: the client already gave
-                        // up, the completion is discarded.
-                        self.time_out_request(None, req, time, queue);
-                    }
+            FabricEvent::ReturnHop { tier: 0, req } => {
+                let row = self.row(time);
+                // Every finished trip lands in the sketches — a collapsed
+                // window must show its honest P99.
+                if row > 0 {
+                    self.rtt.record(time - req.born);
+                }
+                if let Some(rtt) = self.rows[row].rtt.as_mut() {
+                    rtt.record(time - req.born);
+                }
+                if self.expired(&req, time) {
+                    // Finished past deadline: the client already gave up,
+                    // the completion is discarded.
+                    self.time_out_request(None, req, time, queue);
                 } else {
-                    queue.schedule(
-                        time + self.cfg.tiers[tier - 1].hop_delay,
-                        FabricEvent::ReturnHop {
-                            tier: tier - 1,
-                            req,
-                        },
-                    );
+                    self.rows[row].completed += 1;
                 }
             }
-            FabricEvent::Retry { req } => {
-                self.enqueue_at_tier(0, req, time, queue);
+            FabricEvent::ReturnHop { tier, req } => {
+                queue.schedule(
+                    time + self.cfg.tiers[tier - 1].hop_delay,
+                    FabricEvent::ReturnHop {
+                        tier: tier - 1,
+                        req,
+                    },
+                );
             }
             FabricEvent::SlowdownStart { tier } => {
                 let s = self.cfg.tiers[tier]
@@ -1012,11 +972,24 @@ pub fn run_fabric_with(
         }
     }
 
+    for (k, r) in sim.rows.iter().enumerate() {
+        // Each rejection runs `retry_or_lose` once, at its own instant, and
+        // that counts one retry or one loss in the rejection's row.
+        let rejections = r.dropped.iter().sum::<u64>()
+            + r.fast_failed.iter().sum::<u64>()
+            + r.shed
+            + r.timed_out;
+        assert!(
+            r.retries + r.lost == rejections,
+            "row {k}: retries + lost must equal rejections"
+        );
+    }
     let window = config.horizon - config.warmup;
     let tiers = sim
         .tiers
         .iter()
-        .map(|t| TierReport {
+        .enumerate()
+        .map(|(i, t)| TierReport {
             served: t.served,
             mean_wait: if t.served > 0 {
                 t.wait_sum / t.served as f64
@@ -1025,35 +998,36 @@ pub fn run_fabric_with(
             },
             utilization: t.servers.iter().map(|s| s.busy).sum::<f64>()
                 / (window * t.servers.len() as f64),
-            dropped: t.dropped,
-            fast_failed: t.fast_failed,
+            dropped: sim.total(|r| r.dropped[i]),
+            fast_failed: sim.total(|r| r.fast_failed[i]),
         })
         .collect();
+    // The window rows are exactly the rows that keep a sketch.
     let width = config.sla_window.unwrap_or(0.0);
-    let windows = sim
-        .windows
-        .into_iter()
+    let windows = sim.rows[1..]
+        .iter_mut()
         .enumerate()
-        .map(|(k, w)| SlaWindowReport {
-            start: config.warmup + k as f64 * width,
-            end: (config.warmup + (k + 1) as f64 * width).min(config.horizon),
-            arrivals: w.arrivals,
-            completed: w.completed,
-            timed_out: w.timed_out,
-            dropped: w.dropped,
-            shed: w.shed,
-            fast_failed: w.fast_failed,
-            retries: w.retries,
-            rtt: w.rtt,
+        .filter_map(|(k, r)| {
+            Some(SlaWindowReport {
+                start: config.warmup + k as f64 * width,
+                end: (config.warmup + (k + 1) as f64 * width).min(config.horizon),
+                arrivals: r.arrivals,
+                completed: r.completed,
+                timed_out: r.timed_out,
+                dropped: r.dropped.iter().sum(),
+                shed: r.shed,
+                fast_failed: r.fast_failed.iter().sum(),
+                rtt: r.rtt.take()?,
+            })
         })
         .collect();
     FabricReport {
-        arrivals: sim.arrivals,
-        completed: sim.completed,
-        lost: sim.lost,
-        retries: sim.retries,
-        shed: sim.shed,
-        timed_out: sim.timed_out,
+        arrivals: sim.total(|r| r.arrivals),
+        completed: sim.total(|r| r.completed),
+        lost: sim.total(|r| r.lost),
+        retries: sim.total(|r| r.retries),
+        shed: sim.total(|r| r.shed),
+        timed_out: sim.total(|r| r.timed_out),
         rtt: sim.rtt,
         tiers,
         windows,
