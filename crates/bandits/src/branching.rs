@@ -11,12 +11,12 @@
 //!
 //! Weiss showed that the optimal nonpreemptive policy is again a
 //! **priority-index rule**, with indices of exactly the conservation-law
-//! form implemented by [`ss_core::adaptive_greedy`]: the work measure
-//! `T_j(S)` is the expected length of the sub-busy period a class-`j` job
-//! generates while only classes in `S` are served, and the exit cost
-//! `E_j(S)` is the expected holding-cost rate of the first-generation
-//! descendants that fall outside `S`.  Two sanity limits anchor the
-//! implementation:
+//! form implemented by [`ss_core::adaptive_greedy`](fn@ss_core::adaptive_greedy):
+//! the work measure `T_j(S)` is the expected length of the sub-busy period
+//! a class-`j` job generates while only classes in `S` are served, and the
+//! exit cost `E_j(S)` is the expected holding-cost rate of the
+//! first-generation descendants that fall outside `S`.  Two sanity limits
+//! anchor the implementation:
 //!
 //! * with **no offspring** the model is the static single-machine batch
 //!   problem and the index reduces to the WSEPT/Smith index `c_i / E[S_i]`

@@ -1,4 +1,5 @@
-//! Gittins-index adapter onto the common fabric [`Discipline`] trait.
+//! Gittins-index adapter onto the common fabric
+//! [`Discipline`](ss_core::discipline::Discipline) trait.
 //!
 //! For a nonpreemptive server the relevant Gittins quantity is the service
 //! index *at zero attained service*: once a request starts it runs to

@@ -8,7 +8,6 @@
 //! distributions by simulation.
 
 use rand::RngCore;
-use rayon::prelude::*;
 use ss_core::instance::BatchInstance;
 use ss_sim::replication::{
     run_replications_chunked, run_replications_parallel, ChunkedReplications, ReplicationSummary,
@@ -115,10 +114,9 @@ pub fn evaluate_list_policies(
     replications: usize,
     seed: u64,
 ) -> Vec<ReplicationSummary> {
-    orders
-        .par_iter()
-        .map(|order| evaluate_list_policy(instance, order, machines, metric, replications, seed))
-        .collect()
+    ss_sim::pool::parallel_indexed(orders.len(), |i| {
+        evaluate_list_policy(instance, &orders[i], machines, metric, replications, seed)
+    })
 }
 
 /// Estimate the chosen metric with per-batch summaries on top of the flat

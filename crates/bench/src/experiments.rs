@@ -81,8 +81,8 @@ pub struct ExperimentReport {
     pub wall: std::time::Duration,
     /// Whether `run()` panicked.  The panic is captured per experiment so a
     /// single failure cannot discard the other buffered reports; callers
-    /// that need a hard failure (the binary, the bench gates) check this
-    /// and exit nonzero after printing everything that did finish.
+    /// that need a hard failure (the binary, the conformance report) check
+    /// this and exit nonzero after printing everything that did finish.
     pub panicked: bool,
 }
 
@@ -611,7 +611,7 @@ fn e8_gittins_agreement() -> String {
             .fold(0.0, f64::max);
         out.push_str(&format!("| {k} | {d1:.2e} | {d2:.2e} |\n"));
     }
-    out.push_str("\nAll three computations coincide to solver tolerance; see `cargo bench -p ss-bench --bench gittins` for their running-time scaling.\n");
+    out.push_str("\nAll three computations coincide to solver tolerance.\n");
     out
 }
 
@@ -919,20 +919,7 @@ fn e15_fluid() -> String {
 // ---------------------------------------------------------------- E16 ---
 
 fn e16_polling() -> String {
-    let classes = vec![
-        ss_core::job::JobClass::new(
-            0,
-            0.45,
-            dyn_dist(ss_distributions::Exponential::with_mean(1.0)),
-            1.0,
-        ),
-        ss_core::job::JobClass::new(
-            1,
-            0.35,
-            dyn_dist(ss_distributions::Exponential::with_mean(0.8)),
-            2.0,
-        ),
-    ];
+    let classes = workloads::setup_two_classes();
     let mut out = String::from(
         "### E16: 2-class M/M/1 with class switchover times\n\n| setup time | cmu-with-setups cost | exhaustive polling cost | gated polling cost | cmu setups | exhaustive setups | gated setups |\n|---|---|---|---|---|---|---|\n",
     );

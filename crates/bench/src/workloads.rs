@@ -1,6 +1,6 @@
-//! Shared workload builders used by both the experiment harness and the
-//! Criterion benches.  Every builder is deterministic given its arguments
-//! (seeds are fixed constants documented in EXPERIMENTS.md).
+//! Shared workload builders of the experiment harness and its sweeps.
+//! Every builder is deterministic given its arguments (seeds are fixed
+//! constants documented in EXPERIMENTS.md).
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;

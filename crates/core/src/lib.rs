@@ -6,7 +6,7 @@
 //! serve the largest.  This crate provides the shared vocabulary the domain
 //! crates build on:
 //!
-//! * [`adaptive_greedy`] — the adaptive-greedy index algorithm of the
+//! * [`adaptive_greedy`](mod@adaptive_greedy) — the adaptive-greedy index algorithm of the
 //!   conservation-law / extended-polymatroid framework, shared by the
 //!   cµ/Klimov/branching-bandit index computations;
 //! * [`job`] — stochastic jobs (weight + processing-time distribution) and

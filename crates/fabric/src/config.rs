@@ -3,11 +3,11 @@
 //! A fabric is a chain of **tiers** (think edge proxies → application
 //! servers → storage).  Each tier is a bank of parallel servers, each with
 //! its own bounded multi-class queue; a load balancer assigns requests
-//! arriving at the tier to a server, and a pluggable index
-//! [`Discipline`](ss_core::discipline::Discipline) decides which class a
-//! freed server picks next.  Requests traverse the tiers forward, then the
-//! response is routed back through the same chain hop by hop, so the
-//! recorded round-trip time is a true end-to-end latency.
+//! arriving at the tier to a server, and a pluggable index [`Discipline`]
+//! decides which class a freed server picks next.  Requests traverse the
+//! tiers forward, then the response is routed back through the same chain
+//! hop by hop, so the recorded round-trip time is a true end-to-end
+//! latency.
 
 use std::sync::Arc;
 
@@ -25,6 +25,11 @@ use crate::resilience::{
 /// Queue-length truncation used when tabulating Whittle indices for the
 /// [`DisciplineKind::Whittle`] discipline.
 pub const WHITTLE_TRUNCATION: usize = 40;
+
+/// Most SLA windows a run may tile `(warmup, horizon]` into.  Each window
+/// keeps its own RTT sketch (about 8 KB), so a tiny `sla_window` would
+/// otherwise exhaust memory.
+const MAX_SLA_WINDOWS: usize = 4096;
 
 /// Panics unless `value`, the `field` of tier `tier`, is positive and
 /// finite.
@@ -269,7 +274,23 @@ impl FabricConfig {
         }
         if let Some(w) = self.sla_window {
             assert!(w > 0.0 && w.is_finite(), "sla_window must be positive");
+            let windows = self.spans();
+            assert!(
+                windows <= MAX_SLA_WINDOWS,
+                "sla_window {w} tiles (warmup, horizon] into {windows} windows; \
+                 at most {MAX_SLA_WINDOWS} are allowed"
+            );
         }
+    }
+
+    /// The number of post-warmup spans: one per SLA window tiling
+    /// `(warmup, horizon]`, or one in all when `sla_window` is unset.  The
+    /// 1e-9 slack keeps a width that divides the span exactly from spawning
+    /// a sliver extra window.
+    pub(crate) fn spans(&self) -> usize {
+        self.sla_window.map_or(1, |w| {
+            (((self.horizon - self.warmup) / w) - 1e-9).ceil().max(1.0) as usize
+        })
     }
 
     /// The [`JobClass`] view of this fabric's classes at tier `tier`
@@ -354,6 +375,23 @@ mod tests {
     #[test]
     fn tiny_config_validates() {
         tiny().validate();
+    }
+
+    #[test]
+    fn sla_windows_are_bounded() {
+        let mut c = tiny();
+        // The span (10, 100] is 90 wide: 4,096 windows fit, 4,097 do not.
+        c.sla_window = Some(90.0 / MAX_SLA_WINDOWS as f64);
+        assert_eq!(c.spans(), MAX_SLA_WINDOWS);
+        c.validate();
+        c.sla_window = Some(90.0 / (MAX_SLA_WINDOWS + 1) as f64);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.validate()))
+            .expect_err("4,097 windows must be rejected");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.contains("sla_window") && msg.contains("into 4097 windows"),
+            "{msg}"
+        );
     }
 
     #[test]

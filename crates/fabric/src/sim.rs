@@ -278,12 +278,7 @@ impl<'a> FabricSim<'a> {
                     .map(|_| streams.substream(OUTAGE_FAMILY, t as u64)),
             })
             .collect();
-        // The 1e-9 slack keeps a width that divides the span exactly from
-        // spawning a sliver seventh window.
-        let spans = cfg.sla_window.map_or(1, |w| {
-            (((cfg.horizon - cfg.warmup) / w) - 1e-9).ceil().max(1.0) as usize
-        });
-        let rows = (0..=spans)
+        let rows = (0..=cfg.spans())
             .map(|k| Row {
                 dropped: vec![0; cfg.tiers.len()],
                 fast_failed: vec![0; cfg.tiers.len()],

@@ -6,7 +6,8 @@
 //! *verify* the index-policy optimality claims exactly on small instances:
 //!
 //! * discounted value iteration and policy iteration
-//!   ([`value_iteration`], [`policy_iteration`]) — used to compute the
+//!   ([`value_iteration`](mod@value_iteration),
+//!   [`policy_iteration`](mod@policy_iteration)) — used to compute the
 //!   optimal value of small multi-armed bandit problems (experiment E7) and
 //!   switching-cost bandits (E9);
 //! * average-cost relative value iteration ([`average`]) — used for the

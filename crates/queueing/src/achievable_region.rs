@@ -20,8 +20,9 @@
 //! * with Bernoulli feedback the region becomes an *extended* polymatroid
 //!   and the optimising vertex is produced by the adaptive-greedy index
 //!   algorithm; [`KlimovWorkMeasure`] plugs the Klimov network's restricted
-//!   busy periods into [`ss_core::adaptive_greedy`], recovering Klimov's
-//!   indices from the conservation-law framework.
+//!   busy periods into
+//!   [`ss_core::adaptive_greedy`](fn@ss_core::adaptive_greedy), recovering
+//!   Klimov's indices from the conservation-law framework.
 //!
 //! Experiment E17 uses this module to show that the region LP, the
 //! adaptive-greedy indices and the exhaustive search over priority orders

@@ -307,30 +307,27 @@ pub fn threshold_sweep(
     seed: u64,
 ) -> Vec<ThresholdSweepPoint> {
     use rand::SeedableRng;
-    use rayon::prelude::*;
-    scales
-        .par_iter()
-        .map(|&scale| {
-            let thresholds: Vec<f64> = base_thresholds.iter().map(|t| t * scale).collect();
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let res = simulate_setup_policy(
-                classes,
-                setup,
-                &SetupPolicy::Threshold {
-                    thresholds: thresholds.clone(),
-                },
-                horizon,
-                warmup,
-                &mut rng,
-            );
-            ThresholdSweepPoint {
-                scale,
-                thresholds,
-                holding_cost_rate: res.holding_cost_rate,
-                setups_per_time: res.setups as f64 / (horizon - warmup),
-            }
-        })
-        .collect()
+    ss_sim::pool::parallel_indexed(scales.len(), |point| {
+        let scale = scales[point];
+        let thresholds: Vec<f64> = base_thresholds.iter().map(|t| t * scale).collect();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let res = simulate_setup_policy(
+            classes,
+            setup,
+            &SetupPolicy::Threshold {
+                thresholds: thresholds.clone(),
+            },
+            horizon,
+            warmup,
+            &mut rng,
+        );
+        ThresholdSweepPoint {
+            scale,
+            thresholds,
+            holding_cost_rate: res.holding_cost_rate,
+            setups_per_time: res.setups as f64 / (horizon - warmup),
+        }
+    })
 }
 
 #[cfg(test)]

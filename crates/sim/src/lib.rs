@@ -16,10 +16,10 @@
 //!   steady-state output analysis;
 //! * [`replication`] — serial, parallel and chunked replication runners
 //!   that return summary statistics with confidence intervals;
-//! * [`pool`] — explicit controls over the multi-threaded execution pool
-//!   the parallel runners schedule on (thread count via `SS_THREADS`,
-//!   scoped pools, join), with a bit-for-bit serial/parallel determinism
-//!   contract.
+//! * [`pool`] — the multi-threaded execution pool every parallel workload
+//!   schedules on, through one order-preserving map
+//!   ([`pool::parallel_indexed`]), with scoped pools, an `SS_THREADS`
+//!   override and a bit-for-bit serial/parallel determinism contract.
 //!
 //! The queueing and batch-scheduling simulators in `ss-queueing` and
 //! `ss-batch` are built on these primitives.

@@ -18,7 +18,6 @@
 use crate::rng::RngStreams;
 use crate::stats::OnlineStats;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Summary of a set of independent replications.
 #[derive(Debug, Clone)]
@@ -103,13 +102,10 @@ where
     F: Fn(usize, &mut ChaCha8Rng) -> f64 + Sync,
 {
     let streams = RngStreams::new(seed);
-    (0..n)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng = streams.stream(i as u64);
-            f(i, &mut rng)
-        })
-        .collect()
+    crate::pool::parallel_indexed(n, |i| {
+        let mut rng = streams.stream(i as u64);
+        f(i, &mut rng)
+    })
 }
 
 /// Replications grouped into fixed-size batches, each with its own summary.

@@ -301,30 +301,26 @@ fn run_restless(
     )
 }
 
-/// The fabric pair: the service-fabric DES configured as exactly the model
-/// Erlang-C solves — one tier, one class, Poisson arrivals, exponential
-/// servers behind a central FIFO queue, no hops, failures or retries —
-/// must reproduce the closed-form M/M/c mean queueing delay.  Exercises
-/// the whole fabric machinery (calendar, central queue, discipline
-/// selection, warmup-clipped accounting) through the public `run_fabric`
-/// entry point.
-fn run_fabric_erlang(
-    scenario_id: usize,
+/// One tier of `servers` exponential servers behind a central FIFO queue
+/// with `queue_capacity` waiting places, fed by one Poisson class: no hops,
+/// failures, retries or resilience, so the tier is exactly an M/M/c (or,
+/// bounded, an M/M/c/K) system.
+fn single_tier_fifo(
     servers: usize,
+    queue_capacity: Option<usize>,
     lambda: f64,
     mu: f64,
     budget: &Budget,
-    streams: &RngStreams,
-) -> Verdict {
-    let config = FabricConfig {
-        name: format!("mmc-c{servers}"),
+) -> FabricConfig {
+    FabricConfig {
+        name: "single-tier-fifo".into(),
         classes: vec![ClassConfig {
             arrivals: ArrivalProcess::Poisson { rate: lambda },
             holding_cost: 1.0,
         }],
         tiers: vec![TierConfig {
             servers,
-            queue_capacity: None,
+            queue_capacity,
             service: vec![ss_distributions::dyn_dist(
                 ss_distributions::Exponential::with_mean(1.0 / mu),
             )],
@@ -342,7 +338,25 @@ fn run_fabric_erlang(
         deadlines: None,
         shedder: None,
         sla_window: None,
-    };
+    }
+}
+
+/// The fabric pair: the service-fabric DES configured as exactly the model
+/// Erlang-C solves — one tier, one class, Poisson arrivals, exponential
+/// servers behind a central FIFO queue, no hops, failures or retries —
+/// must reproduce the closed-form M/M/c mean queueing delay.  Exercises
+/// the whole fabric machinery (calendar, central queue, discipline
+/// selection, warmup-clipped accounting) through the public `run_fabric`
+/// entry point.
+fn run_fabric_erlang(
+    scenario_id: usize,
+    servers: usize,
+    lambda: f64,
+    mu: f64,
+    budget: &Budget,
+    streams: &RngStreams,
+) -> Verdict {
+    let config = single_tier_fifo(servers, None, lambda, mu, budget);
     let values: Vec<f64> = (0..budget.queue_replications)
         .map(|rep| {
             let seed = streams
@@ -379,33 +393,7 @@ fn run_fabric_mmck(
     budget: &Budget,
     streams: &RngStreams,
 ) -> Verdict {
-    let config = FabricConfig {
-        name: format!("mmck-c{servers}-k{}", servers + queue_cap),
-        classes: vec![ClassConfig {
-            arrivals: ArrivalProcess::Poisson { rate: lambda },
-            holding_cost: 1.0,
-        }],
-        tiers: vec![TierConfig {
-            servers,
-            queue_capacity: Some(queue_cap),
-            service: vec![ss_distributions::dyn_dist(
-                ss_distributions::Exponential::with_mean(1.0 / mu),
-            )],
-            discipline: DisciplineKind::Fifo,
-            lb: LbPolicy::CentralQueue,
-            hop_delay: 0.0,
-            failure: None,
-            breaker: None,
-            slowdown: None,
-            outage: None,
-        }],
-        retry: RetryPolicy::none(),
-        warmup: budget.warmup,
-        horizon: budget.horizon,
-        deadlines: None,
-        shedder: None,
-        sla_window: None,
-    };
+    let config = single_tier_fifo(servers, Some(queue_cap), lambda, mu, budget);
     let values: Vec<f64> = (0..budget.queue_replications)
         .map(|rep| {
             let seed = streams
