@@ -1,6 +1,8 @@
 //! Output-analysis statistics: online moments, confidence intervals,
 //! time-weighted averages and batch means.
 
+use std::sync::LazyLock;
+
 use ss_distributions::special::std_normal_inv_cdf;
 
 /// Welford online mean/variance accumulator.
@@ -175,22 +177,53 @@ impl OnlineStats {
 pub struct QuantileSketch {
     floor: f64,
     inv_log_growth: f64,
+    /// `log2(floor)`, the origin of [`QuantileSketch::fast_bucket`].
+    log2_floor: f64,
+    /// `inv_log_growth · ln 2 = 1 / log2(growth)`: buckets per doubling.
+    inv_log2_growth: f64,
     counts: Vec<u64>,
     total: u64,
     sum: f64,
     max: f64,
 }
 
+/// `log2(1 + j/256)` for `j` in `0..=256`: the knots of the
+/// piecewise-linear `log2` in [`QuantileSketch::fast_bucket`].  Built once
+/// per process, since one replication can create thousands of sketches.
+static LOG2_KNOTS: LazyLock<[f64; 257]> =
+    LazyLock::new(|| std::array::from_fn(|j| (1.0 + j as f64 / 256.0).log2()));
+
+/// Half-width, in buckets, of the band around each bucket edge inside
+/// which [`QuantileSketch::fast_bucket`] defers to the `ln` formula.
+const EDGE_MARGIN: f64 = 1.0 / 256.0;
+
+/// The most buckets per doubling of `x` at which
+/// [`QuantileSketch::fast_bucket`] answers at all.  Its interpolation
+/// error, `(1/256)²/8 · 1/ln 2 = 2.75e-6` in log2 units, times this is
+/// 1.4e-3 bucket: inside [`EDGE_MARGIN`] with room for the ~1e-9 bucket
+/// of rounding in either path.
+const FAST_MAX_BUCKETS_PER_DOUBLING: f64 = 512.0;
+
 impl QuantileSketch {
     /// Sketch spanning `[floor, cap]` with `buckets` geometric buckets
-    /// (plus an overflow bucket).  `floor` must be positive and `cap`
-    /// larger than `floor`.
+    /// (plus an overflow bucket).  `floor` must be positive, `cap` larger
+    /// than `floor`, and the growth factor `(cap/floor)^(1/buckets)`
+    /// finite and larger than 1 in `f64`, or every quantile would be
+    /// wrong.
     pub fn new(floor: f64, cap: f64, buckets: usize) -> Self {
         assert!(floor > 0.0 && cap > floor && buckets >= 1);
         let growth = (cap / floor).powf(1.0 / buckets as f64);
+        assert!(
+            growth.is_finite() && growth > 1.0,
+            "sketch geometry floor = {floor:e}, cap = {cap:e}, buckets = {buckets} \
+             has growth factor {growth}; it must be finite and > 1"
+        );
+        let inv_log_growth = 1.0 / growth.ln();
         Self {
             floor,
-            inv_log_growth: 1.0 / growth.ln(),
+            inv_log_growth,
+            log2_floor: floor.log2(),
+            inv_log2_growth: inv_log_growth * std::f64::consts::LN_2,
             counts: vec![0; buckets + 1],
             total: 0,
             sum: 0.0,
@@ -198,20 +231,14 @@ impl QuantileSketch {
         }
     }
 
-    /// Default latency sketch: four decades of dynamic range (`1e-3` to
-    /// `1e1` time units) at 512 buckets, ~1.8% relative resolution.
-    pub fn latency_default() -> Self {
-        Self::new(1e-3, 10.0, 512)
-    }
-
     /// Record one observation (must be finite and nonnegative).
     ///
     /// The bin mapping is **total** over that domain: `0.0`, `-0.0`
-    /// (which passes `x >= 0.0`), and every subnormal fall under
-    /// `x <= floor` and land in bucket 0 without ever reaching the
-    /// logarithm, so no sub-floor value can produce a NaN ratio or an
-    /// out-of-range bucket; values beyond the cap saturate into the
-    /// overflow bucket.  Mean and max stay exact regardless of bucketing.
+    /// (which passes `x >= 0.0`), and every value at or below `floor`
+    /// land in bucket 0 without ever reaching the logarithm, so no
+    /// sub-floor value can produce a NaN ratio or an out-of-range bucket;
+    /// values beyond the cap saturate into the overflow bucket.  Mean and
+    /// max stay exact regardless of bucketing.
     pub fn record(&mut self, x: f64) {
         assert!(
             x.is_finite() && x >= 0.0,
@@ -221,16 +248,62 @@ impl QuantileSketch {
         let idx = if x <= self.floor {
             0
         } else {
-            // Bucket b covers (floor·g^b, floor·g^(b+1)]; ceil of the log
-            // ratio minus one floors exactly onto the covering bucket.
-            (((x / self.floor).ln() * self.inv_log_growth).ceil() as usize)
-                .saturating_sub(1)
+            self.fast_bucket(x)
+                .unwrap_or_else(|| self.exact_bucket(x))
                 .min(overflow)
         };
         self.counts[idx] += 1;
         self.total += 1;
         self.sum += x;
         self.max = self.max.max(x);
+    }
+
+    /// The bucket of `x > floor`, before the overflow clamp: bucket `b`
+    /// covers `(floor·g^b, floor·g^(b+1)]`, and ceil of the log ratio
+    /// minus one floors exactly onto the covering bucket.  This is the
+    /// reference that [`QuantileSketch::fast_bucket`] must reproduce.
+    fn exact_bucket(&self, x: f64) -> usize {
+        (((x / self.floor).ln() * self.inv_log_growth).ceil() as usize).saturating_sub(1)
+    }
+
+    /// [`QuantileSketch::exact_bucket`] without `ln`, division or `ceil`,
+    /// or `None` where it cannot vouch for the same answer.
+    ///
+    /// `log2(x)` is the exponent plus a linear interpolation of
+    /// [`LOG2_KNOTS`] at the mantissa (its top 8 bits pick the knot, the
+    /// other 44 the position between knots), which is within 2.75e-6 of
+    /// the true value.  Scaled to buckets that is at most 1.4e-3 bucket
+    /// (see [`FAST_MAX_BUCKETS_PER_DOUBLING`]), and the `ln` formula is
+    /// within ~1e-9 bucket of the exact ratio, so wherever the scaled
+    /// value lies more than [`EDGE_MARGIN`] from an integer both round to
+    /// the same bucket.  Nearer an edge, for a subnormal `x`, or at a
+    /// geometry finer than the bound allows, it answers `None`.
+    fn fast_bucket(&self, x: f64) -> Option<usize> {
+        const MANTISSA_BITS: u32 = 52;
+        const FINE_BITS: u32 = MANTISSA_BITS - 8;
+        const FINE_SCALE: f64 = 1.0 / (1u64 << FINE_BITS) as f64;
+        if self.inv_log2_growth > FAST_MAX_BUCKETS_PER_DOUBLING {
+            return None;
+        }
+        let bits = x.to_bits();
+        // `x > floor > 0`, so the sign bit is clear and this is the
+        // biased exponent; zero means subnormal (no implicit leading 1).
+        let biased = bits >> MANTISSA_BITS;
+        if biased == 0 {
+            return None;
+        }
+        let knot = (bits >> FINE_BITS) as usize & 0xff;
+        let fine = (bits & ((1 << FINE_BITS) - 1)) as f64 * FINE_SCALE;
+        let (lo, hi) = (LOG2_KNOTS[knot], LOG2_KNOTS[knot + 1]);
+        let log2_x = (biased as f64 - 1023.0) + (lo + (hi - lo) * fine);
+        let scaled = (log2_x - self.log2_floor) * self.inv_log2_growth;
+        // `as` truncates toward zero, so for a nonnegative value this is
+        // the floor, and a negative value leaves a remainder in (-1, 0]
+        // that the margin test rejects.  (`i64` rather than `usize`: the
+        // unsigned conversions take several instructions each on x86-64.)
+        let whole = scaled as i64;
+        let rem = scaled - whole as f64;
+        (rem > EDGE_MARGIN && rem < 1.0 - EDGE_MARGIN).then_some(whole as usize)
     }
 
     /// Number of recorded observations.
@@ -568,8 +641,8 @@ mod tests {
         let xs: Vec<f64> = (0..500)
             .map(|i| 0.002 + (i as f64 * 0.7919).fract() * 8.0)
             .collect();
-        let mut fwd = QuantileSketch::latency_default();
-        let mut rev = QuantileSketch::latency_default();
+        let mut fwd = QuantileSketch::new(1e-3, 10.0, 512);
+        let mut rev = QuantileSketch::new(1e-3, 10.0, 512);
         for &x in &xs {
             fwd.record(x);
         }
@@ -584,9 +657,9 @@ mod tests {
     #[test]
     fn sketch_merge_equals_single_sketch() {
         let xs: Vec<f64> = (0..300).map(|i| 0.01 + i as f64 * 0.03).collect();
-        let mut whole = QuantileSketch::latency_default();
-        let mut a = QuantileSketch::latency_default();
-        let mut b = QuantileSketch::latency_default();
+        let mut whole = QuantileSketch::new(1e-3, 10.0, 512);
+        let mut a = QuantileSketch::new(1e-3, 10.0, 512);
+        let mut b = QuantileSketch::new(1e-3, 10.0, 512);
         for (i, &x) in xs.iter().enumerate() {
             whole.record(x);
             if i % 2 == 0 {
@@ -613,7 +686,7 @@ mod tests {
 
     #[test]
     fn empty_sketch_is_zero() {
-        let s = QuantileSketch::latency_default();
+        let s = QuantileSketch::new(1e-3, 10.0, 512);
         assert_eq!(s.quantile(0.99), 0.0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.count(), 0);
@@ -659,6 +732,130 @@ mod tests {
         below.record(floor);
         above.record(floor * (1.0 + 1e-12));
         assert!(above.quantile(1.0) >= below.quantile(1.0));
+    }
+
+    /// An infinite cap makes the growth factor infinite.
+    #[test]
+    #[should_panic(expected = "cap = inf, buckets = 10 has growth factor inf")]
+    fn sketch_rejects_an_infinite_growth_factor() {
+        QuantileSketch::new(1e-3, f64::INFINITY, 10);
+    }
+
+    /// `cap / floor` overflows to infinity before the root is taken.
+    #[test]
+    #[should_panic(expected = "cap = 1e0, buckets = 64 has growth factor inf")]
+    fn sketch_rejects_a_cap_floor_ratio_that_overflows() {
+        QuantileSketch::new(f64::MIN_POSITIVE / 4.0, 1.0, 64);
+    }
+
+    /// The growth factor rounds to exactly 1, so every bucket edge is
+    /// `floor` and every sample above it overflows.
+    #[test]
+    #[should_panic(expected = "buckets = 1048576 has growth factor 1;")]
+    fn sketch_rejects_a_growth_factor_that_rounds_to_one() {
+        QuantileSketch::new(1.0, 1.0 + 1e-12, 1 << 20);
+    }
+
+    /// Every `x > floor` of `xs` at which `fast_bucket` answers must get
+    /// `exact_bucket`'s bucket after the overflow clamp.  Returns how many
+    /// of them were above the floor and how many of those it answered.
+    fn check_fast_bucket(s: &QuantileSketch, xs: impl IntoIterator<Item = f64>) -> (usize, usize) {
+        let overflow = s.counts.len() - 1;
+        let (mut above, mut answered) = (0, 0);
+        for x in xs.into_iter().filter(|&x| x > s.floor) {
+            above += 1;
+            if let Some(fast) = s.fast_bucket(x) {
+                answered += 1;
+                assert_eq!(
+                    fast.min(overflow),
+                    s.exact_bucket(x).min(overflow),
+                    "x = {x:e} ({:#x}) at floor {:e}",
+                    x.to_bits(),
+                    s.floor
+                );
+            }
+        }
+        (above, answered)
+    }
+
+    /// Every finite double within 256 ULPs of `x`, which must be
+    /// positive.
+    fn ulp_neighbourhood(x: f64) -> impl Iterator<Item = f64> {
+        let bits = x.to_bits();
+        (bits.saturating_sub(256)..=bits + 256)
+            .map(f64::from_bits)
+            .filter(|x| x.is_finite())
+    }
+
+    /// `(floor, cap, buckets)` of the fabric's RTT sketch, the
+    /// four-decade geometry of the tests above, a geometry whose floor is
+    /// subnormal, and one at 500 buckets per doubling, where the fast
+    /// path's error is near its bound.
+    const GEOMETRIES: [(f64, f64, usize); 4] = [
+        (1e-3, 1e3, 1024),
+        (1e-3, 10.0, 512),
+        // 2^-1060 (a subnormal, 14 binades below the normals) to 2^-1000.
+        (f64::from_bits(1 << 14), f64::from_bits(23 << 52), 64),
+        (1.0, 2.0, 500),
+    ];
+
+    /// `n` values log-uniform over `[floor, cap]` from a fixed seed.
+    fn log_uniform(floor: f64, cap: f64, n: usize) -> Vec<f64> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED_B0C7);
+        let (lo, hi) = (floor.ln(), cap.ln());
+        (0..n)
+            .map(|_| (lo + (hi - lo) * rng.gen::<f64>()).exp())
+            .collect()
+    }
+
+    /// The fast path reproduces the `ln` formula around every bucket edge
+    /// (each computed three ways, since each rounds differently), around
+    /// the floor and the cap, at `f64::MAX` and at subnormals, and on
+    /// log-uniform values, where it must also answer at least 98% of the
+    /// normal ones: a change that always fell back would keep the buckets
+    /// and lose the speed.
+    #[test]
+    fn fast_bucket_matches_the_ln_formula() {
+        for (floor, cap, buckets) in GEOMETRIES {
+            let s = QuantileSketch::new(floor, cap, buckets);
+            let growth = (cap / floor).powf(1.0 / buckets as f64);
+            let edges = (0..=buckets as i32).flat_map(|k| {
+                let steps = k as f64 / s.inv_log_growth;
+                [
+                    floor * growth.powi(k),
+                    floor * steps.exp(),
+                    (floor.ln() + steps).exp(),
+                ]
+            });
+            check_fast_bucket(&s, edges.flat_map(ulp_neighbourhood));
+            // The largest subnormals sit just below `f64::MIN_POSITIVE`.
+            let specials = [floor, cap, f64::MAX, f64::MIN_POSITIVE];
+            check_fast_bucket(&s, specials.into_iter().flat_map(ulp_neighbourhood));
+            for x in (0..52).map(|b| f64::from_bits(1 << b)) {
+                if x > floor {
+                    assert_eq!(s.fast_bucket(x), None, "subnormal {x:e}");
+                }
+            }
+            // Subnormals always fall back (checked above), so the rate
+            // counts normals only.
+            let values = log_uniform(floor, cap, 100_000).into_iter();
+            let (above, answered) = check_fast_bucket(&s, values.filter(|x| x.is_normal()));
+            assert!(
+                answered as f64 >= 0.98 * above as f64,
+                "floor {floor:e}: fast path answered {answered} of {above}"
+            );
+        }
+    }
+
+    /// Above 512 buckets per doubling the interpolation error could cross
+    /// the margin, so the fast path must stand down and `record` use the
+    /// formula alone.
+    #[test]
+    fn fast_bucket_stands_down_at_fine_geometries() {
+        let s = QuantileSketch::new(1.0, 2.0, 4096);
+        let (above, answered) = check_fast_bucket(&s, log_uniform(1.0, 2.0, 10_000));
+        assert_eq!((above, answered), (10_000, 0));
     }
 
     #[test]
