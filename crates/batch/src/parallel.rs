@@ -9,9 +9,7 @@
 
 use rand::RngCore;
 use ss_core::instance::BatchInstance;
-use ss_sim::replication::{
-    run_replications_chunked, run_replications_parallel, ChunkedReplications, ReplicationSummary,
-};
+use ss_sim::replication::{run_replications_parallel, ReplicationSummary};
 
 /// Realised performance of one simulated schedule.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,28 +114,6 @@ pub fn evaluate_list_policies(
 ) -> Vec<ReplicationSummary> {
     ss_sim::pool::parallel_indexed(orders.len(), |i| {
         evaluate_list_policy(instance, &orders[i], machines, metric, replications, seed)
-    })
-}
-
-/// Estimate the chosen metric with per-batch summaries on top of the flat
-/// replication values — the chunked counterpart of
-/// [`evaluate_list_policy`], used for convergence monitoring of long runs.
-pub fn evaluate_list_policy_chunked(
-    instance: &BatchInstance,
-    order: &[usize],
-    machines: usize,
-    metric: ParallelMetric,
-    replications: usize,
-    chunk_size: usize,
-    seed: u64,
-) -> ChunkedReplications {
-    run_replications_chunked(replications, seed, chunk_size, |_rep, rng| {
-        let out = simulate_list_schedule(instance, order, machines, rng);
-        match metric {
-            ParallelMetric::TotalFlowtime => out.total_flowtime,
-            ParallelMetric::WeightedFlowtime => out.weighted_flowtime,
-            ParallelMetric::Makespan => out.makespan,
-        }
     })
 }
 
@@ -272,22 +248,5 @@ mod tests {
                 evaluate_list_policy(&inst, order, 2, ParallelMetric::TotalFlowtime, 200, 13);
             assert_eq!(summary.values, single.values);
         }
-    }
-
-    #[test]
-    fn chunked_evaluation_matches_flat_evaluation() {
-        let inst = det_instance();
-        let flat = evaluate_list_policy(&inst, &[2, 1, 0], 2, ParallelMetric::Makespan, 120, 7);
-        let chunked = evaluate_list_policy_chunked(
-            &inst,
-            &[2, 1, 0],
-            2,
-            ParallelMetric::Makespan,
-            120,
-            32,
-            7,
-        );
-        assert_eq!(chunked.overall.values, flat.values);
-        assert_eq!(chunked.chunks.len(), 4);
     }
 }

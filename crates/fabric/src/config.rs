@@ -18,9 +18,7 @@ use ss_core::job::JobClass;
 use ss_distributions::DynDist;
 use ss_queueing::discipline::cmu_discipline;
 
-use crate::resilience::{
-    BreakerConfig, DeadlineConfig, OutageConfig, ShedderConfig, SlowdownConfig,
-};
+use crate::resilience::{BreakerConfig, DeadlineConfig, ShedderConfig, SlowdownConfig};
 
 /// Queue-length truncation used when tabulating Whittle indices for the
 /// [`DisciplineKind::Whittle`] discipline.
@@ -63,13 +61,22 @@ impl ArrivalProcess {
         }
     }
 
-    fn validate(&self) {
+    fn validate(&self, class: usize) {
         match self {
-            Self::Poisson { rate } => assert!(*rate > 0.0 && rate.is_finite()),
+            Self::Poisson { rate } => assert!(
+                *rate > 0.0 && rate.is_finite(),
+                "class {class}: Poisson rate must be positive and finite"
+            ),
             Self::Mmpp { rates, switch_rate } => {
-                assert!(rates.len() >= 2, "an MMPP needs >= 2 phases");
-                assert!(rates.iter().all(|r| *r > 0.0 && r.is_finite()));
-                assert!(*switch_rate > 0.0 && switch_rate.is_finite());
+                assert!(rates.len() >= 2, "class {class}: an MMPP needs >= 2 phases");
+                assert!(
+                    rates.iter().all(|r| *r > 0.0 && r.is_finite()),
+                    "class {class}: MMPP phase rates must be positive and finite"
+                );
+                assert!(
+                    *switch_rate > 0.0 && switch_rate.is_finite(),
+                    "class {class}: MMPP switch_rate must be positive and finite"
+                );
             }
         }
     }
@@ -106,6 +113,12 @@ impl RetryPolicy {
             multiplier: 2.0,
         }
     }
+
+    /// The backoff before retry `attempt` (1-based) at jitter factor
+    /// `jitter` (the simulator draws it from `U(0.5, 1.5)`).
+    pub(crate) fn backoff(&self, attempt: u32, jitter: f64) -> f64 {
+        self.base_backoff * self.multiplier.powi(attempt as i32 - 1) * jitter
+    }
 }
 
 /// How a tier's load balancer assigns an arriving request to a server.
@@ -124,7 +137,7 @@ pub enum LbPolicy {
     /// discipline.  With FIFO and exponential service this is *exactly*
     /// the M/M/c central queue — the configuration the Erlang-C oracle
     /// pair cross-validates.  `queue_capacity` bounds the shared queue,
-    /// and requests keep queueing through a full-tier outage (they wait
+    /// and requests keep queueing while every server is down (they wait
     /// at the balancer rather than being dropped).
     CentralQueue,
 }
@@ -132,7 +145,7 @@ pub enum LbPolicy {
 /// Server failure/recovery cycle: exponential time to failure while up,
 /// exponential repair time while down.  A failing server aborts its
 /// in-service request (the client sees a drop and may retry); its queued
-/// requests survive the outage.
+/// requests survive the repair.
 #[derive(Debug, Clone, Copy)]
 pub struct FailureConfig {
     pub mean_time_to_failure: f64,
@@ -185,8 +198,6 @@ pub struct TierConfig {
     pub breaker: Option<BreakerConfig>,
     /// Tier-wide degraded-service chaos epochs; `None` = never degraded.
     pub slowdown: Option<SlowdownConfig>,
-    /// Correlated tier-wide outage chaos epochs; `None` = no outages.
-    pub outage: Option<OutageConfig>,
 }
 
 /// A full fabric scenario.
@@ -227,9 +238,19 @@ impl FabricConfig {
             self.retry.multiplier >= 1.0 && self.retry.multiplier.is_finite(),
             "retry.multiplier must be finite and >= 1"
         );
-        for class in &self.classes {
-            class.arrivals.validate();
-            assert!(class.holding_cost > 0.0 && class.holding_cost.is_finite());
+        // Backoffs grow with the attempt and the jitter stays below 1.5, so
+        // this bounds every retry time the run can schedule.
+        let longest = self.retry.backoff(self.retry.max_retries, 1.5);
+        assert!(
+            (self.horizon + longest).is_finite(),
+            "retry: the longest backoff ({longest:e}) plus the horizon must be finite"
+        );
+        for (j, class) in self.classes.iter().enumerate() {
+            class.arrivals.validate(j);
+            assert!(
+                class.holding_cost > 0.0 && class.holding_cost.is_finite(),
+                "class {j}: holding_cost must be positive and finite"
+            );
         }
         for (t, tier) in self.tiers.iter().enumerate() {
             assert!(tier.servers >= 1, "tier {t} has no servers");
@@ -250,20 +271,20 @@ impl FabricConfig {
             );
             if let LbPolicy::Weighted(w) = &tier.lb {
                 assert_eq!(w.len(), tier.servers, "tier {t}: one weight per server");
-                assert!(w.iter().all(|x| *x > 0.0 && x.is_finite()));
+                assert!(
+                    w.iter().all(|x| *x > 0.0 && x.is_finite()),
+                    "tier {t}: LB weights must be positive and finite"
+                );
             }
             if let Some(f) = &tier.failure {
                 assert_positive_finite(t, "mean_time_to_failure", f.mean_time_to_failure);
                 assert_positive_finite(t, "mean_time_to_repair", f.mean_time_to_repair);
             }
             if let Some(b) = &tier.breaker {
-                b.validate();
+                b.validate(t);
             }
             if let Some(s) = &tier.slowdown {
                 s.validate(t);
-            }
-            if let Some(o) = &tier.outage {
-                o.validate(t);
             }
         }
         if let Some(d) = &self.deadlines {
@@ -361,7 +382,6 @@ mod tests {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy::none(),
             deadlines: None,
@@ -451,6 +471,71 @@ mod tests {
         c.validate();
     }
 
+    /// A finite base backoff whose third retry overflows to +inf.
+    #[test]
+    #[should_panic(expected = "retry: the longest backoff (inf) plus the horizon must be finite")]
+    fn a_base_backoff_that_overflows_is_rejected() {
+        let mut c = tiny();
+        c.retry = RetryPolicy {
+            max_retries: 3,
+            base_backoff: 1.7e308,
+            multiplier: 2.0,
+        };
+        c.validate();
+    }
+
+    /// A finite multiplier whose square overflows to +inf.
+    #[test]
+    #[should_panic(expected = "retry: the longest backoff (inf) plus the horizon must be finite")]
+    fn a_backoff_multiplier_that_overflows_is_rejected() {
+        let mut c = tiny();
+        c.retry = RetryPolicy {
+            max_retries: 3,
+            base_backoff: 10.0,
+            multiplier: 1e308,
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "class 1: holding_cost must be positive and finite")]
+    fn a_bad_class_field_names_its_class() {
+        let mut c = tiny();
+        c.classes.push(ClassConfig {
+            arrivals: ArrivalProcess::Poisson { rate: 0.1 },
+            holding_cost: f64::NAN,
+        });
+        c.tiers[0]
+            .service
+            .push(dyn_dist(Exponential::with_mean(1.0)));
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "tier 0: breaker failure_threshold must be in (0, 1]")]
+    fn a_bad_breaker_field_names_its_tier() {
+        let mut c = tiny();
+        c.tiers[0].breaker = Some(BreakerConfig {
+            window: 10,
+            failure_threshold: 1.5,
+            min_samples: 4,
+            open_duration: 5.0,
+            half_open_probes: 1,
+        });
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "shedder.burst must be finite and >= 1")]
+    fn a_bad_shedder_field_is_named() {
+        let mut c = tiny();
+        c.shedder = Some(ShedderConfig {
+            rate: 2.0,
+            burst: 0.5,
+        });
+        c.validate();
+    }
+
     fn with_failures(mean_time_to_failure: f64, mean_time_to_repair: f64) -> FabricConfig {
         let mut c = tiny();
         c.tiers[0].failure = Some(FailureConfig {
@@ -483,16 +568,6 @@ mod tests {
         c
     }
 
-    fn with_outage(mean_time_to_outage: f64, mean_outage_duration: f64) -> FabricConfig {
-        let mut c = tiny();
-        c.tiers[0].outage = Some(OutageConfig {
-            mean_time_to_outage,
-            mean_outage_duration,
-            max_epochs: 1,
-        });
-        c
-    }
-
     #[test]
     #[should_panic(expected = "tier 0: mean_time_to_slowdown must be positive and finite")]
     fn infinite_mean_time_to_slowdown_is_rejected() {
@@ -503,18 +578,6 @@ mod tests {
     #[should_panic(expected = "tier 0: mean_slowdown_duration must be positive and finite")]
     fn infinite_mean_slowdown_duration_is_rejected() {
         with_slowdown(50.0, f64::INFINITY).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "tier 0: mean_time_to_outage must be positive and finite")]
-    fn infinite_mean_time_to_outage_is_rejected() {
-        with_outage(f64::INFINITY, 10.0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "tier 0: mean_outage_duration must be positive and finite")]
-    fn infinite_mean_outage_duration_is_rejected() {
-        with_outage(50.0, f64::INFINITY).validate();
     }
 
     #[test]

@@ -52,11 +52,6 @@ pub enum FabricEvent {
     SlowdownStart { tier: usize },
     /// The slowdown epoch at `tier` ends.
     SlowdownEnd { tier: usize },
-    /// A correlated tier-wide outage begins at `tier`: all in-service
-    /// requests abort and no server starts work until the outage ends.
-    OutageStart { tier: usize },
-    /// The outage at `tier` ends; idle servers pull queued work again.
-    OutageEnd { tier: usize },
     /// The open period `generation` of `tier`'s circuit breaker elapsed;
     /// the breaker transitions to half-open unless it has tripped again
     /// since (stale generation — ignored, like a stale `Complete`).

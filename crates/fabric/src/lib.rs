@@ -11,9 +11,9 @@
 //! |---|---|
 //! | Scenario schema: classes, tiers, LB policies, failures, retries | [`config`] |
 //! | Event taxonomy + the request record | [`events`] |
-//! | The event handler on `ss_sim::Engine` and the replication runner | [`sim`] |
+//! | The simulator, which owns its calendar and event loop, and the replication runner | [`sim`] |
 //! | Per-run metrics: counters, waits, utilization, RTT quantile sketch | [`metrics`] |
-//! | Overload resilience: deadlines, breakers, shedding, chaos epochs | [`resilience`] |
+//! | Overload resilience: deadlines, breakers, shedding, slowdown epochs | [`resilience`] |
 //! | The committed scenario suite and the parallel deterministic runner | [`scenarios`] |
 //!
 //! Queue disciplines are pluggable through
@@ -46,8 +46,8 @@ pub use config::{
 };
 pub use metrics::{FabricReport, SlaWindowReport, TierReport};
 pub use resilience::{
-    BreakerConfig, BreakerState, CircuitBreaker, DeadlineConfig, OutageConfig, ShedderConfig,
-    SlowdownConfig, TokenBucket,
+    BreakerConfig, BreakerState, CircuitBreaker, DeadlineConfig, ShedderConfig, SlowdownConfig,
+    TokenBucket,
 };
 pub use scenarios::{
     aggregate, render_suite_report, retry_storm_config, run_suite, scenario_list, suite_lines,

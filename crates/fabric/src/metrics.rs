@@ -13,7 +13,7 @@ pub struct TierReport {
     /// (busy time / (window × servers)); failed time counts as idle.
     pub utilization: f64,
     /// Post-warmup drops at this tier: queue overflows, arrivals while no
-    /// server was up, and services aborted by a failure or outage.
+    /// server was up, and services aborted by a server failure.
     pub dropped: u64,
     /// Post-warmup arrivals fast-failed by the tier's circuit breaker
     /// (while open, or half-open past the probe budget).

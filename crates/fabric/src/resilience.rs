@@ -1,13 +1,13 @@
 //! Overload-resilience primitives for the service fabric: request
 //! deadlines, per-tier circuit breakers, token-bucket load shedding, and
-//! chaos epochs (degraded servers, correlated tier-wide outages).
+//! slowdown epochs (tier-wide degraded service).
 //!
 //! The types here are pure state machines — no clock, no RNG, no event
 //! queue — so they unit-test in isolation.  `sim.rs` owns the wiring:
 //! it feeds the breaker request outcomes, asks it for admission verdicts,
 //! schedules the open→half-open timer (jittered from the `PROBE_FAMILY`
-//! substream), and drives the chaos epochs from their own substream
-//! families so enabling any of these features never perturbs the arrival
+//! substream), and drives the slowdown epochs from their own substream
+//! family so enabling any of these features never perturbs the arrival
 //! or service processes of an otherwise-identical scenario.
 //!
 //! ## Circuit breaker
@@ -63,7 +63,12 @@ impl DeadlineConfig {
             classes,
             "need one deadline per request class"
         );
-        assert!(self.deadline.iter().all(|d| *d > 0.0 && d.is_finite()));
+        for (j, d) in self.deadline.iter().enumerate() {
+            assert!(
+                *d > 0.0 && d.is_finite(),
+                "class {j}: deadline must be positive and finite"
+            );
+        }
     }
 }
 
@@ -87,12 +92,21 @@ pub struct BreakerConfig {
 }
 
 impl BreakerConfig {
-    pub(crate) fn validate(&self) {
-        assert!(self.window >= 1);
-        assert!(self.failure_threshold > 0.0 && self.failure_threshold <= 1.0);
-        assert!(self.min_samples >= 1);
-        assert!(self.open_duration > 0.0 && self.open_duration.is_finite());
-        assert!(self.half_open_probes >= 1);
+    pub(crate) fn validate(&self, tier: usize) {
+        assert!(self.window >= 1, "tier {tier}: breaker window must be >= 1");
+        assert!(
+            self.failure_threshold > 0.0 && self.failure_threshold <= 1.0,
+            "tier {tier}: breaker failure_threshold must be in (0, 1]"
+        );
+        assert!(
+            self.min_samples >= 1,
+            "tier {tier}: breaker min_samples must be >= 1"
+        );
+        assert_positive_finite(tier, "breaker open_duration", self.open_duration);
+        assert!(
+            self.half_open_probes >= 1,
+            "tier {tier}: breaker half_open_probes must be >= 1"
+        );
     }
 }
 
@@ -116,8 +130,9 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    pub fn new(cfg: BreakerConfig) -> Self {
-        cfg.validate();
+    /// A closed breaker guarding tier `tier` (named if `cfg` is invalid).
+    pub fn new(cfg: BreakerConfig, tier: usize) -> Self {
+        cfg.validate(tier);
         Self {
             cfg,
             state: BreakerState::Closed,
@@ -229,8 +244,14 @@ pub struct ShedderConfig {
 
 impl ShedderConfig {
     pub(crate) fn validate(&self) {
-        assert!(self.rate > 0.0 && self.rate.is_finite());
-        assert!(self.burst >= 1.0 && self.burst.is_finite());
+        assert!(
+            self.rate > 0.0 && self.rate.is_finite(),
+            "shedder.rate must be positive and finite"
+        );
+        assert!(
+            self.burst >= 1.0 && self.burst.is_finite(),
+            "shedder.burst must be finite and >= 1"
+        );
     }
 }
 
@@ -292,30 +313,10 @@ impl SlowdownConfig {
     pub(crate) fn validate(&self, tier: usize) {
         assert_positive_finite(tier, "mean_time_to_slowdown", self.mean_time_to_slowdown);
         assert_positive_finite(tier, "mean_slowdown_duration", self.mean_slowdown_duration);
-        assert!(self.rate_multiplier > 0.0 && self.rate_multiplier <= 1.0);
-    }
-}
-
-/// Correlated tier-wide outage chaos: during an outage epoch the whole
-/// tier is down at once — every in-service request is aborted at onset
-/// (the clients see drops) and no server starts work until the epoch
-/// ends.  Under [`LbPolicy::CentralQueue`](crate::config::LbPolicy) queued
-/// requests wait the outage out at the balancer; under per-server
-/// policies arrivals during the outage are dropped, matching the
-/// existing all-servers-down semantics.  Onset and duration are
-/// exponential, drawn from the tier's `OUTAGE_FAMILY` substream.
-#[derive(Debug, Clone, Copy)]
-pub struct OutageConfig {
-    pub mean_time_to_outage: f64,
-    pub mean_outage_duration: f64,
-    /// Number of outage epochs to inject; `0` = unbounded.
-    pub max_epochs: u64,
-}
-
-impl OutageConfig {
-    pub(crate) fn validate(&self, tier: usize) {
-        assert_positive_finite(tier, "mean_time_to_outage", self.mean_time_to_outage);
-        assert_positive_finite(tier, "mean_outage_duration", self.mean_outage_duration);
+        assert!(
+            self.rate_multiplier > 0.0 && self.rate_multiplier <= 1.0,
+            "tier {tier}: rate_multiplier must be in (0, 1]"
+        );
     }
 }
 
@@ -324,13 +325,16 @@ mod tests {
     use super::*;
 
     fn breaker() -> CircuitBreaker {
-        CircuitBreaker::new(BreakerConfig {
-            window: 10,
-            failure_threshold: 0.5,
-            min_samples: 4,
-            open_duration: 5.0,
-            half_open_probes: 3,
-        })
+        CircuitBreaker::new(
+            BreakerConfig {
+                window: 10,
+                failure_threshold: 0.5,
+                min_samples: 4,
+                open_duration: 5.0,
+                half_open_probes: 3,
+            },
+            0,
+        )
     }
 
     #[test]
@@ -426,13 +430,16 @@ mod tests {
 
     #[test]
     fn inert_breaker_never_trips() {
-        let mut b = CircuitBreaker::new(BreakerConfig {
-            window: 4,
-            failure_threshold: 0.5,
-            min_samples: 1000, // > window: rate is never evaluated
-            open_duration: 1.0,
-            half_open_probes: 1,
-        });
+        let mut b = CircuitBreaker::new(
+            BreakerConfig {
+                window: 4,
+                failure_threshold: 0.5,
+                min_samples: 1000, // > window: rate is never evaluated
+                open_duration: 1.0,
+                half_open_probes: 1,
+            },
+            0,
+        );
         for _ in 0..100 {
             assert_eq!(b.record(true), None);
         }

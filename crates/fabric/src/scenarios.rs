@@ -105,7 +105,6 @@ pub fn retry_storm_config(protected: bool, budget: &Budget) -> FabricConfig {
                 rate_multiplier: 0.25,
                 max_epochs: 1,
             }),
-            outage: None,
         }],
         retry: RetryPolicy {
             max_retries: 4,
@@ -149,7 +148,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy::none(),
             deadlines: None,
@@ -182,7 +180,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                     failure: None,
                     breaker: None,
                     slowdown: None,
-                    outage: None,
                 },
                 TierConfig {
                     servers: 3,
@@ -194,7 +191,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                     failure: None,
                     breaker: None,
                     slowdown: None,
-                    outage: None,
                 },
             ],
             retry: RetryPolicy::none(),
@@ -231,7 +227,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy::none(),
             deadlines: None,
@@ -267,7 +262,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy::none(),
             deadlines: None,
@@ -302,7 +296,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy::none(),
             deadlines: None,
@@ -332,7 +325,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 }),
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy {
                 max_retries: 3,
@@ -371,7 +363,6 @@ pub fn scenario_list(budget: &Budget) -> Vec<FabricConfig> {
                 failure: None,
                 breaker: None,
                 slowdown: None,
-                outage: None,
             }],
             retry: RetryPolicy {
                 max_retries: 2,

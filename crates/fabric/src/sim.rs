@@ -1,5 +1,5 @@
-//! The fabric simulator: an [`EventHandler`] on the generic `ss-sim`
-//! engine, plus the replication entry point [`run_fabric`].
+//! The fabric simulator: a model that owns its calendar and event loop,
+//! plus the replication entry point [`run_fabric`].
 //!
 //! ## Determinism
 //!
@@ -17,7 +17,6 @@
 //! | `FAIL_FAMILY` | `tier · 2^16 + server` | failure/repair cycles |
 //! | `RETRY_FAMILY` | class | backoff jitter |
 //! | `SLOWDOWN_FAMILY` | tier | slowdown-epoch onsets/durations |
-//! | `OUTAGE_FAMILY` | tier | correlated-outage onsets/durations |
 //! | `PROBE_FAMILY` | tier | circuit-breaker open-period jitter |
 //!
 //! A key `a · 2^16 + b` is unique only while `b < 2^16`, so
@@ -27,7 +26,7 @@
 //!
 //! The resilience features (deadlines, breakers, shedding) consume no
 //! randomness at all except the breaker's open-period jitter, and the
-//! chaos epochs draw only from their own families — so switching any of
+//! slowdown epochs draw only from their own family — so switching any of
 //! them on cannot perturb the arrival or service processes of an
 //! otherwise-identical scenario.
 //!
@@ -43,7 +42,6 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ss_core::discipline::Discipline;
-use ss_sim::engine::{Engine, EventHandler};
 use ss_sim::events::EventQueue;
 use ss_sim::rng::RngStreams;
 use ss_sim::stats::QuantileSketch;
@@ -67,7 +65,6 @@ const LB_FAMILY: u64 = 0x4641_0004;
 const FAIL_FAMILY: u64 = 0x4641_0005;
 const RETRY_FAMILY: u64 = 0x4641_0006;
 const SLOWDOWN_FAMILY: u64 = 0x4641_0007;
-const OUTAGE_FAMILY: u64 = 0x4641_0008;
 const PROBE_FAMILY: u64 = 0x4641_0009;
 
 /// The per-replication simulation seed of `(scenario, rep)` under the
@@ -108,9 +105,9 @@ struct ClassState {
 
 struct Server {
     up: bool,
-    /// Bumped on every failure (or outage onset); `Complete` events carry
-    /// the epoch they were scheduled under, so completions of aborted
-    /// services are recognised as stale and ignored.
+    /// Bumped on every failure; `Complete` events carry the epoch they
+    /// were scheduled under, so completions of aborted services are
+    /// recognised as stale and ignored.
     epoch: u64,
     queues: Vec<VecDeque<Request>>,
     /// Total waiting requests across classes (excludes the one in service).
@@ -146,10 +143,6 @@ struct Tier {
     degraded: bool,
     slowdown_epochs: u64,
     rng_slowdown: Option<ChaCha8Rng>,
-    /// A correlated tier-wide outage is in force.
-    outage: bool,
-    outage_epochs: u64,
-    rng_outage: Option<ChaCha8Rng>,
 }
 
 /// Discipline selection over a bank of per-class queues: highest index
@@ -227,6 +220,8 @@ struct Row {
 
 struct FabricSim<'a> {
     cfg: &'a FabricConfig,
+    /// The calendar; every handler schedules its follow-up events here.
+    queue: EventQueue<FabricEvent>,
     tiers: Vec<Tier>,
     classes: Vec<ClassState>,
     shedder: Option<TokenBucket>,
@@ -279,7 +274,7 @@ impl<'a> FabricSim<'a> {
                 shared_queued: 0,
                 served: 0,
                 wait_sum: 0.0,
-                breaker: tier.breaker.map(CircuitBreaker::new),
+                breaker: tier.breaker.map(|b| CircuitBreaker::new(b, t)),
                 rng_probe: tier
                     .breaker
                     .map(|_| streams.substream(PROBE_FAMILY, t as u64)),
@@ -288,11 +283,6 @@ impl<'a> FabricSim<'a> {
                 rng_slowdown: tier
                     .slowdown
                     .map(|_| streams.substream(SLOWDOWN_FAMILY, t as u64)),
-                outage: false,
-                outage_epochs: 0,
-                rng_outage: tier
-                    .outage
-                    .map(|_| streams.substream(OUTAGE_FAMILY, t as u64)),
             })
             .collect();
         let rows = (0..=cfg.spans())
@@ -305,6 +295,7 @@ impl<'a> FabricSim<'a> {
             .collect();
         Self {
             cfg,
+            queue: EventQueue::new(),
             tiers,
             classes,
             shedder: cfg.shedder.map(TokenBucket::new),
@@ -321,16 +312,12 @@ impl<'a> FabricSim<'a> {
         }
     }
 
-    fn schedule_next_arrival(
-        &mut self,
-        class: usize,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn schedule_next_arrival(&mut self, class: usize, now: f64) {
         let rate = self.arrival_rate(class);
         let dt = sample_exp(&mut self.classes[class].rng_arrival, rate);
         let epoch = self.classes[class].arrival_epoch;
-        queue.schedule(now + dt, FabricEvent::NextArrival { class, epoch });
+        self.queue
+            .schedule(now + dt, FabricEvent::NextArrival { class, epoch });
     }
 
     /// The row of instant `t`: row 0 is the warmup `[0, warmup]`, and rows
@@ -381,38 +368,32 @@ impl<'a> FabricSim<'a> {
     /// shared queue under [`LbPolicy::CentralQueue`]), or reject it — in
     /// admission order: deadline renege, front-tier shedder, circuit
     /// breaker, then the capacity/availability checks.
-    fn enqueue_at_tier(
-        &mut self,
-        tier: usize,
-        mut req: Request,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn enqueue_at_tier(&mut self, tier: usize, mut req: Request, now: f64) {
         // Client-side renege: an already-expired request never enters the
         // tier (and burns no shedder token).  Not the tier's fault — the
         // breaker is not charged.
         if self.cfg.deadlines.as_ref().is_some_and(|d| d.renege) && self.expired(&req, now) {
-            self.time_out_request(None, req, now, queue);
+            self.time_out_request(None, req, now);
             return;
         }
         if tier == 0 {
             if let Some(bucket) = self.shedder.as_mut() {
                 if !bucket.try_admit(now) {
-                    self.shed_request(req, now, queue);
+                    self.shed_request(req, now);
                     return;
                 }
             }
         }
         if let Some(br) = self.tiers[tier].breaker.as_mut() {
             if !br.admit() {
-                self.fast_fail(tier, req, now, queue);
+                self.fast_fail(tier, req, now);
                 return;
             }
         }
         if matches!(self.cfg.tiers[tier].lb, LbPolicy::CentralQueue) {
             if let Some(cap) = self.cfg.tiers[tier].queue_capacity {
                 if self.tiers[tier].shared_queued >= cap {
-                    self.drop_request(tier, req, now, queue);
+                    self.drop_request(tier, req, now);
                     return;
                 }
             }
@@ -420,28 +401,24 @@ impl<'a> FabricSim<'a> {
             let t = &mut self.tiers[tier];
             t.shared_queues[req.class].push_back(req);
             t.shared_queued += 1;
-            // Hand the work to the lowest-id idle up server, if any
-            // (nobody pulls during a tier-wide outage).
-            let idle = if t.outage {
-                None
-            } else {
-                t.servers
-                    .iter()
-                    .position(|s| s.up && s.in_service.is_none())
-            };
+            // Hand the work to the lowest-id idle up server, if any.
+            let idle = t
+                .servers
+                .iter()
+                .position(|s| s.up && s.in_service.is_none());
             if let Some(server) = idle {
-                self.try_start(tier, server, now, queue);
+                self.try_start(tier, server, now);
             }
             return;
         }
         let Some(server) = self.pick_server(tier) else {
-            // Every server of the tier is down (or the tier is out).
-            self.drop_request(tier, req, now, queue);
+            // Every server of the tier is down.
+            self.drop_request(tier, req, now);
             return;
         };
         if let Some(cap) = self.cfg.tiers[tier].queue_capacity {
             if self.tiers[tier].servers[server].queued >= cap {
-                self.drop_request(tier, req, now, queue);
+                self.drop_request(tier, req, now);
                 return;
             }
         }
@@ -449,16 +426,13 @@ impl<'a> FabricSim<'a> {
         let s = &mut self.tiers[tier].servers[server];
         s.queues[req.class].push_back(req);
         s.queued += 1;
-        self.try_start(tier, server, now, queue);
+        self.try_start(tier, server, now);
     }
 
     /// The load-balancer decision: an up server of `tier`, or `None` when
     /// the whole tier is down.
     fn pick_server(&mut self, tier: usize) -> Option<usize> {
         let t = &mut self.tiers[tier];
-        if t.outage {
-            return None;
-        }
         let n = t.servers.len();
         match &self.cfg.tiers[tier].lb {
             LbPolicy::JoinShortestQueue => {
@@ -508,18 +482,12 @@ impl<'a> FabricSim<'a> {
     /// [`LbPolicy::CentralQueue`].  Under reneging, expired requests are
     /// discarded for free here (timeout, pick again) instead of wasting a
     /// service.
-    fn try_start(
-        &mut self,
-        tier: usize,
-        server: usize,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn try_start(&mut self, tier: usize, server: usize, now: f64) {
         let central = matches!(self.cfg.tiers[tier].lb, LbPolicy::CentralQueue);
         let renege = self.cfg.deadlines.as_ref().is_some_and(|d| d.renege);
         loop {
             let t = &mut self.tiers[tier];
-            if t.outage || !t.servers[server].up || t.servers[server].in_service.is_some() {
+            if !t.servers[server].up || t.servers[server].in_service.is_some() {
                 return;
             }
             let (class, req) = if central {
@@ -548,7 +516,7 @@ impl<'a> FabricSim<'a> {
                 // It waited past its deadline in this tier's queue: the
                 // client is gone.  Charge the tier's breaker and look for
                 // the next live request.
-                self.time_out_request(Some(tier), req, now, queue);
+                self.time_out_request(Some(tier), req, now);
                 continue;
             }
             let after_warmup = self.row(now) > 0;
@@ -569,12 +537,13 @@ impl<'a> FabricSim<'a> {
             }
             s.in_service = Some(req);
             s.service_start = now;
-            queue.schedule(
+            let epoch = s.epoch;
+            self.queue.schedule(
                 now + service,
                 FabricEvent::Complete {
                     tier,
                     server,
-                    epoch: s.epoch,
+                    epoch,
                 },
             );
             return;
@@ -583,20 +552,13 @@ impl<'a> FabricSim<'a> {
 
     /// Common client reaction to any rejection: schedule a backed-off
     /// retry while the attempt budget lasts, else give the request up.
-    fn retry_or_lose(
-        &mut self,
-        req: Request,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-        allow_retry: bool,
-    ) {
-        let retry = &self.cfg.retry;
-        if allow_retry && req.attempt < retry.max_retries {
+    fn retry_or_lose(&mut self, req: Request, now: f64, allow_retry: bool) {
+        if allow_retry && req.attempt < self.cfg.retry.max_retries {
             let attempt = req.attempt + 1;
             let jitter = 0.5 + self.classes[req.class].rng_retry.gen::<f64>();
-            let backoff = retry.base_backoff * retry.multiplier.powi(attempt as i32 - 1) * jitter;
+            let backoff = self.cfg.retry.backoff(attempt, jitter);
             self.counts(now).retries += 1;
-            queue.schedule(
+            self.queue.schedule(
                 now + backoff,
                 FabricEvent::ArriveAtTier {
                     tier: 0,
@@ -610,68 +572,44 @@ impl<'a> FabricSim<'a> {
 
     /// Account a drop at `tier` (queue overflow, dead tier, aborted
     /// service) and run the client retry path.
-    fn drop_request(
-        &mut self,
-        tier: usize,
-        req: Request,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn drop_request(&mut self, tier: usize, req: Request, now: f64) {
         self.counts(now).dropped[tier] += 1;
-        self.breaker_outcome(tier, true, now, queue);
-        self.retry_or_lose(req, now, queue, true);
+        self.breaker_outcome(tier, true, now);
+        self.retry_or_lose(req, now, true);
     }
 
     /// The breaker at `tier` rejected the arrival without touching a queue.
-    fn fast_fail(
-        &mut self,
-        tier: usize,
-        req: Request,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn fast_fail(&mut self, tier: usize, req: Request, now: f64) {
         self.counts(now).fast_failed[tier] += 1;
-        self.retry_or_lose(req, now, queue, true);
+        self.retry_or_lose(req, now, true);
     }
 
     /// The front-tier token bucket rejected the arrival.
-    fn shed_request(&mut self, req: Request, now: f64, queue: &mut EventQueue<FabricEvent>) {
+    fn shed_request(&mut self, req: Request, now: f64) {
         self.counts(now).shed += 1;
-        self.retry_or_lose(req, now, queue, true);
+        self.retry_or_lose(req, now, true);
     }
 
     /// `req` outlived its deadline.  `breaker_tier` charges the tier whose
     /// queue the request expired in (reneges); client-side detections
     /// (admission-time renege, discarded completion) charge nobody here —
     /// the serving tier already recorded the past-deadline completion.
-    fn time_out_request(
-        &mut self,
-        breaker_tier: Option<usize>,
-        req: Request,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn time_out_request(&mut self, breaker_tier: Option<usize>, req: Request, now: f64) {
         self.counts(now).timed_out += 1;
         if let Some(tier) = breaker_tier {
-            self.breaker_outcome(tier, true, now, queue);
+            self.breaker_outcome(tier, true, now);
         }
         let allow = self
             .cfg
             .deadlines
             .as_ref()
             .is_some_and(|d| d.retry_on_timeout);
-        self.retry_or_lose(req, now, queue, allow);
+        self.retry_or_lose(req, now, allow);
     }
 
     /// Feed one request outcome to `tier`'s breaker (if any); on a trip,
     /// schedule the half-open timer at the jittered open period.
-    fn breaker_outcome(
-        &mut self,
-        tier: usize,
-        failure: bool,
-        now: f64,
-        queue: &mut EventQueue<FabricEvent>,
-    ) {
+    fn breaker_outcome(&mut self, tier: usize, failure: bool, now: f64) {
         let t = &mut self.tiers[tier];
         let Some(br) = t.breaker.as_mut() else { return };
         let Some(generation) = br.record(failure) else {
@@ -684,17 +622,20 @@ impl<'a> FabricSim<'a> {
                     .as_mut()
                     .expect("a breaker implies a probe rng")
                     .gen::<f64>();
-        queue.schedule(
+        self.queue.schedule(
             now + open * jitter,
             FabricEvent::BreakerHalfOpen { tier, generation },
         );
     }
-}
 
-impl EventHandler for FabricSim<'_> {
-    type Event = FabricEvent;
-
-    fn handle(&mut self, time: f64, event: FabricEvent, queue: &mut EventQueue<FabricEvent>) {
+    /// Apply one event at `time`.
+    ///
+    /// Kept out of line on purpose.  With one call site, LLVM otherwise
+    /// inlines it into the loop of [`run_fabric_with`], and perfbench then
+    /// measured `fabric-faults` `wall_s` 6.6% higher, slower in 6 of 6
+    /// alternating pairs of 8 s runs (2-vCPU x86-64 host).
+    #[inline(never)]
+    fn handle(&mut self, time: f64, event: FabricEvent) {
         match event {
             FabricEvent::NextArrival { class, epoch } => {
                 if epoch != self.classes[class].arrival_epoch {
@@ -709,8 +650,8 @@ impl EventHandler for FabricSim<'_> {
                 };
                 self.next_id += 1;
                 self.counts(time).arrivals += 1;
-                self.enqueue_at_tier(0, req, time, queue);
-                self.schedule_next_arrival(class, time, queue);
+                self.enqueue_at_tier(0, req, time);
+                self.schedule_next_arrival(class, time);
             }
             FabricEvent::PhaseSwitch { class } => {
                 // Borrow through a copy of the `&'a` config, not `self`, so
@@ -729,12 +670,13 @@ impl EventHandler for FabricSim<'_> {
                 // epoch so it dies on arrival and draw a fresh one at the
                 // new rate (exponential memorylessness makes this exact).
                 st.arrival_epoch += 1;
-                self.schedule_next_arrival(class, time, queue);
+                self.schedule_next_arrival(class, time);
                 let dt = sample_exp(&mut self.classes[class].rng_phase, switch_rate);
-                queue.schedule(time + dt, FabricEvent::PhaseSwitch { class });
+                self.queue
+                    .schedule(time + dt, FabricEvent::PhaseSwitch { class });
             }
             FabricEvent::ArriveAtTier { tier, req } => {
-                self.enqueue_at_tier(tier, req, time, queue);
+                self.enqueue_at_tier(tier, req, time);
             }
             FabricEvent::Complete {
                 tier,
@@ -754,9 +696,9 @@ impl EventHandler for FabricSim<'_> {
                 // success/failure signal (always a success without
                 // deadlines).
                 let missed = self.expired(&req, time);
-                self.breaker_outcome(tier, missed, time, queue);
+                self.breaker_outcome(tier, missed, time);
                 if tier + 1 < self.tiers.len() {
-                    queue.schedule(
+                    self.queue.schedule(
                         time + self.cfg.tiers[tier].hop_delay,
                         FabricEvent::ArriveAtTier {
                             tier: tier + 1,
@@ -765,9 +707,10 @@ impl EventHandler for FabricSim<'_> {
                     );
                 } else {
                     // Service chain done: route the response back.
-                    queue.schedule(time, FabricEvent::ReturnHop { tier, req });
+                    self.queue
+                        .schedule(time, FabricEvent::ReturnHop { tier, req });
                 }
-                self.try_start(tier, server, time, queue);
+                self.try_start(tier, server, time);
             }
             FabricEvent::Fail { tier, server } => {
                 let s = &mut self.tiers[tier].servers[server];
@@ -785,10 +728,11 @@ impl EventHandler for FabricSim<'_> {
                     &mut self.tiers[tier].servers[server].rng_fail,
                     1.0 / failure.mean_time_to_repair,
                 );
-                queue.schedule(time + dt, FabricEvent::Recover { tier, server });
+                self.queue
+                    .schedule(time + dt, FabricEvent::Recover { tier, server });
                 if let Some(req) = aborted {
                     self.credit_busy(tier, server, start, time);
-                    self.drop_request(tier, req, time, queue);
+                    self.drop_request(tier, req, time);
                 }
             }
             FabricEvent::Recover { tier, server } => {
@@ -799,8 +743,9 @@ impl EventHandler for FabricSim<'_> {
                 assert!(!s.up, "Recover events are only scheduled while down");
                 s.up = true;
                 let dt = sample_exp(&mut s.rng_fail, 1.0 / failure.mean_time_to_failure);
-                queue.schedule(time + dt, FabricEvent::Fail { tier, server });
-                self.try_start(tier, server, time, queue);
+                self.queue
+                    .schedule(time + dt, FabricEvent::Fail { tier, server });
+                self.try_start(tier, server, time);
             }
             FabricEvent::ReturnHop { tier: 0, req } => {
                 let row = self.row(time);
@@ -815,13 +760,13 @@ impl EventHandler for FabricSim<'_> {
                 if self.expired(&req, time) {
                     // Finished past deadline: the client already gave up,
                     // the completion is discarded.
-                    self.time_out_request(None, req, time, queue);
+                    self.time_out_request(None, req, time);
                 } else {
                     self.rows[row].completed += 1;
                 }
             }
             FabricEvent::ReturnHop { tier, req } => {
-                queue.schedule(
+                self.queue.schedule(
                     time + self.cfg.tiers[tier - 1].hop_delay,
                     FabricEvent::ReturnHop {
                         tier: tier - 1,
@@ -840,7 +785,8 @@ impl EventHandler for FabricSim<'_> {
                     t.rng_slowdown.as_mut().expect("slowdown rng exists"),
                     1.0 / s.mean_slowdown_duration,
                 );
-                queue.schedule(time + dt, FabricEvent::SlowdownEnd { tier });
+                self.queue
+                    .schedule(time + dt, FabricEvent::SlowdownEnd { tier });
             }
             FabricEvent::SlowdownEnd { tier } => {
                 let s = self.cfg.tiers[tier]
@@ -853,48 +799,8 @@ impl EventHandler for FabricSim<'_> {
                         t.rng_slowdown.as_mut().expect("slowdown rng exists"),
                         1.0 / s.mean_time_to_slowdown,
                     );
-                    queue.schedule(time + dt, FabricEvent::SlowdownStart { tier });
-                }
-            }
-            FabricEvent::OutageStart { tier } => {
-                let o = self.cfg.tiers[tier]
-                    .outage
-                    .expect("outage event implies an outage config");
-                self.tiers[tier].outage = true;
-                self.tiers[tier].outage_epochs += 1;
-                // The whole tier goes dark at once: every in-service
-                // request aborts (its Complete goes stale via the epoch
-                // bump) and the clients see correlated drops.
-                for server in 0..self.tiers[tier].servers.len() {
-                    let s = &mut self.tiers[tier].servers[server];
-                    if let Some(req) = s.in_service.take() {
-                        s.epoch += 1;
-                        let start = s.service_start;
-                        self.credit_busy(tier, server, start, time);
-                        self.drop_request(tier, req, time, queue);
-                    }
-                }
-                let dt = sample_exp(
-                    self.tiers[tier].rng_outage.as_mut().expect("outage rng"),
-                    1.0 / o.mean_outage_duration,
-                );
-                queue.schedule(time + dt, FabricEvent::OutageEnd { tier });
-            }
-            FabricEvent::OutageEnd { tier } => {
-                let o = self.cfg.tiers[tier]
-                    .outage
-                    .expect("outage event implies an outage config");
-                let t = &mut self.tiers[tier];
-                t.outage = false;
-                if o.max_epochs == 0 || t.outage_epochs < o.max_epochs {
-                    let dt = sample_exp(
-                        t.rng_outage.as_mut().expect("outage rng"),
-                        1.0 / o.mean_time_to_outage,
-                    );
-                    queue.schedule(time + dt, FabricEvent::OutageStart { tier });
-                }
-                for server in 0..self.tiers[tier].servers.len() {
-                    self.try_start(tier, server, time, queue);
+                    self.queue
+                        .schedule(time + dt, FabricEvent::SlowdownStart { tier });
                 }
             }
             FabricEvent::BreakerHalfOpen { tier, generation } => {
@@ -927,15 +833,15 @@ pub fn run_fabric_with(
     config.validate();
     let streams = RngStreams::new(seed);
     let mut sim = FabricSim::new(config, disciplines, &streams);
-    let mut engine: Engine<FabricSim> = Engine::new();
 
     for class in 0..config.classes.len() {
         let rate = sim.arrival_rate(class);
         let dt = sample_exp(&mut sim.classes[class].rng_arrival, rate);
-        engine.schedule(dt, FabricEvent::NextArrival { class, epoch: 0 });
+        sim.queue
+            .schedule(dt, FabricEvent::NextArrival { class, epoch: 0 });
         if let ArrivalProcess::Mmpp { switch_rate, .. } = config.classes[class].arrivals {
             let dt = sample_exp(&mut sim.classes[class].rng_phase, switch_rate);
-            engine.schedule(dt, FabricEvent::PhaseSwitch { class });
+            sim.queue.schedule(dt, FabricEvent::PhaseSwitch { class });
         }
     }
     for (t, tier) in config.tiers.iter().enumerate() {
@@ -945,7 +851,8 @@ pub fn run_fabric_with(
                     &mut sim.tiers[t].servers[s].rng_fail,
                     1.0 / f.mean_time_to_failure,
                 );
-                engine.schedule(dt, FabricEvent::Fail { tier: t, server: s });
+                sim.queue
+                    .schedule(dt, FabricEvent::Fail { tier: t, server: s });
             }
         }
         if let Some(s) = tier.slowdown {
@@ -953,18 +860,26 @@ pub fn run_fabric_with(
                 sim.tiers[t].rng_slowdown.as_mut().expect("slowdown rng"),
                 1.0 / s.mean_time_to_slowdown,
             );
-            engine.schedule(dt, FabricEvent::SlowdownStart { tier: t });
-        }
-        if let Some(o) = tier.outage {
-            let dt = sample_exp(
-                sim.tiers[t].rng_outage.as_mut().expect("outage rng"),
-                1.0 / o.mean_time_to_outage,
-            );
-            engine.schedule(dt, FabricEvent::OutageStart { tier: t });
+            sim.queue
+                .schedule(dt, FabricEvent::SlowdownStart { tier: t });
         }
     }
 
-    engine.run(&mut sim, config.horizon);
+    // Events past the horizon stay on the calendar, unprocessed.
+    let mut clock = 0.0;
+    let mut events = 0;
+    while let Some((time, event)) = sim.queue.pop_at_or_before(config.horizon) {
+        // Release-mode check: an event scheduled in the past is a model bug,
+        // and a clock that runs backwards corrupts every busy-time credit
+        // and span row after it.
+        assert!(
+            time + 1e-12 >= clock,
+            "event time {time} precedes the clock {clock}: an event was scheduled in the past"
+        );
+        clock = time;
+        sim.handle(time, event);
+        events += 1;
+    }
 
     // Servers still busy at the horizon accrue their partial service.
     for t in 0..sim.tiers.len() {
@@ -1035,7 +950,7 @@ pub fn run_fabric_with(
         rtt: sim.rtt,
         tiers,
         windows,
-        events: engine.events_processed,
+        events,
     }
 }
 

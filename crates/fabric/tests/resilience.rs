@@ -1,16 +1,16 @@
 //! Integration tests of the overload-resilience layer: the graceful-
 //! degradation acceptance gate (the metastable retry storm collapses
-//! without protection and recovers with it), substream purity of the new
-//! chaos/probe RNG families, outage thread-invariance, and the
-//! failure-semantics regression (a server failure aborts only the request
-//! in service; queued requests survive to be served after repair).
+//! without protection and recovers with it), substream purity of the
+//! slowdown and probe RNG families, and the failure-semantics regression
+//! (a server failure aborts only the request in service; queued requests
+//! survive to be served after repair).
 
 use ss_distributions::{dyn_dist, Exponential};
 use ss_fabric::scenarios::{aggregate, retry_storm_config, Budget, DEFAULT_SEED};
 use ss_fabric::sim::{replication_seed, run_fabric};
 use ss_fabric::{
     ArrivalProcess, BreakerConfig, ClassConfig, DisciplineKind, FabricConfig, FabricReport,
-    FailureConfig, LbPolicy, OutageConfig, RetryPolicy, SlowdownConfig, TierConfig,
+    FailureConfig, LbPolicy, RetryPolicy, SlowdownConfig, TierConfig,
 };
 use ss_sim::pool;
 use ss_sim::rng::RngStreams;
@@ -38,7 +38,6 @@ fn bounded_baseline() -> FabricConfig {
             failure: None,
             breaker: None,
             slowdown: None,
-            outage: None,
         }],
         retry: RetryPolicy {
             max_retries: 2,
@@ -221,55 +220,6 @@ fn noop_slowdown_only_adds_epoch_events() {
     }
 }
 
-/// An outage whose mean inter-arrival time lies far past the horizon never
-/// fires: the OUTAGE family owns its substream, so merely configuring it
-/// leaves every statistic bit-identical.
-#[test]
-fn far_future_outage_leaves_the_run_untouched() {
-    let base = bounded_baseline();
-    let mut with_outage = bounded_baseline();
-    with_outage.tiers[0].outage = Some(OutageConfig {
-        mean_time_to_outage: 1e12,
-        mean_outage_duration: 5.0,
-        max_epochs: 0,
-    });
-    for seed in [9u64, 777] {
-        let a = run_fabric(&base, seed);
-        let b = run_fabric(&with_outage, seed);
-        assert_same_run(&a, &b, "far-future outage");
-    }
-}
-
-/// Tier-wide outages abort in-service work but the central queue holds
-/// waiting requests through the outage; the whole thing is bit-identical
-/// across thread counts (the OUTAGE substream family is pool-independent).
-#[test]
-fn outages_abort_in_service_work_and_stay_deterministic() {
-    let mut cfg = bounded_baseline();
-    cfg.name = "outage-chaos".into();
-    cfg.tiers[0].queue_capacity = None;
-    cfg.tiers[0].outage = Some(OutageConfig {
-        mean_time_to_outage: 120.0,
-        mean_outage_duration: 15.0,
-        max_epochs: 0,
-    });
-    let run_all = || {
-        let streams = RngStreams::new(DEFAULT_SEED);
-        let reports: Vec<FabricReport> = pool::parallel_indexed(4, |rep| {
-            run_fabric(&cfg, replication_seed(&streams, 99, rep as u64))
-        });
-        aggregate(&reports)
-    };
-    let serial = pool::with_threads(1, run_all);
-    let parallel = pool::with_threads(4, run_all);
-    assert_same_run(&serial, &parallel, "outage-chaos");
-    assert_eq!(serial.events, parallel.events);
-    // Outages actually struck: in-service aborts show up as tier drops,
-    // and service resumed afterwards (completions dwarf the aborts).
-    assert!(serial.tiers[0].dropped > 0, "no outage ever aborted work");
-    assert!(serial.completed > serial.tiers[0].dropped * 5);
-}
-
 /// Regression for the failure semantics: a server failure aborts only the
 /// request *in service* on the failed server; requests waiting in the
 /// queue survive the repair and are served afterwards.  With retries
@@ -297,7 +247,6 @@ fn server_failure_aborts_only_the_in_service_request() {
             }),
             breaker: None,
             slowdown: None,
-            outage: None,
         }],
         retry: RetryPolicy::none(),
         warmup: 0.0,

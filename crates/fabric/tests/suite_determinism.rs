@@ -171,7 +171,6 @@ fn central_queue_mmc_converges_to_erlang_c() {
             failure: None,
             breaker: None,
             slowdown: None,
-            outage: None,
         }],
         retry: RetryPolicy::none(),
         warmup: 2_000.0,

@@ -150,9 +150,9 @@ impl<E> EventQueue<E> {
     /// Remove and return the earliest event only if it occurs at or before
     /// `horizon`; otherwise leave the calendar untouched and return `None`.
     ///
-    /// This is the horizon-respecting pop [`crate::engine::Engine::run`] is
-    /// built on: an event past the horizon stays scheduled, so a run can be
-    /// resumed later with a larger horizon without losing events.
+    /// This is the horizon-respecting pop a simulation loop runs on (the
+    /// service fabric's `run_fabric_with` is one): an event past the
+    /// horizon stays scheduled instead of being lost.
     pub fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, E)> {
         match self.peek_time() {
             Some(time) if time <= horizon => self.pop(),

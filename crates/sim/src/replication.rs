@@ -4,16 +4,12 @@
 //! Monte-Carlo estimate over independent replications.  The runners here
 //! take a closure `f(replication_index, &mut rng) -> f64`, give each
 //! replication its own reproducible RNG stream, and return summary
-//! statistics.  The parallel variants fan replications out over the
+//! statistics.  The parallel runner fans replications out over the
 //! workspace thread pool (chunked self-scheduling over the replication
 //! indices; see [`crate::pool`]); because each replication owns its stream
 //! and results are collected in replication order, parallel and serial runs
 //! produce identical per-replication values and therefore identical
 //! summaries — for any thread count.
-//!
-//! [`run_replications_chunked`] additionally groups the replications into
-//! fixed-size batches and summarizes each batch, which gives convergence
-//! diagnostics (batch-to-batch spread) without a second pass over the data.
 
 use crate::rng::RngStreams;
 use crate::stats::OnlineStats;
@@ -93,83 +89,11 @@ where
     F: Fn(usize, &mut ChaCha8Rng) -> f64 + Sync,
 {
     assert!(n > 0, "need at least one replication");
-    ReplicationSummary::from_values(parallel_replication_values(n, seed, &f))
-}
-
-/// The shared parallel core: per-replication values in replication order.
-fn parallel_replication_values<F>(n: usize, seed: u64, f: &F) -> Vec<f64>
-where
-    F: Fn(usize, &mut ChaCha8Rng) -> f64 + Sync,
-{
     let streams = RngStreams::new(seed);
-    crate::pool::parallel_indexed(n, |i| {
+    ReplicationSummary::from_values(crate::pool::parallel_indexed(n, |i| {
         let mut rng = streams.stream(i as u64);
         f(i, &mut rng)
-    })
-}
-
-/// Replications grouped into fixed-size batches, each with its own summary.
-///
-/// Memory note: every batch summary retains its slice of the values (a
-/// [`ReplicationSummary`] always carries `values`), so the flat results are
-/// held twice — fine for the 10²–10⁶ replication counts the harness runs;
-/// for larger streams, summarize incrementally with
-/// [`crate::stats::BatchMeans`] instead.
-#[derive(Debug, Clone)]
-pub struct ChunkedReplications {
-    /// Replications per batch (the final batch may be smaller).
-    pub chunk_size: usize,
-    /// One summary per batch, in replication order.
-    pub chunks: Vec<ReplicationSummary>,
-    /// Summary over all `n` replications (identical to what
-    /// [`run_replications`] returns for the same `(n, seed, f)`).
-    pub overall: ReplicationSummary,
-}
-
-impl ChunkedReplications {
-    /// Largest absolute deviation of a batch mean from the overall mean — a
-    /// cheap stationarity / convergence diagnostic.
-    pub fn max_chunk_mean_deviation(&self) -> f64 {
-        self.chunks
-            .iter()
-            .map(|c| (c.mean - self.overall.mean).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
-/// Run `n` replications in parallel and summarize them both overall and in
-/// consecutive batches of `chunk_size`.
-///
-/// Batch boundaries are fixed by `chunk_size` alone — they are **not** the
-/// pool's scheduling chunks — so every field of the result is deterministic
-/// for any thread count, and `overall.values` is bit-for-bit identical to
-/// the serial runner's output.
-///
-/// # Panics
-///
-/// Panics if `n == 0` (all replication runners share this contract) or if
-/// `chunk_size == 0`.
-pub fn run_replications_chunked<F>(
-    n: usize,
-    seed: u64,
-    chunk_size: usize,
-    f: F,
-) -> ChunkedReplications
-where
-    F: Fn(usize, &mut ChaCha8Rng) -> f64 + Sync,
-{
-    assert!(n > 0, "need at least one replication");
-    assert!(chunk_size > 0, "need a positive chunk size");
-    let values = parallel_replication_values(n, seed, &f);
-    let chunks = values
-        .chunks(chunk_size)
-        .map(|c| ReplicationSummary::from_values(c.to_vec()))
-        .collect();
-    ChunkedReplications {
-        chunk_size,
-        chunks,
-        overall: ReplicationSummary::from_values(values),
-    }
+    }))
 }
 
 #[cfg(test)]
@@ -228,37 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_matches_serial_and_summarizes_batches() {
-        let f = |_i: usize, rng: &mut ChaCha8Rng| rng.gen::<f64>();
-        let serial = run_replications(103, 9, f);
-        let chunked = run_replications_chunked(103, 9, 25, f);
-        assert_eq!(chunked.overall.values, serial.values);
-        // ceil(103 / 25) = 5 batches, last one of size 3.
-        assert_eq!(chunked.chunks.len(), 5);
-        assert_eq!(chunked.chunks[4].values.len(), 3);
-        // Each batch summarizes the matching slice of the flat values.
-        for (b, chunk) in chunked.chunks.iter().enumerate() {
-            let lo = b * 25;
-            let hi = (lo + 25).min(103);
-            assert_eq!(chunk.values, serial.values[lo..hi].to_vec());
-        }
-        assert!(chunked.max_chunk_mean_deviation() < 0.5);
-    }
-
-    #[test]
-    fn chunked_is_thread_count_invariant() {
-        let f = |_i: usize, rng: &mut ChaCha8Rng| rng.gen::<f64>();
-        let one = crate::pool::with_threads(1, || run_replications_chunked(64, 3, 10, f));
-        let many = crate::pool::with_threads(8, || run_replications_chunked(64, 3, 10, f));
-        assert_eq!(one.overall.values, many.overall.values);
-        assert_eq!(one.chunks.len(), many.chunks.len());
-        for (a, b) in one.chunks.iter().zip(&many.chunks) {
-            assert_eq!(a.values, b.values);
-            assert_eq!(a.mean.to_bits(), b.mean.to_bits());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "need at least one replication")]
     fn serial_rejects_zero_replications() {
         run_replications(0, 1, |_i, _rng| 0.0);
@@ -268,12 +161,6 @@ mod tests {
     #[should_panic(expected = "need at least one replication")]
     fn parallel_rejects_zero_replications() {
         run_replications_parallel(0, 1, |_i, _rng| 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one replication")]
-    fn chunked_rejects_zero_replications() {
-        run_replications_chunked(0, 1, 8, |_i, _rng| 0.0);
     }
 
     #[test]

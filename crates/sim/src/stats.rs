@@ -1,5 +1,5 @@
 //! Output-analysis statistics: online moments, confidence intervals,
-//! time-weighted averages and batch means.
+//! time-weighted averages and the deterministic quantile sketch.
 
 use std::sync::LazyLock;
 
@@ -439,64 +439,6 @@ impl TimeWeighted {
     }
 }
 
-/// Batch-means estimator for steady-state output analysis of a single long
-/// run: observations are grouped into `num_batches` contiguous batches and
-/// the batch averages are treated as (approximately) i.i.d.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: usize,
-    current_sum: f64,
-    current_count: usize,
-    batch_averages: Vec<f64>,
-}
-
-impl BatchMeans {
-    /// Create with a fixed batch size (number of observations per batch).
-    pub fn new(batch_size: usize) -> Self {
-        assert!(batch_size > 0);
-        Self {
-            batch_size,
-            current_sum: 0.0,
-            current_count: 0,
-            batch_averages: Vec::new(),
-        }
-    }
-
-    /// Add one observation.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batch_averages
-                .push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    pub fn num_batches(&self) -> usize {
-        self.batch_averages.len()
-    }
-
-    /// Grand mean over completed batches.
-    pub fn mean(&self) -> f64 {
-        if self.batch_averages.is_empty() {
-            return 0.0;
-        }
-        self.batch_averages.iter().sum::<f64>() / self.batch_averages.len() as f64
-    }
-
-    /// Confidence-interval half width over the completed batch means.
-    pub fn ci_half_width(&self, level: f64) -> f64 {
-        let mut stats = OnlineStats::new();
-        for &b in &self.batch_averages {
-            stats.push(b);
-        }
-        stats.ci_half_width(level)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -856,16 +798,5 @@ mod tests {
         let s = QuantileSketch::new(1.0, 2.0, 4096);
         let (above, answered) = check_fast_bucket(&s, log_uniform(1.0, 2.0, 10_000));
         assert_eq!((above, answered), (10_000, 0));
-    }
-
-    #[test]
-    fn batch_means_groups_correctly() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.num_batches(), 10);
-        assert!((bm.mean() - 49.5).abs() < 1e-12);
-        assert!(bm.ci_half_width(0.95).is_finite());
     }
 }

@@ -1,12 +1,12 @@
 //! Integration tests of the execution pool's determinism contract: for any
-//! replication count, seed, chunk size and thread count, the parallel
-//! runners produce output bit-for-bit identical to the serial runner.
+//! replication count, seed and thread count, the parallel runner produces
+//! output bit-for-bit identical to the serial runner.
 
 use proptest::prelude::*;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ss_sim::pool;
-use ss_sim::replication::{run_replications, run_replications_chunked, run_replications_parallel};
+use ss_sim::replication::{run_replications, run_replications_parallel};
 
 /// A replication body with enough RNG consumption to expose any stream
 /// misalignment: draw a variable number of uniforms keyed off the index.
@@ -33,29 +33,6 @@ proptest! {
         prop_assert_eq!(serial.mean.to_bits(), parallel.mean.to_bits());
         prop_assert_eq!(serial.std_dev.to_bits(), parallel.std_dev.to_bits());
         prop_assert_eq!(serial.ci95.to_bits(), parallel.ci95.to_bits());
-    }
-
-    /// Chunked batching never changes the flat values, and batch boundaries
-    /// depend only on chunk_size — not on the thread count.
-    #[test]
-    fn chunked_batches_are_schedule_invariant(
-        n in 1usize..150,
-        seed in 0u64..1_000_000,
-        chunk_size in 1usize..40,
-        threads in 1usize..10,
-    ) {
-        let serial = run_replications(n, seed, workload);
-        let chunked = pool::with_threads(threads, || {
-            run_replications_chunked(n, seed, chunk_size, workload)
-        });
-        prop_assert_eq!(&chunked.overall.values, &serial.values);
-        prop_assert_eq!(chunked.chunks.len(), n.div_ceil(chunk_size));
-        let reassembled: Vec<f64> = chunked
-            .chunks
-            .iter()
-            .flat_map(|c| c.values.iter().copied())
-            .collect();
-        prop_assert_eq!(&reassembled, &serial.values);
     }
 
     /// `parallel_indexed` is an order-preserving map for arbitrary sizes and

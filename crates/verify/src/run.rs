@@ -330,7 +330,6 @@ fn single_tier_fifo(
             failure: None,
             breaker: None,
             slowdown: None,
-            outage: None,
         }],
         retry: RetryPolicy::none(),
         warmup: budget.warmup,

@@ -7,9 +7,10 @@
 //!
 //! * [`distributions`] — processing-time / inter-arrival distributions,
 //!   hazard-rate classification, stochastic orderings.
-//! * [`sim`] — discrete-event simulation engine, statistics, replication
-//!   runners, and the multi-threaded execution pool (`sim::pool`,
-//!   `SS_THREADS`) with bit-for-bit serial/parallel determinism.
+//! * [`sim`] — discrete-event simulation primitives: the event calendar,
+//!   reproducible RNG streams, statistics, replication runners, and the
+//!   multi-threaded execution pool (`sim::pool`, `SS_THREADS`) with
+//!   bit-for-bit serial/parallel determinism.
 //! * [`lp`] — dense two-phase simplex LP solver (Whittle / achievable-region
 //!   relaxations).
 //! * [`mdp`] — finite Markov decision process solvers (discounted and
