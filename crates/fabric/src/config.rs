@@ -238,6 +238,13 @@ impl FabricConfig {
             self.retry.multiplier >= 1.0 && self.retry.multiplier.is_finite(),
             "retry.multiplier must be finite and >= 1"
         );
+        // `backoff` takes the attempt as an `i32` exponent, so a larger
+        // count would wrap to a negative one.
+        assert!(
+            i32::try_from(self.retry.max_retries).is_ok(),
+            "retry.max_retries must be at most 2^31 - 1, got {}",
+            self.retry.max_retries
+        );
         // Backoffs grow with the attempt and the jitter stays below 1.5, so
         // this bounds every retry time the run can schedule.
         let longest = self.retry.backoff(self.retry.max_retries, 1.5);
@@ -493,6 +500,34 @@ mod tests {
             max_retries: 3,
             base_backoff: 10.0,
             multiplier: 1e308,
+        };
+        c.validate();
+    }
+
+    /// A retry count whose `i32` exponent would wrap to a negative one,
+    /// making the longest backoff look small.
+    #[test]
+    #[should_panic(expected = "retry.max_retries must be at most 2^31 - 1, got 4294967295")]
+    fn a_max_retries_of_u32_max_is_rejected() {
+        let mut c = tiny();
+        c.retry = RetryPolicy {
+            max_retries: u32::MAX,
+            base_backoff: 1.0,
+            multiplier: 2.0,
+        };
+        c.validate();
+    }
+
+    /// The first count past `i32::MAX`, where `backoff`'s
+    /// `attempt as i32 - 1` overflows in a debug build.
+    #[test]
+    #[should_panic(expected = "retry.max_retries must be at most 2^31 - 1, got 2147483648")]
+    fn a_max_retries_of_2_pow_31_is_rejected() {
+        let mut c = tiny();
+        c.retry = RetryPolicy {
+            max_retries: 1 << 31,
+            base_backoff: 1.0,
+            multiplier: 2.0,
         };
         c.validate();
     }

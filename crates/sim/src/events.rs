@@ -15,14 +15,27 @@
 //! - the key's high 64 bits are `time_key` of the event time, its low
 //!   64 bits the event's sequence number;
 //! - a payload is moved into a free slot by `schedule` and out of it by
-//!   `pop`, which returns the slot to a free list, so sifting moves only
-//!   nodes and the slab never holds more slots than the most events ever
-//!   pending at once;
-//! - `pop` returns the time stored in the slab, bit for bit (`-0.0`
+//!   `pop_at_or_before`, which returns the slot to a free list, so sifting
+//!   moves only nodes and the slab never holds more slots than the most
+//!   events ever pending at once;
+//! - a pop returns the time stored in the slab, bit for bit (`-0.0`
 //!   included), not a value decoded from the key.
 //!
-//! `pop` sifts the last node down from the root, choosing the smaller
-//! child without a branch.
+//! A pop does not repair the heap.  It takes the root's event and leaves
+//! `heap[0]` as a hole, marked by the `hole` flag, because the caller
+//! almost always schedules next (an arrival schedules the next arrival, a
+//! completion its hop and the next service):
+//!
+//! - `schedule` writes its node into an open hole and sifts it down from
+//!   the root, with no push and no sift-up; a zero-delay event, the new
+//!   minimum, lands in the root after two compares;
+//! - with no hole open, `schedule` pushes its node and sifts it up;
+//! - a pop with the hole still open first moves the last node into the
+//!   hole and sifts it down, the repair the pop skipped, and only then
+//!   reads the root;
+//! - `len` does not count the hole.
+//!
+//! A sift-down picks the smaller child without a branch.
 //!
 //! # Why the integer order is the `(time, seq)` order
 //!
@@ -37,7 +50,9 @@
 //! equal, in which case the low halves, the sequence numbers, decide.
 //! Infinities and NaN never reach a key: `schedule` rejects them.  Every
 //! key is unique because every sequence number is, so the pop order is a
-//! function of the scheduled events alone, not of the heap's shape.
+//! function of the scheduled events alone, not of the heap's shape.  The
+//! hole changes only that shape: open or closed, the heap holds the keys
+//! of exactly the pending events, and every pop returns the smallest.
 
 /// A heap node: the packed `(time, seq)` key and the payload's slab slot.
 #[derive(Clone, Copy)]
@@ -60,6 +75,8 @@ fn time_key(time: f64) -> u64 {
 /// A future-event list.
 pub struct EventQueue<E> {
     heap: Vec<Node>,
+    /// `heap[0]` is a hole: its event was popped and the heap not repaired.
+    hole: bool,
     slab: Vec<Option<(f64, E)>>,
     free: Vec<usize>,
     next_seq: u64,
@@ -76,6 +93,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         Self {
             heap: Vec::new(),
+            hole: false,
             slab: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -97,8 +115,13 @@ impl<E> EventQueue<E> {
                 self.slab.len() - 1
             }
         };
-        // Sift up: move parents down until the new node's place is found.
         let node = Node { key, slot };
+        if self.hole {
+            self.hole = false;
+            self.sift_down(0, node);
+            return;
+        }
+        // Sift up: move parents down until the new node's place is found.
         let heap = &mut self.heap;
         let mut pos = heap.len();
         heap.push(node);
@@ -115,72 +138,68 @@ impl<E> EventQueue<E> {
 
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(f64, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap.swap_remove(0);
-        // Sift the former last node down from the root: move the smaller
-        // child up until the node is smaller than both children.
-        let heap = &mut self.heap[..];
-        if let Some(&node) = heap.first() {
-            let end = heap.len();
-            let mut pos = 0;
-            loop {
-                let l = 2 * pos + 1;
-                let child = if l + 1 < end {
-                    l + usize::from(heap[l + 1].key < heap[l].key)
-                } else if l < end {
-                    l
-                } else {
-                    break;
-                };
-                if node.key < heap[child].key {
-                    break;
-                }
-                heap[pos] = heap[child];
-                pos = child;
-            }
-            heap[pos] = node;
-        }
-        self.free.push(top.slot);
-        let entry = self.slab[top.slot].take();
-        Some(entry.expect("a pending event's slab slot is occupied"))
+        self.pop_at_or_before(f64::INFINITY)
     }
 
     /// Remove and return the earliest event only if it occurs at or before
-    /// `horizon`; otherwise leave the calendar untouched and return `None`.
+    /// `horizon`; otherwise leave the pending events as they are and return
+    /// `None`.
     ///
     /// This is the horizon-respecting pop a simulation loop runs on (the
     /// service fabric's `run_fabric_with` is one): an event past the
     /// horizon stays scheduled instead of being lost.
     pub fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, E)> {
-        match self.peek_time() {
-            Some(time) if time <= horizon => self.pop(),
-            _ => None,
+        if self.hole {
+            self.hole = false;
+            let last = self.heap.pop().expect("an open hole is a heap node");
+            if !self.heap.is_empty() {
+                self.sift_down(0, last);
+            }
+        }
+        let slot = self.heap.first()?.slot;
+        let (time, _) = self.slab[slot]
+            .as_ref()
+            .expect("a pending event's slab slot is occupied");
+        if *time <= horizon {
+            self.hole = true;
+            self.free.push(slot);
+            self.slab[slot].take()
+        } else {
+            None
         }
     }
 
-    /// Time of the next event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        let top = self.heap.first()?;
-        self.slab[top.slot].as_ref().map(|&(time, _)| time)
+    /// Place `node` at `pos`, a free position, and sift it down: move the
+    /// smaller child up until `node` is smaller than both children.
+    fn sift_down(&mut self, mut pos: usize, node: Node) {
+        let heap = &mut self.heap[..];
+        let end = heap.len();
+        loop {
+            let l = 2 * pos + 1;
+            let child = if l + 1 < end {
+                l + usize::from(heap[l + 1].key < heap[l].key)
+            } else if l < end {
+                l
+            } else {
+                break;
+            };
+            if node.key < heap[child].key {
+                break;
+            }
+            heap[pos] = heap[child];
+            pos = child;
+        }
+        heap[pos] = node;
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() - usize::from(self.hole)
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drop all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
+        self.len() == 0
     }
 }
 
@@ -213,27 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.schedule(5.0, ());
-        assert_eq!(q.peek_time(), Some(5.0));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
     #[should_panic]
     fn rejects_nan_times() {
         let mut q = EventQueue::new();
         q.schedule(f64::NAN, ());
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(1.0, ());
-        q.schedule(2.0, ());
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]
@@ -252,6 +254,9 @@ mod tests {
         }
     }
 
+    /// perfbench's hold replay at n = 64: every schedule fills the hole its
+    /// pop left, so the heap never grows past the pending events and a
+    /// hold reuses the popped slab slot.
     #[test]
     fn holds_reuse_slab_slots() {
         let mut q = EventQueue::new();
@@ -259,11 +264,14 @@ mod tests {
             q.schedule(i as f64, i);
         }
         let capacity = q.slab.capacity();
+        let heap_capacity = q.heap.capacity();
         let mut t = 0.5f64;
         for i in 0..100_000u64 {
             let (time, _) = q.pop().unwrap();
             t = (t * 997.0 + 0.123).fract();
             q.schedule(time + t, i);
+            assert_eq!(q.heap.len(), 64, "hold {i}: a schedule must fill the hole");
+            assert_eq!(q.heap.capacity(), heap_capacity, "hold {i}");
         }
         assert_eq!(q.len(), 64);
         assert_eq!(q.slab.len(), 64, "a hold must reuse the popped slot");
@@ -271,21 +279,15 @@ mod tests {
         assert!(q.free.is_empty());
     }
 
+    /// A root whose slab slot is empty is a broken calendar, not an empty
+    /// one: a pop panics instead of returning `None`.
     #[test]
-    fn cleared_queue_is_reusable() {
+    #[should_panic(expected = "a pending event's slab slot is occupied")]
+    fn a_root_without_its_payload_panics() {
         let mut q = EventQueue::new();
-        for i in 0..10 {
-            q.schedule(f64::from(i), i);
-        }
-        q.pop();
-        q.clear();
-        assert_eq!((q.len(), q.peek_time(), q.pop()), (0, None, None));
-        for i in 0..5 {
-            q.schedule(2.0, i);
-        }
-        q.schedule(1.0, 5);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, [5, 0, 1, 2, 3, 4]);
+        q.schedule(1.0, ());
+        q.slab[q.heap[0].slot] = None;
+        q.pop_at_or_before(f64::INFINITY);
     }
 
     #[test]

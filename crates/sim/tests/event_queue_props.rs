@@ -9,6 +9,8 @@
 //! model of the same contract.
 
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use ss_sim::events::EventQueue;
 
 /// Decode one raw op word: low bits pick the coarse time bucket (so time
@@ -220,66 +222,122 @@ impl Reference {
     }
 
     fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
-        match self.peek_time() {
-            Some(time) if time <= horizon => self.pop(),
-            _ => None,
+        let i = self.earliest()?;
+        if self.pending[i].0 <= horizon {
+            self.pop()
+        } else {
+            None
         }
     }
+}
 
-    fn peek_time(&self) -> Option<f64> {
-        self.earliest().map(|i| self.pending[i].0)
+/// How often [`replay`] saw an open hole close, by the way it closed.  A
+/// pop that returns an event leaves the calendar's root as a hole, and
+/// the next operation closes it.
+#[derive(Debug, Default)]
+struct HoleExits {
+    /// A schedule wrote its node into the hole.
+    filled: usize,
+    /// A pop moved the last node into the hole, then popped an event.
+    refilled_by_a_pop: usize,
+    /// A `pop_at_or_before` refilled the hole, then found the earliest
+    /// pending event past its horizon and popped nothing.
+    refilled_past_the_horizon: usize,
+}
+
+/// Replay op words on an [`EventQueue`] and on [`Reference`]: every pop
+/// must return the same `(time bits, payload)`, and `len` must agree after
+/// every step.  `raw % 32` picks the op: a schedule at an awkward time
+/// (0..=13) or at the last popped time (14..=17; 0.0 before any pop),
+/// which right after a pop is a zero-delay hold, the fabric's return-hop
+/// pattern; `pop` (18..=24); or `pop_at_or_before` (25..=31) at −∞, NaN,
+/// +∞ or an awkward time.  `raw >> 5` picks the time.  Adds the ways open
+/// holes closed to `exits`.
+fn replay(ops: &[u32], exits: &mut HoleExits) -> Result<(), TestCaseError> {
+    let mut q = EventQueue::new();
+    let mut reference = Reference::default();
+    let mut payload = 0u64;
+    let mut hole = false;
+    let mut last_popped = 0.0;
+    let bits = |popped: Option<(f64, u64)>| popped.map(|(t, p)| (t.to_bits(), p));
+    for (step, &raw) in ops.iter().enumerate() {
+        let pick = (raw >> 5) as usize;
+        let op = raw % 32;
+        let (got, want) = match op {
+            0..=17 => {
+                let time = if op <= 13 {
+                    TIMES[pick % TIMES.len()]
+                } else {
+                    last_popped
+                };
+                q.schedule(time, payload);
+                reference.schedule(time, payload);
+                payload += 1;
+                exits.filled += usize::from(hole);
+                (None, None)
+            }
+            18..=24 => (q.pop(), reference.pop()),
+            _ => {
+                let horizon = match pick % 8 {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    2 => f64::NAN,
+                    _ => TIMES[(pick >> 3) % TIMES.len()],
+                };
+                let got = q.pop_at_or_before(horizon);
+                (got, reference.pop_at_or_before(horizon))
+            }
+        };
+        prop_assert_eq!(bits(got), bits(want), "step {}: op word {}", step, raw);
+        prop_assert_eq!(q.len(), reference.pending.len(), "step {}", step);
+        if hole && op > 17 {
+            match want {
+                Some(_) => exits.refilled_by_a_pop += 1,
+                None if !reference.pending.is_empty() => exits.refilled_past_the_horizon += 1,
+                None => {}
+            }
+        }
+        hole = want.is_some();
+        if let Some((time, _)) = want {
+            last_popped = time;
+        }
     }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Differential test against [`Reference`]: random mixes of
-    /// `schedule`, `pop`, `pop_at_or_before` and `clear` over awkward
-    /// floats return the same `(time bits, payload)`, `len` and
-    /// `peek_time` bits after every operation.  The grid-time properties
-    /// above never see a negative time or `-0.0`; this one does.
+    /// Differential test against [`Reference`] (see [`replay`]): random
+    /// mixes of schedules, zero-delay holds, `pop` and `pop_at_or_before`
+    /// over awkward floats.  The grid-time properties above never see a
+    /// negative time or `-0.0`; this one does.
     #[test]
     fn matches_the_reference_calendar_on_awkward_times(
         ops in prop::collection::vec(0u32..u32::MAX, 1..600),
     ) {
-        let mut q = EventQueue::new();
-        let mut reference = Reference::default();
-        let mut payload = 0u64;
-        let bits = |popped: Option<(f64, u64)>| popped.map(|(t, p)| (t.to_bits(), p));
-        for (step, &raw) in ops.iter().enumerate() {
-            let pick = (raw >> 5) as usize;
-            let (got, want) = match raw % 32 {
-                0..=17 => {
-                    let time = TIMES[pick % TIMES.len()];
-                    q.schedule(time, payload);
-                    reference.schedule(time, payload);
-                    payload += 1;
-                    (None, None)
-                }
-                18..=24 => (q.pop(), reference.pop()),
-                25..=30 => {
-                    let horizon = match pick % 8 {
-                        0 => f64::INFINITY,
-                        1 => f64::NEG_INFINITY,
-                        2 => f64::NAN,
-                        _ => TIMES[(pick >> 3) % TIMES.len()],
-                    };
-                    (q.pop_at_or_before(horizon), reference.pop_at_or_before(horizon))
-                }
-                _ => {
-                    q.clear();
-                    reference.pending.clear();
-                    (None, None)
-                }
-            };
-            prop_assert_eq!(bits(got), bits(want), "step {}: op word {}", step, raw);
-            prop_assert_eq!(q.len(), reference.pending.len(), "step {}", step);
-            prop_assert_eq!(
-                q.peek_time().map(f64::to_bits),
-                reference.peek_time().map(f64::to_bits),
-                "step {}", step
-            );
+        replay(&ops, &mut HoleExits::default())?;
+    }
+}
+
+/// The differential replay closes an open hole every way the calendar
+/// can: by a schedule, by a pop, and by a `pop_at_or_before` whose horizon
+/// the earliest pending event is past.  Each way is taken often enough
+/// that a calendar mishandling it fails [`replay`].
+#[test]
+fn the_replay_closes_the_hole_every_way() {
+    let mut rng = ChaCha8Rng::seed_from_u64(21);
+    let mut exits = HoleExits::default();
+    for case in 0..64 {
+        let ops: Vec<u32> = (0..rng.gen_range(1..600)).map(|_| rng.gen()).collect();
+        if let Err(e) = replay(&ops, &mut exits) {
+            panic!("case {case}: {e:?}");
         }
     }
+    assert!(
+        exits.filled > 1_000
+            && exits.refilled_by_a_pop > 500
+            && exits.refilled_past_the_horizon > 100,
+        "{exits:?}"
+    );
 }
