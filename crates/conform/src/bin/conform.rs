@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p ss-conform --bin conform -- --all
-//!     # every manifest target: N replicas each, byte-compared against each
+//!     # every target: three replicas each, byte-compared against each
 //!     # other and the committed golden fixture; exits nonzero on any
 //!     # divergence, expectation failure or stale fixture
 //! cargo run --release -p ss-conform --bin conform -- --target verify-check
@@ -11,15 +11,15 @@
 //!     # rewrite the golden fixtures from fresh canonical artifacts;
 //!     # refuses to bless a target whose replicas disagree
 //! cargo run --release -p ss-conform --bin conform -- --list
-//!     # print the manifest without running anything
+//!     # print the targets without running anything
 //! cargo run --release -p ss-conform --bin conform -- --root PATH
-//!     # resolve conform.toml and fixtures under PATH (default: the
-//!     # workspace root this binary was compiled in)
+//!     # resolve the fixtures under PATH (default: the workspace root
+//!     # this binary was compiled in)
 //! ```
 
-use ss_conform::harness::{run_target, RunMode};
-use ss_conform::targets::render_builtin;
-use ss_conform::{default_root, load_manifest, replica_specs};
+use ss_conform::harness::replica_label;
+use ss_conform::targets::fixture_path;
+use ss_conform::{default_root, run_target, RunMode, Target, REPLICA_THREADS};
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
@@ -32,7 +32,7 @@ fn main() {
     let mut all = false;
     let mut bless = false;
     let mut list = false;
-    let mut targets: Vec<String> = Vec::new();
+    let mut targets: Vec<Target> = Vec::new();
     let mut root = default_root();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -41,10 +41,15 @@ fn main() {
             "--bless" => bless = true,
             "--list" => list = true,
             "--target" => {
-                let value = it
+                let key = it
                     .next()
                     .unwrap_or_else(|| usage_error("--target needs a target key"));
-                targets.push(value.clone());
+                targets.push(Target::from_key(key).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "unknown target {key:?}; known targets: {}",
+                        Target::ALL.map(Target::key).join(" ")
+                    ))
+                }));
             }
             "--root" => {
                 let value = it
@@ -59,43 +64,20 @@ fn main() {
         usage_error("--all and --target are mutually exclusive");
     }
 
-    let manifest = match load_manifest(&root) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("conform: {e}");
-            std::process::exit(2);
-        }
-    };
-    for key in &targets {
-        if !manifest.targets.iter().any(|t| t.key == *key) {
-            usage_error(&format!(
-                "unknown target {key:?}; known targets: {}",
-                manifest
-                    .targets
-                    .iter()
-                    .map(|t| t.key.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            ));
-        }
-    }
-    let selected: Vec<_> = manifest
-        .targets
-        .iter()
-        .filter(|t| targets.is_empty() || targets.contains(&t.key))
+    let selected: Vec<Target> = Target::ALL
+        .into_iter()
+        .filter(|t| targets.is_empty() || targets.contains(t))
         .collect();
 
     if list {
+        let replicas = REPLICA_THREADS.map(replica_label).join(" ");
         for t in &selected {
-            let replicas: Vec<String> = replica_specs(t).iter().map(|r| r.label()).collect();
             println!(
-                "{:<20} kind={:<13} replicas=[{}] fixture={}",
-                t.key,
-                t.kind.key(),
-                replicas.join(" "),
-                t.fixture
+                "{:<20} replicas=[{replicas}] fixture={}",
+                t.key(),
+                fixture_path(t.key())
             );
-            println!("{:<20} {}", "", t.description);
+            println!("{:<20} {}", "", t.description());
         }
         println!("[{} targets]", selected.len());
         return;
@@ -107,8 +89,14 @@ fn main() {
         RunMode::Check
     };
     let mut failed = 0usize;
-    for spec in &selected {
-        let outcome = run_target(spec, &|replica| render_builtin(spec, replica), &root, mode);
+    for &t in &selected {
+        let outcome = run_target(
+            t.key(),
+            &|threads| t.render(threads),
+            &|artifact| t.check(artifact),
+            &root,
+            mode,
+        );
         print!("{}", outcome.report());
         if !outcome.pass() {
             failed += 1;

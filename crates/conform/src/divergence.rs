@@ -8,10 +8,14 @@
 //! * one artifact is a strict prefix of the other → truncation;
 //! * the artifacts contain the same lines in a different order → hash-map /
 //!   set iteration-order leakage;
-//! * the diverging line smells like a clock (wall-clock suffixes, epoch
-//!   seconds, ISO dates, `[`-prefixed timing lines) → timestamp leakage;
+//! * the diverging line smells like a clock (clock keywords, ISO dates,
+//!   `[`-prefixed timing lines), or the diverging word is epoch seconds or
+//!   milliseconds (an integer of 10 to 13 digits) on both sides →
+//!   timestamp leakage;
 //! * the diverging numeric tokens parse to the same value → float
-//!   *formatting* drift (e.g. `0.50` vs `0.5`, `1e-2` vs `0.01`);
+//!   *formatting* drift (e.g. `0.50` vs `0.5`, `1e-2` vs `0.01`) — unless
+//!   the diverging word is a `{:016x}` bit pattern on both sides, where any
+//!   difference is one of value;
 //! * otherwise the lengths and contexts are reported without a guess.
 //!
 //! Hints are heuristics for the human reading the CI log — the comparison
@@ -34,7 +38,7 @@ pub enum RootCause {
     },
     /// Same multiset of lines, different order.
     MapOrdering,
-    /// The diverging line looks like it carries a clock value.
+    /// The diverging line or word looks like it carries a clock value.
     Timestamp,
     /// The diverging numeric tokens are the same number formatted
     /// differently.
@@ -179,6 +183,33 @@ fn line_at(buf: &[u8], offset: usize) -> &[u8] {
     &buf[start..end]
 }
 
+/// The maximal alphanumeric word of `buf` overlapping `offset`.  A word
+/// runs over letters too, so a hex bit pattern is one word and its digits
+/// are not read as a number.
+fn word_at(buf: &[u8], offset: usize) -> &[u8] {
+    let offset = offset.min(buf.len());
+    let start = buf[..offset]
+        .iter()
+        .rposition(|b| !b.is_ascii_alphanumeric())
+        .map_or(0, |p| p + 1);
+    let end = buf[offset..]
+        .iter()
+        .position(|b| !b.is_ascii_alphanumeric())
+        .map_or(buf.len(), |p| offset + p);
+    &buf[start..end]
+}
+
+/// Whether a word reads as epoch seconds or milliseconds: an integer of 10
+/// to 13 digits.
+fn is_epoch(word: &[u8]) -> bool {
+    (10..=13).contains(&word.len()) && word.iter().all(u8::is_ascii_digit)
+}
+
+/// Whether a word is a `{:016x}` bit pattern: 16 hex digits.
+fn is_bit_pattern(word: &[u8]) -> bool {
+    word.len() == 16 && word.iter().all(u8::is_ascii_hexdigit)
+}
+
 /// Whether a line smells like it carries a clock value.
 fn looks_like_timestamp(line: &[u8]) -> bool {
     let text = String::from_utf8_lossy(line);
@@ -201,15 +232,12 @@ fn looks_like_timestamp(line: &[u8]) -> bool {
     {
         return true;
     }
-    // Epoch seconds (a 10+ digit integer run) or an ISO date (dddd-dd-dd).
+    // An ISO date (dddd-dd-dd).
     let bytes = text.as_bytes();
     let mut digits = 0usize;
     for (i, &b) in bytes.iter().enumerate() {
         if b.is_ascii_digit() {
             digits += 1;
-            if digits >= 10 {
-                return true;
-            }
             if digits == 4
                 && bytes.get(i + 1) == Some(&b'-')
                 && bytes.get(i + 2).is_some_and(u8::is_ascii_digit)
@@ -252,7 +280,15 @@ fn classify(left: &[u8], right: &[u8], offset: usize) -> RootCause {
     if looks_like_timestamp(line_at(left, offset)) || looks_like_timestamp(line_at(right, offset)) {
         return RootCause::Timestamp;
     }
-    if let (Some(a), Some(b)) = (
+    let (left_word, right_word) = (word_at(left, offset), word_at(right, offset));
+    if is_epoch(left_word) && is_epoch(right_word) {
+        return RootCause::Timestamp;
+    }
+    // Two bit patterns that differ are two values, even when their digits
+    // read as nearly the same decimal number (5.0 is `4014000000000000`).
+    let bit_patterns = is_bit_pattern(left_word) && is_bit_pattern(right_word);
+    if let (false, Some(a), Some(b)) = (
+        bit_patterns,
         numeric_token_at(left, offset),
         numeric_token_at(right, offset),
     ) {

@@ -1,55 +1,25 @@
 //! The N-replica conformance runner.
 //!
-//! For one [`TargetSpec`] the harness renders the target's canonical
-//! artifact once per declared replica (each on a dedicated pool of the
-//! declared size, so `threads = [1, 2, 4]` *is* the `SS_THREADS` matrix),
-//! byte-compares every replica against the first, checks the manifest's
-//! structural expectations against the canonical output, and compares (or
-//! blesses) the committed golden fixture.  Any mismatch is localized by
-//! [`crate::divergence`].
+//! For one target the harness renders the canonical artifact once per
+//! replica (each on a dedicated pool of a size in [`REPLICA_THREADS`], so
+//! the replicas *are* the `SS_THREADS` matrix), byte-compares every replica
+//! against the first, checks the target's structural expectations against
+//! the canonical output, and compares (or blesses) the committed golden
+//! fixture.  Any mismatch is localized by [`crate::divergence`].
 //!
-//! The renderer is an injected closure so the same machinery that runs the
-//! builtin targets ([`crate::targets`]) also runs synthetic targets in
-//! tests — including deliberately nondeterministic ones that prove the
-//! harness catches what it claims to catch.
+//! The renderer and the expectation check are injected closures so the
+//! same machinery that runs the [`crate::Target`]s also runs synthetic
+//! targets in tests — including deliberately nondeterministic ones that
+//! prove the harness catches what it claims to catch.
 
 use crate::divergence::{first_divergence, Divergence};
-use crate::manifest::TargetSpec;
+use crate::targets::{fixture_path, REPLICA_THREADS};
 use ss_sim::pool;
-use ss_verify::CorpusStats;
 use std::path::{Path, PathBuf};
 
-/// One replica's execution parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplicaSpec {
-    /// Pool size the replica runs under (the `SS_THREADS` axis).
-    pub threads: usize,
-    /// Harness lanes for targets that take `--jobs` (defaults to `threads`).
-    pub jobs: usize,
-}
-
-impl ReplicaSpec {
-    /// Display label used in divergence reports (`threads=4` or
-    /// `threads=4,jobs=2` when the two differ).
-    pub fn label(&self) -> String {
-        if self.jobs == self.threads {
-            format!("threads={}", self.threads)
-        } else {
-            format!("threads={},jobs={}", self.threads, self.jobs)
-        }
-    }
-}
-
-/// The replica matrix a target declares.
-pub fn replica_specs(spec: &TargetSpec) -> Vec<ReplicaSpec> {
-    spec.threads
-        .iter()
-        .enumerate()
-        .map(|(i, &threads)| ReplicaSpec {
-            threads,
-            jobs: spec.jobs.as_ref().map_or(threads, |j| j[i]),
-        })
-        .collect()
+/// Display label of the replica run on `threads` threads.
+pub fn replica_label(threads: usize) -> String {
+    format!("threads={threads}")
 }
 
 /// Whether the run compares against or rewrites the golden fixture.
@@ -89,7 +59,7 @@ pub enum FixtureStatus {
 /// Everything the harness learned about one target.
 #[derive(Debug)]
 pub struct TargetOutcome {
-    /// The target key (from the manifest).
+    /// The target key.
     pub key: String,
     /// Labels of the replicas that ran, in order.
     pub replica_labels: Vec<String>,
@@ -99,7 +69,7 @@ pub struct TargetOutcome {
     pub errors: Vec<String>,
     /// Cross-replica divergences (replica 0 vs each later replica).
     pub divergences: Vec<Divergence>,
-    /// Violated manifest expectations.
+    /// Violated structural expectations.
     pub expectation_failures: Vec<String>,
     /// Golden-fixture status.
     pub fixture: FixtureStatus,
@@ -175,80 +145,26 @@ impl TargetOutcome {
     }
 }
 
-/// Check the manifest's structural expectations against the canonical
-/// artifact text.
-fn check_expectations(spec: &TargetSpec, artifact: &str) -> Vec<String> {
-    let mut failures = Vec::new();
-    for needle in &spec.expect_contains {
-        if !artifact.contains(needle.as_str()) {
-            failures.push(format!("artifact does not contain {needle:?}"));
-        }
-    }
-    for pair in &spec.expect_pairs {
-        if !artifact.contains(&format!("PASS {pair}")) {
-            failures.push(format!(
-                "oracle pair {pair:?} has no PASS line — the corpus shrank or the pair regressed"
-            ));
-        }
-    }
-    let trailer = CorpusStats::parse(artifact);
-    let needs_trailer = !spec.expect_pairs.is_empty()
-        || spec.expect_scenarios.is_some()
-        || spec.expect_seed.is_some();
-    match trailer {
-        None if needs_trailer => failures.push(
-            "artifact carries no machine-readable corpus trailer (expected `corpus-trailer: ...`)"
-                .to_string(),
-        ),
-        None => {}
-        Some(stats) => {
-            if !spec.expect_pairs.is_empty() && stats.pairs != spec.expect_pairs.len() {
-                failures.push(format!(
-                    "trailer declares {} oracle pairs, manifest expects {}",
-                    stats.pairs,
-                    spec.expect_pairs.len()
-                ));
-            }
-            if let Some(expected) = spec.expect_scenarios {
-                if stats.scenarios != expected {
-                    failures.push(format!(
-                        "trailer declares {} scenarios, manifest expects {expected} — grow the \
-                         corpus append-only and update conform.toml deliberately",
-                        stats.scenarios
-                    ));
-                }
-            }
-            if let Some(expected) = spec.expect_seed {
-                if stats.seed != expected {
-                    failures.push(format!(
-                        "trailer declares seed {}, manifest expects {expected}",
-                        stats.seed
-                    ));
-                }
-            }
-        }
-    }
-    failures
-}
-
 /// Run one target: render every replica, compare, check expectations, and
-/// check or bless the golden fixture.  `render` receives each replica's
-/// spec and must produce the canonical artifact text; it runs on a
-/// dedicated pool of `replica.threads` threads installed by the harness.
+/// check or bless the golden fixture under `root`.  `render` receives each
+/// replica's pool size and must produce the canonical artifact text; it
+/// runs on a dedicated pool of that many threads installed by the harness.
+/// `check` returns the structural expectations the canonical artifact
+/// violates.
 pub fn run_target(
-    spec: &TargetSpec,
-    render: &dyn Fn(&ReplicaSpec) -> Result<String, String>,
+    key: &str,
+    render: &dyn Fn(usize) -> Result<String, String>,
+    check: &dyn Fn(&str) -> Vec<String>,
     root: &Path,
     mode: RunMode,
 ) -> TargetOutcome {
-    let replicas = replica_specs(spec);
     let mut errors = Vec::new();
     let mut outputs: Vec<Option<String>> = Vec::new();
-    for r in &replicas {
-        match pool::with_threads(r.threads, || render(r)) {
+    for threads in REPLICA_THREADS {
+        match pool::with_threads(threads, || render(threads)) {
             Ok(text) => outputs.push(Some(text)),
             Err(e) => {
-                errors.push(format!("replica {}: {e}", r.label()));
+                errors.push(format!("replica {}: {e}", replica_label(threads)));
                 outputs.push(None);
             }
         }
@@ -258,9 +174,9 @@ pub fn run_target(
         for (i, output) in outputs.iter().enumerate().skip(1) {
             if let Some(text) = output.as_deref() {
                 if let Some(d) = first_divergence(
-                    &replicas[0].label(),
+                    &replica_label(REPLICA_THREADS[0]),
                     canonical.as_bytes(),
-                    &replicas[i].label(),
+                    &replica_label(REPLICA_THREADS[i]),
                     text.as_bytes(),
                 ) {
                     divergences.push(d);
@@ -269,65 +185,64 @@ pub fn run_target(
         }
     }
     let expectation_failures = match outputs[0].as_deref() {
-        Some(canonical) => check_expectations(spec, canonical),
+        Some(canonical) => check(canonical),
         None => Vec::new(),
     };
 
     let healthy = errors.is_empty() && divergences.is_empty() && expectation_failures.is_empty();
-    let fixture_path = root.join(&spec.fixture);
-    let fixture = match (outputs[0].as_deref(), mode) {
+    let fixture = fixture_path(key);
+    let path = root.join(&fixture);
+    let status = match (outputs[0].as_deref(), mode) {
         (None, _) => FixtureStatus::Skipped,
         // A diverging/failing target is never blessed, and comparing its
         // artifact against the fixture would only bury the primary signal.
         (Some(_), _) if !healthy => FixtureStatus::Skipped,
         (Some(canonical), RunMode::Bless) => {
-            let previous = std::fs::read(&fixture_path).ok();
+            let previous = std::fs::read(&path).ok();
             let changed = previous.as_deref() != Some(canonical.as_bytes());
             let write = || -> std::io::Result<()> {
-                if let Some(parent) = fixture_path.parent() {
+                if let Some(parent) = path.parent() {
                     std::fs::create_dir_all(parent)?;
                 }
-                std::fs::write(&fixture_path, canonical)
+                std::fs::write(&path, canonical)
             };
             if changed {
                 match write() {
                     Ok(()) => FixtureStatus::Blessed {
-                        path: fixture_path,
+                        path,
                         changed: true,
                     },
-                    Err(e) => FixtureStatus::IoError(format!("{}: {e}", spec.fixture)),
+                    Err(e) => FixtureStatus::IoError(format!("{fixture}: {e}")),
                 }
             } else {
                 FixtureStatus::Blessed {
-                    path: fixture_path,
+                    path,
                     changed: false,
                 }
             }
         }
-        (Some(canonical), RunMode::Check) => match std::fs::read(&fixture_path) {
+        (Some(canonical), RunMode::Check) => match std::fs::read(&path) {
             Ok(committed) => match first_divergence(
                 "committed-fixture",
                 &committed,
-                &replicas[0].label(),
+                &replica_label(REPLICA_THREADS[0]),
                 canonical.as_bytes(),
             ) {
                 None => FixtureStatus::Match,
                 Some(d) => FixtureStatus::Mismatch(Box::new(d)),
             },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                FixtureStatus::Missing(fixture_path)
-            }
-            Err(e) => FixtureStatus::IoError(format!("{}: {e}", spec.fixture)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => FixtureStatus::Missing(path),
+            Err(e) => FixtureStatus::IoError(format!("{fixture}: {e}")),
         },
     };
 
     TargetOutcome {
-        key: spec.key.clone(),
-        replica_labels: replicas.iter().map(ReplicaSpec::label).collect(),
+        key: key.to_string(),
+        replica_labels: REPLICA_THREADS.map(replica_label).into(),
         artifact_bytes: outputs[0].as_ref().map(String::len),
         errors,
         divergences,
         expectation_failures,
-        fixture,
+        fixture: status,
     }
 }

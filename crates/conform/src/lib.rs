@@ -5,16 +5,15 @@
 //! `SS_THREADS` / `--jobs` value.  This crate turns that claim from a pile
 //! of per-binary CI shell into a first-class subsystem:
 //!
-//! * a checked-in **manifest** (`conform.toml`, parsed by [`manifest`])
-//!   declares every conformance target: which builtin artifact producer to
-//!   run ([`targets`]), the replica matrix (`threads = [1, 2, 4]`), the
-//!   committed golden fixture, and structural expectations (the oracle-pair
-//!   keys `verify` must report, the corpus scenario count and master seed
-//!   read from the machine-readable trailer);
-//! * the **harness** ([`harness`]) runs N independent replicas of each
-//!   target — each on a dedicated pool of the declared size — and compares
-//!   every artifact byte-for-byte, against the other replicas *and* against
-//!   the committed golden fixture under `fixtures/conform/`;
+//! * every conformance target is declared once, as a [`Target`] variant
+//!   ([`targets`]) that knows its key, its renderer, its committed golden
+//!   fixture (`fixtures/conform/<key>.txt`) and its structural expectations
+//!   (the oracle-pair keys `verify` must report, the corpus scenario count
+//!   and master seed read from the machine-readable trailer);
+//! * the **harness** ([`harness`]) runs one replica of each target per
+//!   pool size in [`REPLICA_THREADS`] (1, 2 and 4) and compares every
+//!   artifact byte-for-byte, against the other replicas *and* against the
+//!   committed golden fixture under `fixtures/conform/`;
 //! * on mismatch, [`divergence`] reports the **first divergent byte
 //!   offset** with a 16-byte hex window from each side and a **root-cause
 //!   hint** (float-formatting drift, hash-map ordering, timestamp leakage,
@@ -25,44 +24,32 @@
 //!
 //! ```text
 //! cargo run --release -p ss-conform --bin conform -- --all
-//!     # run every manifest target, compare replicas + golden fixtures
+//!     # run every target, compare replicas + golden fixtures
 //! cargo run --release -p ss-conform --bin conform -- --target verify-check
 //!     # one target, for local iteration
 //! cargo run --release -p ss-conform --bin conform -- --bless
 //!     # rewrite golden fixtures (refuses if replicas diverge)
 //! cargo run --release -p ss-conform --bin conform -- --list
-//!     # print the manifest
+//!     # print the targets
 //! ```
 //!
-//! Every future scaling PR (index service, lab runner, async backends)
-//! adds a `[[target]]` block and a fixture instead of re-proving the
+//! A new artifact producer (index service, lab runner, async backend)
+//! adds a `Target` variant and one `--bless` instead of re-proving the
 //! determinism guarantee in YAML.
 
 pub mod divergence;
 pub mod harness;
-pub mod manifest;
 pub mod targets;
 
 pub use divergence::{first_divergence, Divergence, RootCause};
-pub use harness::{replica_specs, run_target, FixtureStatus, ReplicaSpec, RunMode, TargetOutcome};
-pub use manifest::{Manifest, TargetKind, TargetSpec};
+pub use harness::{run_target, FixtureStatus, RunMode, TargetOutcome};
+pub use targets::{Target, REPLICA_THREADS};
 
 use std::path::PathBuf;
 
-/// Repo-relative path of the manifest.
-pub const MANIFEST_PATH: &str = "conform.toml";
-
 /// The workspace root this crate was compiled in — the default `--root` for
-/// resolving the manifest and fixture paths, correct for `cargo run` and
-/// `cargo test` from anywhere inside the workspace.
+/// resolving the fixture paths, correct for `cargo run` and `cargo test`
+/// from anywhere inside the workspace.
 pub fn default_root() -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-}
-
-/// Load and parse the manifest under `root`.
-pub fn load_manifest(root: &std::path::Path) -> Result<Manifest, String> {
-    let path = root.join(MANIFEST_PATH);
-    let text = std::fs::read_to_string(&path)
-        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    Manifest::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
 }

@@ -7,7 +7,8 @@
 //! root-cause hint.  These are the tests that fail without the subsystem:
 //! a plain byte-equality check would say "differs" with none of this.
 
-use ss_conform::{first_divergence, RootCause};
+use ss_conform::targets::fixture_path;
+use ss_conform::{default_root, first_divergence, RootCause, Target};
 
 /// Report lines shared by the synthetic artifacts.
 const BASE: &str = "alpha mean=0.5 jobs=400\nbeta mean=1.25 jobs=200\ngamma mean=2 jobs=100\n";
@@ -178,4 +179,70 @@ fn divergence_report_carries_offset_contexts_and_hint() {
     assert!(report.contains("threads=1"), "{report}");
     assert!(report.contains("threads=4"), "{report}");
     assert!(report.contains("hint: float formatting"), "{report}");
+}
+
+/// A committed fixture's text.
+fn committed(target: Target) -> String {
+    std::fs::read_to_string(default_root().join(fixture_path(target.key()))).unwrap()
+}
+
+#[test]
+fn a_one_ulp_value_drift_is_a_value_difference() {
+    // Every value line `  NNNN: <bits> <value>` of the bit-exact artifacts,
+    // re-rendered one ulp up: the 17-digit mantissa and the hex column must
+    // not read as a clock, nor the hex digits as a reformatted number.
+    let mut lines = 0;
+    for target in [Target::ReplicationsCheck, Target::SweepsCheck] {
+        let text = committed(target);
+        for line in text.lines().filter(|l| l.starts_with("  ")) {
+            let (index, rest) = line.split_once(": ").unwrap();
+            let bits = u64::from_str_radix(&rest[..16], 16).unwrap();
+            let up = bits + 1;
+            let drifted = format!("{index}: {up:016x} {:.17e}", f64::from_bits(up));
+            let doctored = text.replacen(line, &drifted, 1);
+            let d = first_divergence("fixture", text.as_bytes(), "replica", doctored.as_bytes())
+                .expect("artifacts differ");
+            assert!(
+                matches!(d.cause, RootCause::Unknown { .. }),
+                "{}: {line:?} -> {:?}",
+                target.key(),
+                d.cause
+            );
+            lines += 1;
+        }
+    }
+    assert_eq!(lines, 200 + 71, "every value line of both fixtures");
+}
+
+#[test]
+fn a_count_change_next_to_a_seed_is_a_value_difference() {
+    for (target, from, to) in [
+        (Target::VerifyCheck, "scenarios=66", "scenarios=65"),
+        (
+            Target::FabricCheck,
+            "fabric: 8 scenarios",
+            "fabric: 7 scenarios",
+        ),
+    ] {
+        let text = committed(target);
+        assert!(text.contains(from), "{}: {from:?}", target.key());
+        let doctored = text.replace(from, to);
+        let d = first_divergence("fixture", text.as_bytes(), "replica", doctored.as_bytes())
+            .expect("artifacts differ");
+        assert!(
+            matches!(d.cause, RootCause::Unknown { .. }),
+            "{}: {:?}",
+            target.key(),
+            d.cause
+        );
+    }
+}
+
+#[test]
+fn a_bare_epoch_token_is_a_timestamp() {
+    let left = format!("{BASE}t=1700000001\n");
+    let right = format!("{BASE}t=1700000923\n");
+    let d = first_divergence("threads=1", left.as_bytes(), "threads=4", right.as_bytes())
+        .expect("artifacts differ");
+    assert_eq!(d.cause, RootCause::Timestamp);
 }

@@ -1,10 +1,11 @@
-//! Subsystem-level acceptance tests: the checked-in manifest, the
-//! fixture-compare/bless lifecycle, and the end-to-end guarantee that an
-//! injected nondeterminism is caught and localized through the full
-//! [`run_target`] path.
+//! Subsystem-level acceptance tests: the declared targets against their
+//! committed fixtures, the fixture-compare/bless lifecycle, and the
+//! end-to-end guarantee that an injected nondeterminism is caught and
+//! localized through the full [`run_target`] path.
 
 use ss_conform::harness::{run_target, FixtureStatus, RunMode};
-use ss_conform::{load_manifest, replica_specs, RootCause, TargetKind, TargetSpec};
+use ss_conform::targets::{fixture_path, EXPECT_PAIRS, EXPECT_TRAILER, FIXTURE_DIR};
+use ss_conform::{RootCause, Target};
 use ss_verify::OraclePair;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -31,77 +32,96 @@ impl Drop for ScratchRoot {
     }
 }
 
-fn synthetic_spec(key: &str) -> TargetSpec {
-    TargetSpec {
-        key: key.to_string(),
-        // The kind is irrelevant when the renderer is injected; Sweeps is
-        // the one with no extra required fields.
-        kind: TargetKind::Sweeps,
-        description: "synthetic test target".to_string(),
-        threads: vec![1, 2, 4],
-        jobs: None,
-        fixture: format!("fixtures/conform/{key}.txt"),
-        experiments: Vec::new(),
-        replications: None,
-        expect_pairs: Vec::new(),
-        expect_scenarios: None,
-        expect_seed: None,
-        expect_contains: Vec::new(),
-    }
+/// The expectation check of a synthetic target: none.
+fn no_expectations(_: &str) -> Vec<String> {
+    Vec::new()
 }
 
-// ---------------------------------------------------------------- manifest
+// ----------------------------------------------------------------- targets
 
 #[test]
-fn committed_manifest_parses_and_matches_the_oracle_corpus() {
-    let manifest = load_manifest(&repo_root()).expect("conform.toml parses");
-    assert_eq!(manifest.targets.len(), 5, "five conformance targets");
-
-    let verify = manifest
-        .targets
-        .iter()
-        .find(|t| t.kind == TargetKind::Verify)
-        .expect("a verify target");
-    // The manifest's pair list is exactly the oracle pairs the corpus
-    // implements — a pair added to the code without a manifest edit (or
-    // vice versa) fails here before CI even runs the corpus.
-    let mut declared: Vec<&str> = verify.expect_pairs.iter().map(String::as_str).collect();
-    let mut implemented: Vec<&str> = OraclePair::ALL.iter().map(|p| p.key()).collect();
+fn fixture_dir_holds_exactly_one_fixture_per_target() {
+    // A renamed or deleted target would otherwise leave its old fixture
+    // behind for good: conform reads only the current targets' fixtures.
+    let mut committed: Vec<String> = std::fs::read_dir(repo_root().join(FIXTURE_DIR))
+        .expect("the fixture directory is committed")
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    let mut declared: Vec<String> = Target::ALL.map(|t| format!("{}.txt", t.key())).into();
+    committed.sort_unstable();
     declared.sort_unstable();
-    implemented.sort_unstable();
-    assert_eq!(declared, implemented);
-    assert_eq!(verify.expect_seed, Some(ss_verify::DEFAULT_SEED));
-
-    for t in &manifest.targets {
-        // Replica matrices span the documented SS_THREADS axis.
-        assert!(t.threads.contains(&1), "{}: threads include 1", t.key);
-        assert!(t.threads.len() >= 2, "{}: at least two replicas", t.key);
-        // Every declared fixture is committed.
-        assert!(
-            repo_root().join(&t.fixture).is_file(),
-            "{}: fixture {} is committed (run `conform --bless`)",
-            t.key,
-            t.fixture
-        );
+    assert_eq!(committed, declared, "run `conform --bless`, delete orphans");
+    for t in Target::ALL {
+        assert_eq!(Target::from_key(t.key()), Some(t));
     }
+
+    // The spelled-out pair list is exactly the oracle pairs the corpus
+    // implements — a pair added to the code without an ss-conform edit (or
+    // vice versa) fails here before CI even runs the corpus.
+    let mut expected: Vec<&str> = EXPECT_PAIRS.into();
+    let mut implemented: Vec<&str> = OraclePair::ALL.iter().map(|p| p.key()).collect();
+    expected.sort_unstable();
+    implemented.sort_unstable();
+    assert_eq!(expected, implemented);
+    assert_eq!(EXPECT_TRAILER.seed, ss_verify::DEFAULT_SEED);
+}
+
+#[test]
+fn every_expectation_holds_on_its_fixture_and_fires_on_a_doctored_copy() {
+    let fixture =
+        |t: Target| std::fs::read_to_string(repo_root().join(fixture_path(t.key()))).unwrap();
+    for t in Target::ALL {
+        assert_eq!(t.check(&fixture(t)), Vec::<String>::new(), "{}", t.key());
+    }
+    // One doctored copy per expectation; each must fail exactly one check.
+    let doctored = [
+        (
+            Target::VerifyCheck,
+            "PASS fabric-vs-mmck",
+            "FAIL fabric-vs-mmck",
+        ),
+        (Target::VerifyCheck, "scenarios=66", "scenarios=65"),
+        (Target::VerifyCheck, "seed=3235798765", "seed=1"),
+        (Target::FabricCheck, "(seed 4205862637)", "(seed 1)"),
+        (Target::ReplicationsCheck, "summary:", "totals:"),
+        (Target::SweepsCheck, "sweep ", "Sweep "),
+        (Target::ExperimentsSubset, "== E13 ", "== E31 "),
+    ];
+    for (t, from, to) in doctored {
+        let text = fixture(t);
+        assert!(text.contains(from), "{}: {from:?}", t.key());
+        let failures = t.check(&text.replace(from, to));
+        assert_eq!(failures.len(), 1, "{} with {to:?}: {failures:?}", t.key());
+    }
+    // A verify artifact without its trailer fails on the trailer alone.
+    let text = fixture(Target::VerifyCheck);
+    let cut = text.find("corpus-trailer:").unwrap();
+    let failures = Target::VerifyCheck.check(&text[..cut]);
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    assert!(failures[0].contains("corpus trailer"), "{failures:?}");
 }
 
 // ------------------------------------------------- injected nondeterminism
 
 #[test]
 fn injected_timestamp_nondeterminism_is_caught_and_localized() {
-    let spec = synthetic_spec("injected-timestamp");
     // Deterministic stand-in for a wall clock: each replica renders a
     // different "epoch" value, exactly what a real clock leak produces.
     let calls = AtomicUsize::new(0);
-    let render = move |_: &ss_conform::ReplicaSpec| {
+    let render = move |_: usize| {
         let fake_epoch = 1_700_000_000 + calls.fetch_add(1, Ordering::SeqCst);
         Ok(format!(
             "stable line A\nelapsed {fake_epoch} seconds\nstable line B\n"
         ))
     };
     let scratch = ScratchRoot::new("injected");
-    let outcome = run_target(&spec, &render, &scratch.0, RunMode::Check);
+    let outcome = run_target(
+        "injected-timestamp",
+        &render,
+        &no_expectations,
+        &scratch.0,
+        RunMode::Check,
+    );
 
     assert!(!outcome.pass(), "nondeterminism must fail the target");
     assert_eq!(
@@ -136,41 +156,80 @@ fn injected_timestamp_nondeterminism_is_caught_and_localized() {
 
 #[test]
 fn bless_refuses_to_bless_diverging_replicas() {
-    let spec = synthetic_spec("refuse-bless");
     let calls = AtomicUsize::new(0);
-    let render = move |_: &ss_conform::ReplicaSpec| {
-        Ok(format!("value {}\n", calls.fetch_add(1, Ordering::SeqCst)))
-    };
+    let render = move |_: usize| Ok(format!("value {}\n", calls.fetch_add(1, Ordering::SeqCst)));
     let scratch = ScratchRoot::new("refuse");
-    let outcome = run_target(&spec, &render, &scratch.0, RunMode::Bless);
+    let outcome = run_target(
+        "refuse-bless",
+        &render,
+        &no_expectations,
+        &scratch.0,
+        RunMode::Bless,
+    );
     assert!(!outcome.pass());
     assert!(matches!(outcome.fixture, FixtureStatus::Skipped));
     assert!(
-        !scratch.0.join(&spec.fixture).exists(),
+        !scratch.0.join(fixture_path("refuse-bless")).exists(),
         "no fixture written for a diverging target"
+    );
+}
+
+#[test]
+fn bless_refuses_to_bless_a_failed_expectation() {
+    let scratch = ScratchRoot::new("refuse-expectation");
+    let outcome = run_target(
+        "refuse-expectation",
+        &deterministic_render,
+        &|_: &str| vec!["the artifact is too short".to_string()],
+        &scratch.0,
+        RunMode::Bless,
+    );
+    assert!(!outcome.pass());
+    assert!(matches!(outcome.fixture, FixtureStatus::Skipped));
+    assert!(
+        !scratch.0.join(fixture_path("refuse-expectation")).exists(),
+        "no fixture written for a target that fails its expectations"
+    );
+    assert!(
+        outcome
+            .report()
+            .contains("expectation: the artifact is too short"),
+        "{}",
+        outcome.report()
     );
 }
 
 // ------------------------------------------------------- fixture lifecycle
 
-fn deterministic_render(_: &ss_conform::ReplicaSpec) -> Result<String, String> {
+fn deterministic_render(_: usize) -> Result<String, String> {
     Ok("artifact line 1\nartifact line 2\n".to_string())
 }
 
 #[test]
 fn fixture_missing_then_bless_then_match_round_trip() {
-    let spec = synthetic_spec("round-trip");
     let scratch = ScratchRoot::new("roundtrip");
     let root: &Path = &scratch.0;
 
     // 1. No fixture yet: check mode fails with Missing.
-    let outcome = run_target(&spec, &deterministic_render, root, RunMode::Check);
+    let outcome = run_target(
+        "round-trip",
+        &deterministic_render,
+        &no_expectations,
+        root,
+        RunMode::Check,
+    );
     assert!(!outcome.pass());
     assert!(matches!(outcome.fixture, FixtureStatus::Missing(_)));
     assert!(outcome.report().contains("--bless"), "{}", outcome.report());
 
     // 2. Bless writes it.
-    let outcome = run_target(&spec, &deterministic_render, root, RunMode::Bless);
+    let outcome = run_target(
+        "round-trip",
+        &deterministic_render,
+        &no_expectations,
+        root,
+        RunMode::Bless,
+    );
     assert!(outcome.pass());
     assert!(matches!(
         outcome.fixture,
@@ -178,10 +237,22 @@ fn fixture_missing_then_bless_then_match_round_trip() {
     ));
 
     // 3. Check now passes; re-bless is a no-op (the CI bless-drift gate).
-    let outcome = run_target(&spec, &deterministic_render, root, RunMode::Check);
+    let outcome = run_target(
+        "round-trip",
+        &deterministic_render,
+        &no_expectations,
+        root,
+        RunMode::Check,
+    );
     assert!(outcome.pass(), "{}", outcome.report());
     assert!(matches!(outcome.fixture, FixtureStatus::Match));
-    let outcome = run_target(&spec, &deterministic_render, root, RunMode::Bless);
+    let outcome = run_target(
+        "round-trip",
+        &deterministic_render,
+        &no_expectations,
+        root,
+        RunMode::Bless,
+    );
     assert!(matches!(
         outcome.fixture,
         FixtureStatus::Blessed { changed: false, .. }
@@ -190,13 +261,18 @@ fn fixture_missing_then_bless_then_match_round_trip() {
 
 #[test]
 fn stale_fixture_is_a_localized_mismatch() {
-    let spec = synthetic_spec("stale");
     let scratch = ScratchRoot::new("stale");
-    let path = scratch.0.join(&spec.fixture);
+    let path = scratch.0.join(fixture_path("stale"));
     std::fs::create_dir_all(path.parent().unwrap()).unwrap();
     std::fs::write(&path, "artifact line 1\nartifact line 2 OLD\n").unwrap();
 
-    let outcome = run_target(&spec, &deterministic_render, &scratch.0, RunMode::Check);
+    let outcome = run_target(
+        "stale",
+        &deterministic_render,
+        &no_expectations,
+        &scratch.0,
+        RunMode::Check,
+    );
     assert!(!outcome.pass());
     let FixtureStatus::Mismatch(d) = &outcome.fixture else {
         panic!("expected Mismatch, got {:?}", outcome.fixture);
@@ -212,19 +288,4 @@ fn stale_fixture_is_a_localized_mismatch() {
         "{}",
         outcome.report()
     );
-}
-
-// ------------------------------------------------------------ replica axes
-
-#[test]
-fn replica_specs_expand_threads_and_jobs() {
-    let mut spec = synthetic_spec("axes");
-    spec.jobs = Some(vec![1, 2, 8]);
-    let replicas = replica_specs(&spec);
-    assert_eq!(replicas.len(), 3);
-    assert_eq!(replicas[2].threads, 4);
-    assert_eq!(replicas[2].jobs, 8);
-    assert_eq!(replicas[2].label(), "threads=4,jobs=8");
-    // jobs == threads collapses to the short label.
-    assert_eq!(replicas[0].label(), "threads=1");
 }

@@ -6,8 +6,8 @@
 //! cargo run --release -p ss-fabric --bin fabric -- --check
 //!     # fast budget, deterministic output only (no wall-clock); the
 //!     # `fabric-check` conform target pins these bytes across pool sizes
-//! cargo run --release -p ss-fabric --bin fabric -- --jobs 4
-//!     # run the suite on a dedicated 4-thread pool
+//! SS_THREADS=4 cargo run --release -p ss-fabric --bin fabric -- --check
+//!     # the same bytes from a 4-thread pool
 //! cargo run --release -p ss-fabric --bin fabric -- --list
 //!     # print the scenario suite without running it
 //! cargo run --release -p ss-fabric --bin fabric -- --seed 7
@@ -23,7 +23,7 @@ use ss_fabric::scenarios::{render_suite_report, run_suite, scenario_list, Budget
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: fabric [--check] [--jobs N] [--seed S] [--list]");
+    eprintln!("usage: fabric [--check] [--seed S] [--list]");
     std::process::exit(1);
 }
 
@@ -31,22 +31,12 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check_mode = false;
     let mut list_mode = false;
-    let mut jobs: Option<usize> = None;
     let mut seed = DEFAULT_SEED;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--check" => check_mode = true,
             "--list" => list_mode = true,
-            "--jobs" => {
-                let value = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => usage_error(&format!("invalid --jobs value {value:?}")),
-                }
-            }
             "--seed" => {
                 let value = it
                     .next()
@@ -82,10 +72,7 @@ fn main() {
     }
 
     let start = std::time::Instant::now();
-    let results = match jobs {
-        Some(n) => ss_sim::pool::with_threads(n, || run_suite(seed, &budget)),
-        None => run_suite(seed, &budget),
-    };
+    let results = run_suite(seed, &budget);
     let wall = start.elapsed();
 
     // Rendered by the same function the ss-conform subsystem replays across

@@ -1,13 +1,13 @@
 //! `lint.toml` — the audited suppression list.
 //!
-//! Mirrors `conform.toml` conventions: a schema-versioned TOML subset,
-//! parsed strictly (unknown keys, unknown rule IDs, duplicate entries and
-//! missing fields are hard errors, not warnings).  Each `[[allow]]` names
-//! one rule at one file with a **mandatory reason** — an allow is a
-//! reviewed claim that the flagged pattern cannot reach an artifact byte,
-//! and the reason is where that claim lives.  Allows that suppress nothing
-//! are *stale* and fail the run: a fixed site must shrink the list, so the
-//! list can only describe the present tree.
+//! A schema-versioned TOML subset, parsed strictly (unknown keys, unknown
+//! rule IDs, duplicate entries and missing fields are hard errors, not
+//! warnings).  Each `[[allow]]` names one rule at one file with a
+//! **mandatory reason** — an allow is a reviewed claim that the flagged
+//! pattern cannot reach an artifact byte, and the reason is where that
+//! claim lives.  Allows that suppress nothing are *stale* and fail the
+//! run: a fixed site must shrink the list, so the list can only describe
+//! the present tree.
 
 use crate::rules;
 use std::collections::BTreeSet;

@@ -7,8 +7,8 @@
 //!     # fast corpus slice, deterministic output only (no wall-clock);
 //!     # exits nonzero on any FAIL; the `verify-check` conform target pins
 //!     # these bytes across pool sizes
-//! cargo run --release -p ss-verify --bin verify -- --jobs 4
-//!     # run the corpus on a dedicated 4-thread pool
+//! SS_THREADS=4 cargo run --release -p ss-verify --bin verify -- --check
+//!     # the same bytes from a 4-thread pool
 //! cargo run --release -p ss-verify --bin verify -- --list
 //!     # print the corpus without running it
 //! cargo run --release -p ss-verify --bin verify -- --seed 7
@@ -32,7 +32,7 @@ use ss_verify::DEFAULT_SEED;
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
-    eprintln!("usage: verify [--check] [--jobs N] [--seed S] [--list] [--pair KEY]...");
+    eprintln!("usage: verify [--check] [--seed S] [--list] [--pair KEY]...");
     std::process::exit(1);
 }
 
@@ -40,7 +40,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut check_mode = false;
     let mut list_mode = false;
-    let mut jobs: Option<usize> = None;
     let mut seed = DEFAULT_SEED;
     let mut pairs: Vec<OraclePair> = Vec::new();
     let mut it = args.iter();
@@ -58,15 +57,6 @@ fn main() {
                         "unknown oracle pair {value:?}; known keys: {}",
                         OraclePair::ALL.map(|p| p.key()).join(" ")
                     )),
-                }
-            }
-            "--jobs" => {
-                let value = it
-                    .next()
-                    .unwrap_or_else(|| usage_error("--jobs needs a value"));
-                match value.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => usage_error(&format!("invalid --jobs value {value:?}")),
                 }
             }
             "--seed" => {
@@ -114,10 +104,7 @@ fn main() {
         Budget::full()
     };
     let start = std::time::Instant::now();
-    let reports = match jobs {
-        Some(n) => ss_sim::pool::with_threads(n, || run_corpus(&corpus, &budget)),
-        None => run_corpus(&corpus, &budget),
-    };
+    let reports = run_corpus(&corpus, &budget);
     let wall = start.elapsed();
 
     // Report lines + summary + machine-readable corpus trailer, rendered by

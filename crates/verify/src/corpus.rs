@@ -174,8 +174,8 @@ impl Corpus {
     }
 
     /// The machine-readable shape of this corpus — the one source of truth
-    /// the `verify --check` trailer, the conformance manifest expectations
-    /// and the corpus-pin tests all read.
+    /// the `verify --check` trailer, ss-conform's expectations and the
+    /// corpus-pin tests all read.
     pub fn stats(&self) -> CorpusStats {
         let pairs: std::collections::BTreeSet<_> =
             self.scenarios.iter().map(|s| s.spec.pair().key()).collect();

@@ -28,9 +28,9 @@
 //! | fabric M/M/c central-queue wait | Erlang-C mean-wait formula                     |
 //!
 //! The `verify` binary mirrors the `experiments` harness conventions
-//! (`--jobs`, `--list`); `--check` runs the corpus on a fast budget and
-//! prints wall-clock-free report lines, which the `verify-check` conform
-//! target byte-compares across pool sizes 1/2/4.
+//! (`--list`); `--check` runs the corpus on a fast budget and prints
+//! wall-clock-free report lines, which the `verify-check` conform target
+//! byte-compares across pool sizes 1/2/4.
 //!
 //! ```
 //! use ss_sim::rng::RngStreams;

@@ -11,8 +11,9 @@ use std::collections::HashSet;
 
 /// The committed corpus shape: these numbers are append-only (pairs and
 /// scenarios may only grow) and are the same values the `verify --check`
-/// trailer declares and the conformance manifest (`conform.toml`) expects —
-/// one source of truth instead of per-consumer `PASS`-line scraping.
+/// trailer declares and ss-conform's `verify-check` target expects
+/// (`crates/conform/src/targets.rs`) — one source of truth instead of
+/// per-consumer `PASS`-line scraping.
 #[test]
 fn corpus_stats_pin_the_committed_shape() {
     let stats = generate_corpus(DEFAULT_SEED).stats();
@@ -23,8 +24,8 @@ fn corpus_stats_pin_the_committed_shape() {
             scenarios: 66,
             seed: DEFAULT_SEED,
         },
-        "corpus shape changed; grow it append-only and re-bless conform.toml \
-         expectations + fixtures deliberately"
+        "corpus shape changed; grow it append-only, then update ss-conform's \
+         expectations and re-bless its fixtures deliberately"
     );
     assert_eq!(stats.pairs, OraclePair::ALL.len());
 }
