@@ -598,31 +598,6 @@ pub fn simulate_restless<R: Rng + ?Sized>(
     total / horizon as f64
 }
 
-/// Stream id of the substream family [`simulate_restless_replications`]
-/// draws from (disjoint from every other family in the workspace — see
-/// DESIGN.md's stream-id table).
-pub const RESTLESS_SIM_STREAM: u64 = 0x5748_4954; // "WHIT"
-
-/// Independent seeded replications of [`simulate_restless`], fanned out over
-/// the workspace pool: replication `rep` draws from
-/// `RngStreams::substream(RESTLESS_SIM_STREAM, rep)`, so the returned
-/// per-replication average rewards are a pure function of the seed and
-/// bit-for-bit identical for any `SS_THREADS`.
-pub fn simulate_restless_replications(
-    projects: &[RestlessProject],
-    m: usize,
-    policy: &RestlessPolicy,
-    horizon: usize,
-    replications: usize,
-    seed: u64,
-) -> Vec<f64> {
-    let streams = ss_sim::RngStreams::new(seed);
-    ss_sim::pool::parallel_indexed(replications, |rep| {
-        let mut rng = streams.substream(RESTLESS_SIM_STREAM, rep as u64);
-        simulate_restless(projects, m, policy, horizon, &mut rng)
-    })
-}
-
 /// One point of the Weber–Weiss asymptotic sweep.
 #[derive(Debug, Clone)]
 pub struct AsymptoticPoint {
@@ -907,29 +882,6 @@ mod tests {
         // The passive set still grows monotonically here ({} -> {1}), so the
         // project is indexable even though state 0 has no finite index.
         assert!(is_indexable(&p, 15));
-    }
-
-    #[test]
-    fn restless_replications_are_thread_count_invariant_and_seed_pure() {
-        let p = maint();
-        let projects: Vec<RestlessProject> = (0..6).map(|_| p.clone()).collect();
-        let policy = RestlessPolicy::WhittleIndex(vec![whittle_indices(&p); 6]);
-        let run = |threads: usize, seed: u64| {
-            ss_sim::pool::with_threads(threads, || {
-                simulate_restless_replications(&projects, 2, &policy, 2_000, 8, seed)
-            })
-        };
-        let serial = run(1, 42);
-        let parallel = run(4, 42);
-        assert_eq!(serial.len(), 8);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.to_bits(), b.to_bits(), "thread count changed a draw");
-        }
-        // Seed purity: same seed reproduces, different seeds differ.
-        assert_eq!(run(2, 42), serial);
-        assert_ne!(run(1, 43), serial);
-        // Replications are genuinely independent streams.
-        assert!(serial.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]

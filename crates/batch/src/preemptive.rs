@@ -180,7 +180,7 @@ pub fn simulate_gittins_preemptive(
 /// are achieved by the caller reusing the RNG stream).
 pub fn simulate_wsept_nonpreemptive(instance: &BatchInstance, rng: &mut dyn RngCore) -> f64 {
     let order = crate::policies::wsept_order(instance);
-    crate::single_machine::sample_weighted_flowtime(instance, &order, rng)
+    crate::parallel::simulate_list_schedule(instance, &order, 1, rng).weighted_flowtime
 }
 
 #[cfg(test)]

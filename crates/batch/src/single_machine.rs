@@ -10,12 +10,11 @@
 //! ```
 //!
 //! where `(j)` is the j-th job in the list.  Rothkopf (1966) showed the
-//! minimiser is the WSEPT list.  The module provides the closed form, a
-//! Monte-Carlo evaluator (used to validate the simulators), the exhaustive
-//! optimum over all `n!` lists, and the adjacent-interchange test used by
-//! the property-based tests.
+//! minimiser is the WSEPT list.  The module provides the closed form, the
+//! exhaustive optimum over all `n!` lists, and the adjacent-interchange test
+//! used by the property-based tests.  A realisation of a list is
+//! [`crate::parallel::simulate_list_schedule`] on one machine.
 
-use rand::RngCore;
 use ss_core::instance::BatchInstance;
 
 /// Exact expected weighted flowtime of a static list on one machine.
@@ -39,22 +38,6 @@ pub fn expected_total_flowtime(instance: &BatchInstance, order: &[usize]) -> f64
     for &idx in order {
         completion += jobs[idx].mean_processing();
         total += completion;
-    }
-    total
-}
-
-/// One Monte-Carlo realisation of the weighted flowtime of a static list.
-pub fn sample_weighted_flowtime(
-    instance: &BatchInstance,
-    order: &[usize],
-    rng: &mut dyn RngCore,
-) -> f64 {
-    let jobs = instance.jobs();
-    let mut completion = 0.0;
-    let mut total = 0.0;
-    for &idx in order {
-        completion += jobs[idx].dist.sample(rng);
-        total += jobs[idx].weight * completion;
     }
     total
 }
@@ -106,6 +89,7 @@ pub fn adjacent_interchange_delta(instance: &BatchInstance, order: &[usize], pos
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parallel::simulate_list_schedule;
     use crate::policies::{weight_only_order, wsept_order};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -166,7 +150,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(77);
         let n = 200_000;
         let mc: f64 = (0..n)
-            .map(|_| sample_weighted_flowtime(&inst, &order, &mut rng))
+            .map(|_| simulate_list_schedule(&inst, &order, 1, &mut rng).weighted_flowtime)
             .sum::<f64>()
             / n as f64;
         assert!(

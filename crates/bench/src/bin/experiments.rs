@@ -23,7 +23,9 @@
 //! replaced by a `PANICKED:` line, everything that finished still prints,
 //! and the binary exits nonzero at the end.
 
-use ss_bench::experiments::{all_experiments, markdown_document, run_experiments, Experiment};
+use ss_bench::experiments::{
+    all_experiments, markdown_document, run_experiments, select_experiments, Experiment,
+};
 
 fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
@@ -73,15 +75,9 @@ fn main() {
     let selected: Vec<&Experiment> = if ids.is_empty() {
         experiments.iter().collect()
     } else {
-        experiments
-            .iter()
-            .filter(|e| ids.iter().any(|a| a.eq_ignore_ascii_case(e.id)))
-            .collect()
+        select_experiments(&experiments, &ids)
+            .unwrap_or_else(|e| usage_error(&format!("{e}; use --list to see the available ids")))
     };
-    if selected.is_empty() {
-        eprintln!("no experiment matches {ids:?}; use --list to see the available ids");
-        std::process::exit(1);
-    }
 
     let jobs = jobs.unwrap_or_else(ss_sim::pool::num_threads);
     let start = std::time::Instant::now();

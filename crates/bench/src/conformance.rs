@@ -7,7 +7,9 @@
 //! divergent byte, and pin them as golden fixtures.  A last-ulp drift
 //! that `{:.6}` formatting would round away is a full hex digit here.
 
-use crate::experiments::{all_experiments, parallel_replication_workload, run_experiments};
+use crate::experiments::{
+    all_experiments, parallel_replication_workload, run_experiments, select_experiments,
+};
 use crate::sweeps::sweep_workloads;
 
 /// Append `label: <bits> <value>` for one value.
@@ -47,10 +49,10 @@ pub fn sweep_values_report() -> String {
     out
 }
 
-/// The experiment-harness artifact: the selected experiments' report bodies
-/// in E-id order with every `[`-prefixed wall-clock line stripped — exactly
-/// the text CI's old `grep -v '^\['` diff compared across
-/// `SS_THREADS`/`--jobs` values.
+/// The experiment-harness artifact: the report bodies of the experiments
+/// [`select_experiments`] picks for `ids` (E-id order, each once), with
+/// every `[`-prefixed wall-clock line stripped — exactly the text CI's old
+/// `grep -v '^\['` diff compared across `SS_THREADS`/`--jobs` values.
 ///
 /// Timing-sensitive experiments (E21 embeds its own measured thread-sweep
 /// wall-clocks in the report body) are rejected: their reports vary run to
@@ -59,22 +61,14 @@ pub fn sweep_values_report() -> String {
 /// is deterministic and would byte-diff clean across replicas.
 pub fn harness_subset_report(ids: &[String], jobs: usize) -> Result<String, String> {
     let experiments = all_experiments();
-    let selected = ids
-        .iter()
-        .map(|id| {
-            let e = experiments
-                .iter()
-                .find(|e| e.id == *id)
-                .ok_or_else(|| format!("unknown experiment id {id:?}"))?;
-            if e.timing_sensitive() {
-                return Err(format!(
-                    "experiment {id} is timing-sensitive (its report embeds wall-clocks) \
-                     and cannot be a conformance artifact"
-                ));
-            }
-            Ok(e)
-        })
-        .collect::<Result<Vec<_>, String>>()?;
+    let selected = select_experiments(&experiments, ids)?;
+    if let Some(e) = selected.iter().find(|e| e.timing_sensitive()) {
+        return Err(format!(
+            "experiment {} is timing-sensitive (its report embeds wall-clocks) \
+             and cannot be a conformance artifact",
+            e.id
+        ));
+    }
     let reports = run_experiments(&selected, jobs);
     let mut out = String::new();
     for r in &reports {

@@ -39,10 +39,10 @@ use ss_queueing::cmu::cmu_order;
 use ss_queueing::cobham::{best_nonpreemptive_order, mg1_nonpreemptive_priority};
 use ss_queueing::conservation::{conserved_work, weighted_wait_sum};
 use ss_queueing::fluid::{integrate_priority_fluid, FluidNetwork};
-use ss_queueing::klimov::{klimov_order, simulate_klimov};
+use ss_queueing::klimov::klimov_order;
 use ss_queueing::mg1::{simulate_mg1, Discipline, Mg1Config};
+use ss_queueing::network::simulate_network;
 use ss_queueing::parallel_servers::heavy_traffic_sweep;
-use ss_queueing::polling::{simulate_polling, PollingDiscipline};
 use ss_queueing::setups::{
     simulate_setup_policy, sqrt_rule_thresholds, threshold_sweep, SetupPolicy,
 };
@@ -303,6 +303,27 @@ pub fn all_experiments() -> Vec<Experiment> {
             run: e22_metastable_retry_storm,
         },
     ]
+}
+
+/// The experiments `ids` name, matched case-insensitively, in E-id order
+/// and each once.  An id that names no experiment is an error, and the
+/// error names every such id.
+pub fn select_experiments<'a>(
+    experiments: &'a [Experiment],
+    ids: &[String],
+) -> Result<Vec<&'a Experiment>, String> {
+    let names = |id: &String, e: &Experiment| id.eq_ignore_ascii_case(e.id);
+    let unknown: Vec<&String> = ids
+        .iter()
+        .filter(|id| !experiments.iter().any(|e| names(id, e)))
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!("unknown experiment id(s) {unknown:?}"));
+    }
+    Ok(experiments
+        .iter()
+        .filter(|e| ids.iter().any(|id| names(id, e)))
+        .collect())
 }
 
 // ---------------------------------------------------------------- E1 ----
@@ -801,13 +822,15 @@ fn e12_klimov() -> String {
         vec![2, 1, 0],
     ];
     let klimov = klimov_order(&net);
+    let network = net.as_network();
     let mut table = ComparisonTable::new(
         "E12: M/G/1 with Bernoulli feedback — simulated holding cost per static priority order",
         "sum c_j E[L_j]",
     );
     for (i, order) in orders.iter().enumerate() {
         let mut rng = workloads::rng_for(1200 + i as u64);
-        let res = simulate_klimov(&net, order, 300_000.0, 10_000.0, &mut rng);
+        let priority = std::slice::from_ref(order);
+        let res = simulate_network(&network, priority, 300_000.0, 10_000.0, 2, &mut rng);
         let label = if *order == klimov {
             format!("{order:?} (Klimov order)")
         } else {
@@ -927,33 +950,13 @@ fn e16_polling() -> String {
         let setups: Vec<_> = (0..2)
             .map(|_| dyn_dist(ss_distributions::Deterministic::new(setup_time)))
             .collect();
-        let mut rng = workloads::rng_for(1600);
-        let cmu = simulate_polling(
-            &classes,
-            &setups,
-            PollingDiscipline::CmuWithSetups,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
-        let mut rng = workloads::rng_for(1600);
-        let exhaustive = simulate_polling(
-            &classes,
-            &setups,
-            PollingDiscipline::Exhaustive,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
-        let mut rng = workloads::rng_for(1600);
-        let gated = simulate_polling(
-            &classes,
-            &setups,
-            PollingDiscipline::Gated,
-            150_000.0,
-            5_000.0,
-            &mut rng,
-        );
+        let run = |policy: SetupPolicy| {
+            let mut rng = workloads::rng_for(1600);
+            simulate_setup_policy(&classes, &setups, &policy, 150_000.0, 5_000.0, &mut rng)
+        };
+        let cmu = run(SetupPolicy::CmuEveryJob);
+        let exhaustive = run(SetupPolicy::Exhaustive);
+        let gated = run(SetupPolicy::Gated);
         out.push_str(&format!(
             "| {setup_time} | {:.3} | {:.3} | {:.3} | {} | {} | {} |\n",
             cmu.holding_cost_rate,
@@ -1359,6 +1362,24 @@ mod tests {
         assert_eq!(experiments.len(), 22);
         let ids: std::collections::HashSet<&str> = experiments.iter().map(|e| e.id).collect();
         assert_eq!(ids.len(), 22);
+    }
+
+    #[test]
+    fn selection_names_every_unknown_id_and_keeps_e_id_order() {
+        let experiments = all_experiments();
+        let ids = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let err = select_experiments(&experiments, &ids(&["E3", "E99", "x"]))
+            .map(|_| ())
+            .unwrap_err();
+        assert!(err.contains("\"E99\"") && err.contains("\"x\""), "{err}");
+        assert!(!err.contains("\"E3\""), "{err}");
+        let picked = select_experiments(&experiments, &ids(&["e3", "E3"])).unwrap();
+        assert_eq!(picked.iter().map(|e| e.id).collect::<Vec<_>>(), ["E3"]);
+        let picked = select_experiments(&experiments, &ids(&["E12", "e2"])).unwrap();
+        assert_eq!(
+            picked.iter().map(|e| e.id).collect::<Vec<_>>(),
+            ["E2", "E12"]
+        );
     }
 
     #[test]

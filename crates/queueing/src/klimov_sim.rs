@@ -1,12 +1,13 @@
 //! Klimov-network policy simulator with exact workload accounting.
 //!
-//! [`crate::klimov`] carries the index algorithm and a queue-length
-//! simulator; this module is the *oracle-grade* simulation path used by
-//! `ss-verify`'s `klimov-vs-exact` pair.  The key difference from
-//! [`crate::klimov::simulate_klimov`] is that every external arrival
-//! pre-samples its whole **itinerary** — the sequence of (class, service
-//! time) visits its Bernoulli feedback chain will traverse — which makes
-//! the *full-chain workload* process exactly observable:
+//! [`crate::klimov`] carries the index algorithm, and queue lengths alone
+//! are simulated on its one-station network
+//! ([`crate::network::simulate_network`]); this module is the
+//! *oracle-grade* simulation path used by `ss-verify`'s `klimov-vs-exact`
+//! pair.  The key difference is that every external arrival pre-samples its
+//! whole **itinerary** — the sequence of (class, service time) visits its
+//! Bernoulli feedback chain will traverse — which makes the *full-chain
+//! workload* process exactly observable:
 //!
 //! * with full-chain accounting, the workload `V(t)` (total remaining
 //!   service of everything in system, all future feedback visits included)
@@ -21,7 +22,7 @@
 //!   arrival generation, service sampling, feedback routing and the event
 //!   loop all at once;
 //! * per-class queue lengths and the weighted holding-cost rate are tracked
-//!   exactly as in the classic simulator, so feedback-free networks can
+//!   exactly as in the network simulator, so feedback-free networks can
 //!   additionally be checked against Cobham's formulas under the Klimov
 //!   (= cµ) priority order.
 //!
@@ -34,14 +35,8 @@ use crate::klimov::KlimovNetwork;
 use crate::sampling::sample_exp;
 use rand::{Rng, RngCore};
 use ss_core::linalg::solve_dense;
-use ss_sim::rng::RngStreams;
 use ss_sim::stats::TimeWeighted;
 use std::collections::VecDeque;
-
-/// Stream id of the substream family [`klimov_policy_replications`] draws
-/// from (disjoint from every other family in the workspace — see DESIGN.md's
-/// stream-id table).
-pub const KLIMOV_SIM_STREAM: u64 = 0x4B4C_494D; // "KLIM"
 
 /// Result of one itinerary-presampling simulation run.
 #[derive(Debug, Clone)]
@@ -232,26 +227,6 @@ pub fn simulate_klimov_policy(
     }
 }
 
-/// Independent seeded replications of [`simulate_klimov_policy`], fanned
-/// out over the workspace pool: replication `rep` draws from
-/// `RngStreams::substream(KLIMOV_SIM_STREAM, rep)`, so the results are a
-/// pure function of the seed and bit-for-bit identical for any
-/// `SS_THREADS`.
-pub fn klimov_policy_replications(
-    network: &KlimovNetwork,
-    priority_order: &[usize],
-    horizon: f64,
-    warmup: f64,
-    replications: usize,
-    seed: u64,
-) -> Vec<KlimovPolicyResult> {
-    let streams = RngStreams::new(seed);
-    ss_sim::pool::parallel_indexed(replications, |rep| {
-        let mut rng = streams.substream(KLIMOV_SIM_STREAM, rep as u64);
-        simulate_klimov_policy(network, priority_order, horizon, warmup, &mut rng)
-    })
-}
-
 /// First and second moments of the per-arrival chain totals `B_i` (total
 /// service a class-`i` external arrival accumulates over its whole feedback
 /// chain): `(E[B], E[B²])` per entry class, from
@@ -297,7 +272,25 @@ pub fn exact_mean_workload(network: &KlimovNetwork) -> f64 {
 mod tests {
     use super::*;
     use crate::klimov::{klimov_order, KlimovNetwork};
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha8Rng;
     use ss_distributions::{dyn_dist, Erlang, Exponential};
+    use ss_sim::replication::run_replications_parallel;
+
+    /// Mean workload over `replications` independent runs from `seed`.
+    fn mean_workload(
+        net: &KlimovNetwork,
+        order: &[usize],
+        horizon: f64,
+        warmup: f64,
+        replications: usize,
+        seed: u64,
+    ) -> f64 {
+        run_replications_parallel(replications, seed, |_, rng| {
+            simulate_klimov_policy(net, order, horizon, warmup, rng).mean_workload
+        })
+        .mean
+    }
 
     fn no_feedback_network() -> KlimovNetwork {
         KlimovNetwork::new(
@@ -371,8 +364,7 @@ mod tests {
         let net = feedback_network();
         let order = klimov_order(&net);
         let exact = exact_mean_workload(&net);
-        let results = klimov_policy_replications(&net, &order, 60_000.0, 2_000.0, 4, 11);
-        let sim: f64 = results.iter().map(|r| r.mean_workload).sum::<f64>() / results.len() as f64;
+        let sim = mean_workload(&net, &order, 60_000.0, 2_000.0, 4, 11);
         assert!(
             (sim - exact).abs() / exact < 0.08,
             "simulated workload {sim} vs exact {exact}"
@@ -382,12 +374,8 @@ mod tests {
     #[test]
     fn workload_is_priority_order_invariant_in_expectation() {
         let net = feedback_network();
-        let a = klimov_policy_replications(&net, &[0, 1, 2], 40_000.0, 1_000.0, 3, 5);
-        let b = klimov_policy_replications(&net, &[2, 1, 0], 40_000.0, 1_000.0, 3, 5);
-        let mean = |rs: &[KlimovPolicyResult]| {
-            rs.iter().map(|r| r.mean_workload).sum::<f64>() / rs.len() as f64
-        };
-        let (wa, wb) = (mean(&a), mean(&b));
+        let wa = mean_workload(&net, &[0, 1, 2], 40_000.0, 1_000.0, 3, 5);
+        let wb = mean_workload(&net, &[2, 1, 0], 40_000.0, 1_000.0, 3, 5);
         assert!(
             (wa - wb).abs() / wa < 0.1,
             "workload should not depend on the order: {wa} vs {wb}"
@@ -409,10 +397,11 @@ mod tests {
             })
             .collect();
         let exact = crate::cobham::mg1_nonpreemptive_priority(&classes, &order);
-        let results = klimov_policy_replications(&net, &order, 80_000.0, 2_000.0, 4, 7);
+        // One run as long as four 80 000-unit replications together.
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let result = simulate_klimov_policy(&net, &order, 320_000.0, 2_000.0, &mut rng);
         for i in 0..3 {
-            let sim: f64 =
-                results.iter().map(|r| r.mean_number[i]).sum::<f64>() / results.len() as f64;
+            let sim = result.mean_number[i];
             assert!(
                 (sim - exact.number_in_system[i]).abs() / exact.number_in_system[i] < 0.1,
                 "class {i}: sim {sim} vs exact {}",
@@ -422,52 +411,20 @@ mod tests {
     }
 
     #[test]
-    fn replications_are_thread_count_invariant_and_seed_pure() {
-        let net = feedback_network();
-        let order = klimov_order(&net);
-        let run = |threads: usize, seed: u64| {
-            ss_sim::pool::with_threads(threads, || {
-                klimov_policy_replications(&net, &order, 5_000.0, 500.0, 6, seed)
-            })
-        };
-        let serial = run(1, 42);
-        let parallel = run(4, 42);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.mean_workload.to_bits(), b.mean_workload.to_bits());
-            assert_eq!(a.holding_cost_rate.to_bits(), b.holding_cost_rate.to_bits());
-            assert_eq!(a.visits_completed, b.visits_completed);
-        }
-        // Seed purity: reproducible for equal seeds, different otherwise.
-        let again = run(2, 42);
-        assert!(serial
-            .iter()
-            .zip(&again)
-            .all(|(a, b)| a.mean_workload.to_bits() == b.mean_workload.to_bits()));
-        let other = run(1, 43);
-        assert!(serial
-            .iter()
-            .zip(&other)
-            .any(|(a, b)| a.mean_workload.to_bits() != b.mean_workload.to_bits()));
-    }
-
-    #[test]
     fn completed_visit_rates_track_effective_arrival_rates() {
         // The per-class completed-visit rate must converge to the effective
         // arrival rate gamma (external + feedback) — an exact identity that
         // exercises the routing chain end to end.
         let net = feedback_network();
         let order = klimov_order(&net);
-        let gamma = net.effective_arrival_rates();
-        let horizon = 120_000.0;
+        let gamma = net.as_network().effective_rates();
+        // One run as long as two 120 000-unit replications together.
+        let horizon = 240_000.0;
         let warmup = 2_000.0;
-        let results = klimov_policy_replications(&net, &order, horizon, warmup, 2, 3);
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let result = simulate_klimov_policy(&net, &order, horizon, warmup, &mut rng);
         for i in 0..net.num_classes() {
-            let rate: f64 = results
-                .iter()
-                .map(|r| r.visits_completed[i] as f64 / (horizon - warmup))
-                .sum::<f64>()
-                / results.len() as f64;
+            let rate = result.visits_completed[i] as f64 / (horizon - warmup);
             assert!(
                 (rate - gamma[i]).abs() / gamma[i] < 0.05,
                 "class {i}: visit rate {rate} vs gamma {}",

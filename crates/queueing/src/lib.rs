@@ -8,12 +8,11 @@
 //! | The cµ-rule minimises the steady-state holding-cost rate of a multiclass M/G/1 queue (Cox–Smith 1961) | [`mg1`] (simulator), [`cobham`] (exact formulas), [`cmu`] |
 //! | Work conservation / the achievable-region (polymatroid) view of M/G/1 performance | [`conservation`] |
 //! | The achievable-region LP, polymatroid vertices and the adaptive-greedy account of the cµ/Klimov indices (Bertsimas–Niño-Mora 1996) | [`achievable_region`] |
-//! | Klimov's algorithm gives the optimal priority indices for the M/G/1 with Bernoulli feedback (Klimov 1974, Tcha–Pliska 1977) | [`klimov`], [`klimov_sim`] (oracle-grade simulator + exact workload) |
+//! | Klimov's algorithm gives the optimal priority indices for the M/G/1 with Bernoulli feedback (Klimov 1974, Tcha–Pliska 1977) | [`klimov`] (indices; simulated as a one-station [`network`]), [`klimov_sim`] (oracle-grade simulator + exact workload) |
 //! | The Klimov/cµ index used as a heuristic for multiclass M/M/m parallel servers: relaxation bounds and heavy-traffic optimality (Glazebrook–Niño-Mora 2001) | [`parallel_servers`] |
 //! | Multi-station multiclass networks: the stability problem — work-conserving priority rules can be unstable below nominal capacity | [`network`], [`stability`] |
 //! | Fluid approximations and fluid-guided scheduling (Chen–Yao 1993, Atkins–Chen 1995) | [`fluid`] |
-//! | Changeover/setup times and polling disciplines (Levy–Sidi 1990, Reiman–Wein 1998) | [`polling`] |
-//! | Setup thresholds from the heavy-traffic (diffusion) viewpoint (Reiman–Wein 1998) | [`setups`] |
+//! | Changeover/setup times: polling disciplines (Levy–Sidi 1990) and setup thresholds from the heavy-traffic (diffusion) viewpoint (Reiman–Wein 1998) | [`setups`] |
 //!
 //! All simulators are event-driven on `ss-sim` primitives, use reproducible
 //! RNG streams, support warm-up deletion and report time-average queue
@@ -30,7 +29,6 @@ pub mod klimov_sim;
 pub mod mg1;
 pub mod network;
 pub mod parallel_servers;
-pub mod polling;
 pub(crate) mod sampling;
 pub mod setups;
 pub mod stability;

@@ -1,11 +1,13 @@
 //! Open multiclass queueing networks with multiple single-server stations.
 //!
-//! The general substrate behind the stability (E14) and fluid (E15)
-//! experiments: each class is served at a fixed station, has its own
+//! The general substrate behind the Klimov (E12), stability (E14) and fluid
+//! (E15) experiments: each class is served at a fixed station, has its own
 //! service-time distribution and holding cost, receives external Poisson
 //! arrivals, and routes deterministically or probabilistically to another
 //! class (or leaves) after service.  Every station runs a nonpreemptive
-//! static priority discipline over the classes it serves.
+//! static priority discipline over the classes it serves.  A Klimov
+//! network is the one-station case
+//! ([`crate::klimov::KlimovNetwork::as_network`]).
 
 use crate::sampling::sample_exp;
 use rand::RngCore;

@@ -1,29 +1,44 @@
-//! Threshold (switching-curve) policies for queues with setup (changeover)
-//! times, motivated by the heavy-traffic / diffusion analysis of Reiman and
-//! Wein (1998).
+//! Changeover (setup) times: polling disciplines (Levy–Sidi 1990) and
+//! threshold (switching-curve) policies motivated by the heavy-traffic /
+//! diffusion analysis of Reiman and Wein (1998).
 //!
 //! The survey lists changeover times as one of the model features that break
 //! the plain cµ-rule, and diffusion approximations as one of the approaches
-//! used to design good heuristics for such models.  Reiman and Wein analyse a
-//! two-class M/G/1 queue with setups in the heavy-traffic limit and obtain a
-//! policy of *switching-curve* type: the expensive (high-cµ) class is served
-//! exhaustively, while service of the cheap class is **interrupted** — paying
-//! a changeover — only once the expensive backlog has grown past a threshold
-//! that balances the capacity lost to the setup against the holding cost of
-//! keeping expensive work waiting.
+//! used to design good heuristics for such models.  When switching the
+//! server from one job class to another incurs a setup time, the cµ-rule
+//! (which may switch very often) loses its optimality; polling disciplines
+//! that serve a queue exhaustively, or up to a gate, before switching
+//! amortise the setups.  Experiment E16 sweeps the setup time and shows the
+//! crossover between three of them:
+//!
+//! * [`SetupPolicy::CmuEveryJob`]: after every service completion the server
+//!   moves to the nonempty class with the largest cµ index, paying a setup
+//!   whenever that class differs from the one just served;
+//! * [`SetupPolicy::Exhaustive`]: the server stays on its current class
+//!   until that queue empties, then switches (with a setup) to the nonempty
+//!   class with the largest cµ index;
+//! * [`SetupPolicy::Gated`]: each visit serves only the customers waiting
+//!   when it began, the classical alternative to exhaustive service.
+//!
+//! Reiman and Wein analyse a two-class M/G/1 queue with setups in the
+//! heavy-traffic limit and obtain a policy of *switching-curve* type: the
+//! expensive (high-cµ) class is served exhaustively, while service of the
+//! cheap class is **interrupted** — paying a changeover — only once the
+//! expensive backlog has grown past a threshold that balances the capacity
+//! lost to the setup against the holding cost of keeping expensive work
+//! waiting.
 //!
 //! This module provides
 //!
 //! * [`simulate_setup_policy`] — an event-driven simulator of a multiclass
-//!   M/G/1 queue with class switchover times under the switch-every-job rule,
-//!   exhaustive polling, or an interrupt-[`SetupPolicy::Threshold`] policy;
+//!   M/G/1 queue with class switchover times under any [`SetupPolicy`];
 //! * [`sqrt_rule_thresholds`] — an economic-lot-sizing (square-root)
 //!   approximation to the diffusion thresholds;
 //! * [`threshold_sweep`] — a utility used by experiment E20 to compare the
 //!   square-root thresholds with the empirically best threshold.
 //!
-//! The three disciplines interpolate: a threshold of one interrupts for every
-//! waiting higher-priority job (the cµ-every-job extreme), an infinite
+//! The threshold policies interpolate: a threshold of one interrupts for
+//! every waiting higher-priority job (the cµ-every-job extreme), an infinite
 //! threshold never interrupts (exhaustive polling), and the square-root
 //! threshold sits in between, which is where the cost optimum lies once
 //! holding costs are asymmetric and setups are non-negligible.
@@ -65,6 +80,13 @@ pub enum SetupPolicy {
         /// Per-class interruption thresholds (in number of waiting jobs).
         thresholds: Vec<f64>,
     },
+    /// Gated service: when a setup to a class ends, a gate closes behind
+    /// the customers already waiting there; the server serves exactly
+    /// those, then switches to the highest-cµ nonempty class.  Customers
+    /// arriving during the visit wait for the next one.  A revisit without
+    /// a changeover (the class is the highest-cµ nonempty one again) closes
+    /// a new gate on the customers then waiting.
+    Gated,
 }
 
 /// Result of one setup-policy simulation run.
@@ -74,9 +96,10 @@ pub struct SetupSimResult {
     pub mean_number: Vec<f64>,
     /// `Σ_j c_j * mean_number[j]`.
     pub holding_cost_rate: f64,
-    /// Setups performed after warm-up.
+    /// Setups started after warm-up.
     pub setups: u64,
-    /// Fraction of (post warm-up) time spent performing setups.
+    /// Fraction of the measured window `(warmup, horizon]` spent performing
+    /// setups; a setup that straddles either end counts only its overlap.
     pub setup_time_fraction: f64,
 }
 
@@ -127,6 +150,10 @@ pub fn simulate_setup_policy(
     let mut configured: Option<usize> = None;
     // (completion_time, class, is_setup)
     let mut busy: Option<(f64, usize, bool)> = None;
+    // How many of the configured class's customers are still behind the
+    // gate (0 = close a new gate at the next service).  Tracked under every
+    // policy; only `Gated` reads it.
+    let mut gate_remaining: usize = 0;
     let mut clock;
 
     loop {
@@ -159,6 +186,7 @@ pub fn simulate_setup_policy(
             let (_, class, was_setup) = busy.take().unwrap();
             if was_setup {
                 configured = Some(class);
+                gate_remaining = queues[class].len();
             } else {
                 counts[class] -= 1;
                 trackers[class].update(clock, counts[class] as f64);
@@ -191,18 +219,26 @@ pub fn simulate_setup_policy(
                     }
                     _ => highest_nonempty,
                 },
+                SetupPolicy::Gated => match configured {
+                    Some(c) if gate_remaining > 0 && !queues[c].is_empty() => Some(c),
+                    _ => highest_nonempty,
+                },
             };
             if let Some(target) = target {
                 if configured == Some(target) {
+                    if gate_remaining == 0 {
+                        gate_remaining = queues[target].len();
+                    }
                     queues[target].pop_front();
+                    gate_remaining -= 1;
                     let service = classes[target].service.sample(rng);
                     busy = Some((clock + service, target, false));
                 } else {
                     let s = setup[target].sample(rng);
                     if clock >= warmup {
                         setups += 1;
-                        setup_time += s;
                     }
+                    setup_time += ((clock + s).min(horizon) - clock.max(warmup)).max(0.0);
                     busy = Some((clock + s, target, true));
                 }
             }
@@ -333,7 +369,6 @@ pub fn threshold_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::polling::{simulate_polling, PollingDiscipline};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
     use ss_distributions::{dyn_dist, Deterministic, Exponential};
@@ -353,70 +388,187 @@ mod tests {
         ]
     }
 
+    /// The two-class system the polling-discipline tests share (cµ order:
+    /// 1, 0).
+    fn polling_classes() -> Vec<JobClass> {
+        vec![
+            JobClass::new(0, 0.35, dyn_dist(Exponential::with_mean(1.0)), 1.0),
+            JobClass::new(1, 0.3, dyn_dist(Exponential::with_mean(0.8)), 2.0),
+        ]
+    }
+
+    fn run_polling(policy: &SetupPolicy, setup_time: f64, seed: u64) -> SetupSimResult {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        simulate_setup_policy(
+            &polling_classes(),
+            &setups(setup_time),
+            policy,
+            80_000.0,
+            2_000.0,
+            &mut rng,
+        )
+    }
+
     #[test]
     fn infinite_threshold_matches_exhaustive_polling() {
+        // A threshold no backlog reaches never interrupts, so the run is
+        // exhaustive polling draw for draw.
         let classes = classes_2();
         let setup = setups(0.25);
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let threshold = simulate_setup_policy(
-            &classes,
-            &setup,
-            &SetupPolicy::Threshold {
-                thresholds: vec![f64::INFINITY, f64::INFINITY],
-            },
-            60_000.0,
-            2_000.0,
-            &mut rng,
-        );
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        let exhaustive = simulate_polling(
-            &classes,
-            &setup,
-            PollingDiscipline::Exhaustive,
-            60_000.0,
-            2_000.0,
-            &mut rng,
-        );
-        let rel = (threshold.holding_cost_rate - exhaustive.holding_cost_rate).abs()
-            / exhaustive.holding_cost_rate;
+        let run = |policy: &SetupPolicy| {
+            let mut rng = ChaCha8Rng::seed_from_u64(11);
+            simulate_setup_policy(&classes, &setup, policy, 60_000.0, 2_000.0, &mut rng)
+        };
+        let threshold = run(&SetupPolicy::Threshold {
+            thresholds: vec![f64::INFINITY, f64::INFINITY],
+        });
+        let exhaustive = run(&SetupPolicy::Exhaustive);
+        let bits = |r: &SetupSimResult| {
+            let mut v: Vec<u64> = r.mean_number.iter().map(|x| x.to_bits()).collect();
+            v.push(r.holding_cost_rate.to_bits());
+            v.push(r.setup_time_fraction.to_bits());
+            v.push(r.setups);
+            v
+        };
+        assert_eq!(bits(&threshold), bits(&exhaustive));
+    }
+
+    #[test]
+    fn zero_setup_cmu_matches_plain_priority_queue() {
+        // With zero setup times the cµ-every-job rule is the plain
+        // nonpreemptive cµ priority queue; check against Cobham.
+        let classes = polling_classes();
+        let order = crate::cmu::cmu_order(&classes);
+        let exact = crate::cobham::mg1_nonpreemptive_priority(&classes, &order);
+        let res = run_polling(&SetupPolicy::CmuEveryJob, 0.0, 1);
         assert!(
-            rel < 1e-9,
-            "never-interrupt policy {} should equal exhaustive polling {}",
-            threshold.holding_cost_rate,
-            exhaustive.holding_cost_rate
+            (res.holding_cost_rate - exact.holding_cost_rate).abs() / exact.holding_cost_rate < 0.1,
+            "sim {} vs exact {}",
+            res.holding_cost_rate,
+            exact.holding_cost_rate
         );
     }
 
     #[test]
-    fn exhaustive_variant_matches_polling_module() {
-        let classes = classes_2();
-        let setup = setups(0.4);
+    fn zero_setup_cmu_is_no_worse_than_exhaustive() {
+        let cmu = run_polling(&SetupPolicy::CmuEveryJob, 0.0, 2);
+        let exhaustive = run_polling(&SetupPolicy::Exhaustive, 0.0, 2);
+        assert!(cmu.holding_cost_rate <= exhaustive.holding_cost_rate * 1.05);
+    }
+
+    #[test]
+    fn large_setups_favour_exhaustive_service() {
+        // E16: with substantial changeover times the frequent switching of
+        // the cµ rule eats so much capacity that the queue blows up, while
+        // exhaustive service amortises the setups over whole busy periods
+        // and stays stable with a far lower holding cost.
+        let classes = vec![
+            JobClass::new(0, 0.45, dyn_dist(Exponential::with_mean(1.0)), 1.0),
+            JobClass::new(1, 0.35, dyn_dist(Exponential::with_mean(0.8)), 2.0),
+        ];
+        let setup = setups(1.0);
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let here = simulate_setup_policy(
+        let cmu = simulate_setup_policy(
+            &classes,
+            &setup,
+            &SetupPolicy::CmuEveryJob,
+            60_000.0,
+            2_000.0,
+            &mut rng,
+        );
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        let exhaustive = simulate_setup_policy(
             &classes,
             &setup,
             &SetupPolicy::Exhaustive,
-            50_000.0,
+            60_000.0,
             2_000.0,
             &mut rng,
         );
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let polling = simulate_polling(
-            &classes,
-            &setup,
-            PollingDiscipline::Exhaustive,
-            50_000.0,
-            2_000.0,
-            &mut rng,
-        );
-        let rel =
-            (here.holding_cost_rate - polling.holding_cost_rate).abs() / polling.holding_cost_rate;
         assert!(
-            rel < 1e-9,
-            "{} vs {}",
-            here.holding_cost_rate,
-            polling.holding_cost_rate
+            exhaustive.holding_cost_rate < cmu.holding_cost_rate,
+            "exhaustive {} should beat cmu-with-setups {}",
+            exhaustive.holding_cost_rate,
+            cmu.holding_cost_rate
         );
+        assert!(exhaustive.setups < cmu.setups);
+    }
+
+    #[test]
+    fn setup_count_increases_with_switching_discipline() {
+        let cmu = run_polling(&SetupPolicy::CmuEveryJob, 0.1, 4);
+        let exhaustive = run_polling(&SetupPolicy::Exhaustive, 0.1, 4);
+        assert!(cmu.setups >= exhaustive.setups);
+    }
+
+    #[test]
+    fn gated_service_is_stable_and_switches_at_least_as_often_as_exhaustive() {
+        // Gated visits end after the gated batch even if new work arrived,
+        // so the server changes over at least as often as under exhaustive
+        // service, and (for this symmetric-cost regime) pays for it with a
+        // holding cost at least as large.
+        let gated = run_polling(&SetupPolicy::Gated, 0.4, 8);
+        let exhaustive = run_polling(&SetupPolicy::Exhaustive, 0.4, 8);
+        assert!(gated.holding_cost_rate.is_finite() && gated.holding_cost_rate > 0.0);
+        assert!(gated.setups >= exhaustive.setups);
+        assert!(gated.holding_cost_rate >= exhaustive.holding_cost_rate * 0.95);
+    }
+
+    #[test]
+    fn gated_with_zero_setup_stays_close_to_exhaustive() {
+        // With no changeover cost the difference between gated and
+        // exhaustive service is only the order in which recent arrivals are
+        // picked up; the holding-cost rates must be within a few percent.
+        let gated = run_polling(&SetupPolicy::Gated, 0.0, 9);
+        let exhaustive = run_polling(&SetupPolicy::Exhaustive, 0.0, 9);
+        let rel = (gated.holding_cost_rate - exhaustive.holding_cost_rate).abs()
+            / exhaustive.holding_cost_rate;
+        assert!(
+            rel < 0.1,
+            "gated {} vs exhaustive {}",
+            gated.holding_cost_rate,
+            exhaustive.holding_cost_rate
+        );
+    }
+
+    /// One class and a 100-unit setup over a 10-unit horizon: the first
+    /// arrival starts a setup that outlasts the run.
+    fn one_long_setup(warmup: f64) -> SetupSimResult {
+        let classes = vec![JobClass::new(
+            0,
+            1.0,
+            dyn_dist(Exponential::with_mean(0.5)),
+            1.0,
+        )];
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        simulate_setup_policy(
+            &classes,
+            &setups(100.0)[..1],
+            &SetupPolicy::Exhaustive,
+            10.0,
+            warmup,
+            &mut rng,
+        )
+    }
+
+    #[test]
+    fn a_setup_running_past_the_horizon_counts_only_its_overlap() {
+        let res = one_long_setup(0.0);
+        assert_eq!(res.setups, 1);
+        assert!(
+            res.setup_time_fraction > 0.0 && res.setup_time_fraction <= 1.0,
+            "setup fraction {}",
+            res.setup_time_fraction
+        );
+    }
+
+    #[test]
+    fn a_setup_started_in_the_warmup_counts_its_overlap_with_the_window() {
+        // The setup starts before the warm-up ends and covers the whole
+        // measured window (5, 10].
+        let res = one_long_setup(5.0);
+        assert_eq!(res.setups, 0);
+        assert_eq!(res.setup_time_fraction, 1.0);
     }
 
     #[test]

@@ -6,8 +6,24 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use ss_distributions::{dyn_dist, Exponential};
-use ss_queueing::klimov::{klimov_indices, klimov_order, simulate_klimov, KlimovNetwork};
-use ss_queueing::klimov_sim::{exact_mean_workload, klimov_policy_replications};
+use ss_queueing::klimov::{klimov_indices, klimov_order, KlimovNetwork};
+use ss_queueing::klimov_sim::{exact_mean_workload, simulate_klimov_policy, KlimovPolicyResult};
+use ss_queueing::network::simulate_network;
+use ss_sim::replication::run_replications_parallel;
+
+/// Mean of `stat` over four oracle-simulator replications from `seed`.
+fn replicated_mean(
+    net: &KlimovNetwork,
+    order: &[usize],
+    horizon: f64,
+    seed: u64,
+    stat: fn(&KlimovPolicyResult) -> f64,
+) -> f64 {
+    run_replications_parallel(4, seed, |_, rng| {
+        stat(&simulate_klimov_policy(net, order, horizon, 2_000.0, rng))
+    })
+    .mean
+}
 
 /// The hand-worked network: class 0 (β₀ = 2, c₀ = 3) feeds back into
 /// class 1 (β₁ = 1, c₁ = 5) with probability 1/2; class 1 always leaves.
@@ -55,7 +71,7 @@ fn indices_match_the_hand_worked_two_class_example() {
 #[test]
 fn hand_worked_network_traffic_equations() {
     let net = hand_worked_network();
-    let gamma = net.effective_arrival_rates();
+    let gamma = net.as_network().effective_rates();
     assert!((gamma[0] - 0.15).abs() < 1e-12);
     assert!((gamma[1] - (0.1 + 0.5 * 0.15)).abs() < 1e-12);
     let rho = net.total_load();
@@ -87,22 +103,22 @@ fn klimov_order_beats_the_reversed_order_in_simulation() {
     let net = hand_worked_network();
     let best = klimov_order(&net);
     let reversed: Vec<usize> = best.iter().rev().copied().collect();
-    let mean_cost = |order: &[usize]| {
-        let rs = klimov_policy_replications(&net, order, 60_000.0, 2_000.0, 4, 21);
-        rs.iter().map(|r| r.holding_cost_rate).sum::<f64>() / rs.len() as f64
-    };
+    let mean_cost =
+        |order: &[usize]| replicated_mean(&net, order, 60_000.0, 21, |r| r.holding_cost_rate);
     let (good, bad) = (mean_cost(&best), mean_cost(&reversed));
     assert!(
         good <= bad * 1.02,
         "Klimov order cost {good} should not exceed the reversed order's {bad}"
     );
-    // The classic queue-length simulator agrees on the ranking.
-    let mut rng = ChaCha8Rng::seed_from_u64(33);
-    let classic_good = simulate_klimov(&net, &best, 60_000.0, 2_000.0, &mut rng).holding_cost_rate;
-    let mut rng = ChaCha8Rng::seed_from_u64(33);
-    let classic_bad =
-        simulate_klimov(&net, &reversed, 60_000.0, 2_000.0, &mut rng).holding_cost_rate;
-    assert!(classic_good <= classic_bad * 1.02);
+    // The queue-length simulator of the one-station network agrees on the
+    // ranking.
+    let network = net.as_network();
+    let network_cost = |order: &Vec<usize>| {
+        let mut rng = ChaCha8Rng::seed_from_u64(33);
+        let slice = std::slice::from_ref(order);
+        simulate_network(&network, slice, 60_000.0, 2_000.0, 2, &mut rng).holding_cost_rate
+    };
+    assert!(network_cost(&best) <= network_cost(&reversed) * 1.02);
 }
 
 #[test]
@@ -119,8 +135,7 @@ fn simulated_workload_matches_the_conservation_constant() {
         (exact - 1.85 / 1.05).abs() < 1e-12,
         "exact workload {exact}"
     );
-    let rs = klimov_policy_replications(&net, &klimov_order(&net), 80_000.0, 2_000.0, 4, 9);
-    let sim = rs.iter().map(|r| r.mean_workload).sum::<f64>() / rs.len() as f64;
+    let sim = replicated_mean(&net, &klimov_order(&net), 80_000.0, 9, |r| r.mean_workload);
     assert!(
         (sim - exact).abs() / exact < 0.08,
         "simulated workload {sim} vs exact {exact}"

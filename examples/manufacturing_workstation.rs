@@ -22,10 +22,9 @@ use stochastic_scheduling::distributions::{
 };
 use stochastic_scheduling::queueing::cmu::cmu_order;
 use stochastic_scheduling::queueing::cobham::mg1_nonpreemptive_priority;
-use stochastic_scheduling::queueing::klimov::{
-    klimov_indices, klimov_order, simulate_klimov, KlimovNetwork,
-};
+use stochastic_scheduling::queueing::klimov::{klimov_indices, klimov_order, KlimovNetwork};
 use stochastic_scheduling::queueing::mg1::{simulate_mg1, Discipline, Mg1Config};
+use stochastic_scheduling::queueing::network::simulate_network;
 
 fn seeded(seed: u64) -> ChaCha8Rng {
     use rand::SeedableRng;
@@ -119,12 +118,18 @@ fn main() {
     );
     let order = klimov_order(&network);
     println!("Klimov priority order: {order:?}");
-    let res = simulate_klimov(&network, &order, 400_000.0, 10_000.0, &mut seeded(3));
+    // A Klimov network is a one-station queueing network; simulate each
+    // order on it, with the trajectory (unused here) at its two-point minimum.
+    let station = network.as_network();
+    let sim = |order: Vec<usize>| {
+        simulate_network(&station, &[order], 400_000.0, 10_000.0, 2, &mut seeded(3))
+    };
+    let res = sim(order);
     println!(
         "holding-cost rate under the Klimov policy : {:.4}",
         res.holding_cost_rate
     );
-    let naive = simulate_klimov(&network, &[0, 1, 2, 3], 400_000.0, 10_000.0, &mut seeded(3));
+    let naive = sim(vec![0, 1, 2, 3]);
     println!(
         "holding-cost rate under a naive order     : {:.4}",
         naive.holding_cost_rate
