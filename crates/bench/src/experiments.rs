@@ -830,7 +830,7 @@ fn e12_klimov() -> String {
     for (i, order) in orders.iter().enumerate() {
         let mut rng = workloads::rng_for(1200 + i as u64);
         let priority = std::slice::from_ref(order);
-        let res = simulate_network(&network, priority, 300_000.0, 10_000.0, 2, &mut rng);
+        let res = simulate_network(&network, priority, 300_000.0, 10_000.0, None, &mut rng);
         let label = if *order == klimov {
             format!("{order:?} (Klimov order)")
         } else {

@@ -56,14 +56,30 @@ impl ServiceDistribution for Erlang {
     }
 
     fn sample(&self, rng: &mut dyn RngCore) -> f64 {
-        // Sum of k exponentials via product of uniforms (numerically safe
-        // for the small k used in scheduling instances).
+        // Sum of k exponentials as minus the log of a product of k
+        // uniforms. Each factor is at least 2^-53, so a product of more
+        // than 16 could underflow to 0 (and the draw to +inf): whenever it
+        // falls below 2^-900 it is scaled up by 2^900, exactly, and each
+        // scaling adds 900 ln 2 back. A draw that never scales, as no draw
+        // of shape <= 16 can, keeps the plain formula's bits.
+        const TWO_POW_MINUS_900: f64 = f64::from_bits((1023 - 900) << 52);
+        const TWO_POW_900: f64 = f64::from_bits((1023 + 900) << 52);
         let mut prod = 1.0f64;
+        let mut scalings = 0u32;
         for _ in 0..self.shape {
             let u: f64 = rng.gen::<f64>();
             prod *= 1.0 - u;
+            if prod < TWO_POW_MINUS_900 {
+                prod *= TWO_POW_900;
+                scalings += 1;
+            }
         }
-        -prod.ln() / self.rate
+        let e = -prod.ln();
+        if scalings == 0 {
+            e / self.rate
+        } else {
+            (e + f64::from(scalings) * 900.0 * std::f64::consts::LN_2) / self.rate
+        }
     }
 
     fn cdf(&self, x: f64) -> f64 {
@@ -142,6 +158,34 @@ mod tests {
         let (m, v) = sample_stats(&xs);
         assert!((m - 2.0).abs() < 0.02, "mean {m}");
         assert!((v - 0.8).abs() < 0.03, "var {v}");
+    }
+
+    /// A product of 1,000 uniforms underflows to 0: before the rescaling,
+    /// every draw of shape 1,000 was `+inf`.
+    #[test]
+    fn large_shapes_draw_finite_samples_with_the_right_mean() {
+        let d = Erlang::new(1000, 1000.0);
+        let mut rng = ChaCha8Rng::seed_from_u64(1000);
+        let xs: Vec<f64> = (0..10_000).map(|_| d.sample(&mut rng)).collect();
+        assert!(xs.iter().all(|x| x.is_finite()));
+        let (m, _) = sample_stats(&xs);
+        assert!((m - 1.0).abs() < 0.01, "mean {m}");
+    }
+
+    /// Small shapes never rescale, so their draws keep the bits of the
+    /// plain product formula.
+    #[test]
+    fn small_shapes_keep_the_plain_formula_bits() {
+        let d = Erlang::new(4, 2.5);
+        for seed in [3, 4, 5] {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut twin = ChaCha8Rng::seed_from_u64(seed);
+            for _ in 0..10_000 {
+                let prod = (0..4).fold(1.0f64, |p, _| p * (1.0 - twin.gen::<f64>()));
+                let want = -prod.ln() / 2.5;
+                assert_eq!(d.sample(&mut rng).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -74,6 +74,10 @@ impl ServiceDistribution for Exponential {
         self.rate
     }
 
+    fn exponential_rate(&self) -> Option<f64> {
+        Some(self.rate)
+    }
+
     fn mean_residual(&self, _a: f64) -> f64 {
         // Memorylessness: the residual life is again Exp(rate).
         1.0 / self.rate

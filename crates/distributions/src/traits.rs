@@ -156,6 +156,19 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
         acc / sa
     }
 
+    /// The stored rate when this is an exponential law, sampled as
+    /// `-(1.0 - u).ln() / rate` from one uniform `u`; `None` for every
+    /// other law, including those that happen to equal an exponential
+    /// (an Erlang-1, a one-branch hyperexponential).
+    ///
+    /// A simulator that draws unit exponentials ahead (see
+    /// `ss_sim::rng::ExpStream`) divides them by this rate and gets the
+    /// bits of [`ServiceDistribution::sample`]. `1 / mean()` would not do:
+    /// its bits can differ from the stored rate's.
+    fn exponential_rate(&self) -> Option<f64> {
+        None
+    }
+
     /// An upper bound on the support (`f64::INFINITY` when unbounded).
     fn support_upper(&self) -> f64 {
         f64::INFINITY
@@ -200,6 +213,46 @@ mod tests {
                 let p = d.completion_rate(a, delta);
                 assert!((0.0..=1.0).contains(&p));
             }
+        }
+    }
+
+    /// The exponential reports its stored rate, which `1 / mean()` does not
+    /// always reproduce; every other law reports `None`, even one equal in
+    /// law to an exponential.
+    #[test]
+    fn only_the_exponential_reports_a_rate() {
+        use crate::{
+            Deterministic, DiscreteDist, Empirical, Erlang, HyperExponential, LogNormal, Mixture,
+            TwoPoint, Uniform, Weibull,
+        };
+        let d = Exponential::new(0.9);
+        assert_eq!(
+            d.exponential_rate().map(f64::to_bits),
+            Some(0.9f64.to_bits())
+        );
+        assert_ne!((1.0 / d.mean()).to_bits(), 0.9f64.to_bits());
+        let d = Exponential::with_mean(3.0);
+        assert_eq!(
+            d.exponential_rate().map(f64::to_bits),
+            Some(d.rate().to_bits())
+        );
+        let others: Vec<crate::DynDist> = vec![
+            crate::dyn_dist(Erlang::new(1, 0.9)),
+            crate::dyn_dist(HyperExponential::new(vec![1.0], vec![0.9])),
+            crate::dyn_dist(Mixture::new(
+                vec![1.0],
+                vec![crate::dyn_dist(Exponential::new(0.9))],
+            )),
+            crate::dyn_dist(Deterministic::new(1.0)),
+            crate::dyn_dist(DiscreteDist::new(vec![1.0, 2.0], vec![0.5, 0.5])),
+            crate::dyn_dist(Empirical::new(vec![1.0, 2.0, 3.0])),
+            crate::dyn_dist(LogNormal::new(0.0, 1.0)),
+            crate::dyn_dist(TwoPoint::new(0.5, 1.0, 2.0)),
+            crate::dyn_dist(Uniform::new(0.0, 2.0)),
+            crate::dyn_dist(Weibull::new(2.0, 1.0)),
+        ];
+        for d in &others {
+            assert_eq!(d.exponential_rate(), None, "{}", d.describe());
         }
     }
 

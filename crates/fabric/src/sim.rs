@@ -8,16 +8,24 @@
 //! own substream family so the sampled processes are independent and the
 //! schedule of draws is a pure function of the seed:
 //!
-//! | family | keyed by | drives |
-//! |---|---|---|
-//! | `ARRIVAL_FAMILY` | class | interarrival times |
-//! | `PHASE_FAMILY` | class | MMPP phase sojourns |
-//! | `SERVICE_FAMILY` | `tier · 2^16 + server` | service times |
-//! | `LB_FAMILY` | tier | weighted load-balancer draws |
-//! | `FAIL_FAMILY` | `tier · 2^16 + server` | failure/repair cycles |
-//! | `RETRY_FAMILY` | class | backoff jitter |
-//! | `SLOWDOWN_FAMILY` | tier | slowdown-epoch onsets/durations |
-//! | `PROBE_FAMILY` | tier | circuit-breaker open-period jitter |
+//! | family | keyed by | drives | drawn ahead |
+//! |---|---|---|---|
+//! | `ARRIVAL_FAMILY` | class | interarrival times | yes |
+//! | `PHASE_FAMILY` | class | MMPP phase sojourns | yes |
+//! | `SERVICE_FAMILY` | `tier · 2^16 + server` | service times | when every class of the tier is exponential |
+//! | `LB_FAMILY` | tier | weighted load-balancer draws | no |
+//! | `FAIL_FAMILY` | `tier · 2^16 + server` | failure/repair cycles | yes |
+//! | `RETRY_FAMILY` | class | backoff jitter | no |
+//! | `SLOWDOWN_FAMILY` | tier | slowdown-epoch onsets/durations | yes |
+//! | `PROBE_FAMILY` | tier | circuit-breaker open-period jitter | no |
+//!
+//! A stream drawn ahead serves nothing but exponential draws, one uniform
+//! each, in order, so it is an [`ExpStream`]: it takes its unit
+//! exponentials 32 at a time, and `draw() / rate` has the bits of the
+//! one-at-a-time `-(1.0 - u).ln() / rate`. The streams marked "no" draw
+//! plain uniforms. A service stream draws ahead only when every class of
+//! its tier reports `exponential_rate()`; otherwise (as in
+//! `gittins-mixed-scv`) each service time goes through its law's `sample`.
 //!
 //! A key `a · 2^16 + b` is unique only while `b < 2^16`, so
 //! `FabricConfig::validate` caps a tier at 2^16 servers, and
@@ -42,8 +50,9 @@ use std::sync::Arc;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ss_core::discipline::Discipline;
+use ss_distributions::DynDist;
 use ss_sim::events::EventQueue;
-use ss_sim::rng::RngStreams;
+use ss_sim::rng::{ExpStream, RngStreams};
 use ss_sim::stats::QuantileSketch;
 
 use crate::config::{ArrivalProcess, FabricConfig, LbPolicy};
@@ -84,7 +93,9 @@ pub fn replication_seed(streams: &RngStreams, scenario_id: u64, rep: u64) -> u64
         .gen::<u64>()
 }
 
-fn sample_exp(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
+/// An exponential with the given rate: bit for bit
+/// `-(1.0 - u).ln() / rate` for the stream's next uniform `u`.
+fn sample_exp(draws: &mut ExpStream, rate: f64) -> f64 {
     // Release-mode check (ss-lint L003): a zero/negative/NaN rate would
     // silently produce inf/NaN event times in release and corrupt the
     // calendar far from the cause.
@@ -92,14 +103,50 @@ fn sample_exp(rng: &mut ChaCha8Rng, rate: f64) -> f64 {
         rate > 0.0,
         "sample_exp requires a positive rate, got {rate}"
     );
-    -(1.0 - rng.gen::<f64>()).ln() / rate
+    draws.draw() / rate
+}
+
+/// A server's service-time stream.
+// One per server for the whole run, and the large variant is the one
+// every draw of an exponential tier reads: boxing it would add a pointer
+// chase to each service time to save a few hundred bytes per server.
+#[allow(clippy::large_enum_variant)]
+enum ServiceStream {
+    /// Every class of the tier reports an exponential rate: unit
+    /// exponentials drawn ahead, each divided by its class's rate, which
+    /// gives the bits `Exponential::sample` would.
+    Exponential { draws: ExpStream, rates: Vec<f64> },
+    /// Some class has another law: each draw goes through its `sample`.
+    General(ChaCha8Rng),
+}
+
+impl ServiceStream {
+    /// The stream of a server whose tier serves class `j` with law
+    /// `service[j]`.
+    fn new(rng: ChaCha8Rng, service: &[DynDist]) -> Self {
+        match service.iter().map(|law| law.exponential_rate()).collect() {
+            Some(rates) => Self::Exponential {
+                draws: ExpStream::new(rng),
+                rates,
+            },
+            None => Self::General(rng),
+        }
+    }
+
+    /// The service time of the next request of `class`.
+    fn sample(&mut self, service: &[DynDist], class: usize) -> f64 {
+        match self {
+            Self::Exponential { draws, rates } => draws.draw() / rates[class],
+            Self::General(rng) => service[class].sample(rng),
+        }
+    }
 }
 
 struct ClassState {
     arrival_epoch: u64,
     phase: usize,
-    rng_arrival: ChaCha8Rng,
-    rng_phase: ChaCha8Rng,
+    rng_arrival: ExpStream,
+    rng_phase: ExpStream,
     rng_retry: ChaCha8Rng,
 }
 
@@ -116,8 +163,8 @@ struct Server {
     service_start: f64,
     /// Post-warmup busy time.
     busy: f64,
-    rng_service: ChaCha8Rng,
-    rng_fail: ChaCha8Rng,
+    rng_service: ServiceStream,
+    rng_fail: ExpStream,
 }
 
 impl Server {
@@ -142,7 +189,7 @@ struct Tier {
     /// A tier-wide slowdown epoch is in force.
     degraded: bool,
     slowdown_epochs: u64,
-    rng_slowdown: Option<ChaCha8Rng>,
+    rng_slowdown: Option<ExpStream>,
 }
 
 /// Discipline selection over a bank of per-class queues: highest index
@@ -243,8 +290,8 @@ impl<'a> FabricSim<'a> {
             .map(|j| ClassState {
                 arrival_epoch: 0,
                 phase: 0,
-                rng_arrival: streams.substream(ARRIVAL_FAMILY, j as u64),
-                rng_phase: streams.substream(PHASE_FAMILY, j as u64),
+                rng_arrival: ExpStream::new(streams.substream(ARRIVAL_FAMILY, j as u64)),
+                rng_phase: ExpStream::new(streams.substream(PHASE_FAMILY, j as u64)),
                 rng_retry: streams.substream(RETRY_FAMILY, j as u64),
             })
             .collect();
@@ -262,9 +309,13 @@ impl<'a> FabricSim<'a> {
                         in_service: None,
                         service_start: 0.0,
                         busy: 0.0,
-                        rng_service: streams
-                            .substream(SERVICE_FAMILY, (t as u64) * 0x1_0000 + s as u64),
-                        rng_fail: streams.substream(FAIL_FAMILY, (t as u64) * 0x1_0000 + s as u64),
+                        rng_service: ServiceStream::new(
+                            streams.substream(SERVICE_FAMILY, (t as u64) * 0x1_0000 + s as u64),
+                            &tier.service,
+                        ),
+                        rng_fail: ExpStream::new(
+                            streams.substream(FAIL_FAMILY, (t as u64) * 0x1_0000 + s as u64),
+                        ),
                     })
                     .collect(),
                 discipline: Arc::clone(&disciplines[t]),
@@ -282,7 +333,7 @@ impl<'a> FabricSim<'a> {
                 slowdown_epochs: 0,
                 rng_slowdown: tier
                     .slowdown
-                    .map(|_| streams.substream(SLOWDOWN_FAMILY, t as u64)),
+                    .map(|_| ExpStream::new(streams.substream(SLOWDOWN_FAMILY, t as u64))),
             })
             .collect();
         let rows = (0..=cfg.spans())
@@ -527,7 +578,7 @@ impl<'a> FabricSim<'a> {
             }
             let degraded = t.degraded;
             let s = &mut t.servers[server];
-            let mut service = self.cfg.tiers[tier].service[class].sample(&mut s.rng_service);
+            let mut service = s.rng_service.sample(&self.cfg.tiers[tier].service, class);
             if degraded {
                 let m = self.cfg.tiers[tier]
                     .slowdown
@@ -966,8 +1017,35 @@ mod tests {
     #[test]
     #[should_panic(expected = "positive rate")]
     fn sample_exp_rejects_nonpositive_rate() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        sample_exp(&mut rng, 0.0);
+        let mut draws = ExpStream::new(ChaCha8Rng::seed_from_u64(7));
+        sample_exp(&mut draws, 0.0);
+    }
+
+    /// A server draws service times ahead only when every class of its
+    /// tier is exponential: in the suite, `mm3-fifo-baseline` and both
+    /// tiers of `two-tier-rtt` do, and `gittins-mixed-scv`, whose classes
+    /// are hyperexponential and Erlang, does not. A mixed-law tier added
+    /// later cannot be batched by accident.
+    #[test]
+    fn only_all_exponential_tiers_draw_service_times_ahead() {
+        let configs = crate::scenarios::scenario_list(&crate::scenarios::Budget::check());
+        let draws_ahead = |name: &str| -> Vec<bool> {
+            let cfg = configs.iter().find(|c| c.name == name).expect(name);
+            let sim = FabricSim::new(cfg, &cfg.build_disciplines(), &RngStreams::new(1));
+            sim.tiers
+                .iter()
+                .map(|t| {
+                    let ahead: Vec<bool> = (t.servers.iter())
+                        .map(|s| matches!(s.rng_service, ServiceStream::Exponential { .. }))
+                        .collect();
+                    assert!(ahead.windows(2).all(|w| w[0] == w[1]), "{name}");
+                    ahead[0]
+                })
+                .collect()
+        };
+        assert_eq!(draws_ahead("mm3-fifo-baseline"), [true]);
+        assert_eq!(draws_ahead("two-tier-rtt"), [true, true]);
+        assert_eq!(draws_ahead("gittins-mixed-scv"), [false]);
     }
 
     /// Rep 2^16 of scenario 0 would share its key, and so its seed, with

@@ -325,7 +325,7 @@ mod tests {
         // (0, since rho < 1 the fluid drains) with the scaled queue, which
         // stays O(1/N) after scaling.
         let mut rng = ChaCha8Rng::seed_from_u64(9);
-        let res = simulate_network(&net, &[vec![0]], 5_000.0, 100.0, 20, &mut rng);
+        let res = simulate_network(&net, &[vec![0]], 5_000.0, 100.0, Some(20), &mut rng);
         let scaled = res.mean_number[0] / big_n as f64;
         let fluid = FluidNetwork::from_network(&net);
         let traj = integrate_priority_fluid(&fluid, &[vec![0]], &[0.0], 50.0, 0.01, 5);

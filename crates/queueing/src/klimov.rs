@@ -263,7 +263,7 @@ mod tests {
                 std::slice::from_ref(order),
                 150_000.0,
                 5_000.0,
-                2,
+                None,
                 &mut rng,
             );
             costs.push(res.holding_cost_rate);
@@ -304,7 +304,7 @@ mod tests {
             std::slice::from_ref(&order),
             120_000.0,
             4_000.0,
-            2,
+            None,
             &mut rng,
         );
         for i in 0..3 {

@@ -107,9 +107,10 @@ pub struct NetworkSimResult {
     /// Time-average holding-cost rate.
     pub holding_cost_rate: f64,
     /// Sampled trajectory of the *total* number in system
-    /// (`trajectory[i]` is the total at time `sample_times[i]`).
+    /// (`trajectory[i]` is the total at time `sample_times[i]`); empty
+    /// when the run was asked for none.
     pub trajectory: Vec<f64>,
-    /// Sampling instants of the trajectory.
+    /// Sampling instants of the trajectory; empty when it has none.
     pub sample_times: Vec<f64>,
     /// Total number in system at the end of the run.
     pub final_total: usize,
@@ -120,19 +121,29 @@ pub struct NetworkSimResult {
 /// `station_priority[s]` lists the classes of station `s` from highest to
 /// lowest priority (classes of other stations are ignored); classes absent
 /// from the list get lowest priority in index order.
+///
+/// `num_samples = Some(n)` records the total number in system at `n ≥ 2`
+/// evenly spaced instants from 0 to `horizon`; `None` records no
+/// trajectory. Recording draws no randomness, so it changes no other field.
 pub fn simulate_network(
     network: &MultiClassNetwork,
     station_priority: &[Vec<usize>],
     horizon: f64,
     warmup: f64,
-    num_samples: usize,
+    num_samples: Option<usize>,
     rng: &mut dyn RngCore,
 ) -> NetworkSimResult {
     use rand::Rng;
     let n = network.classes.len();
     let s_count = network.num_stations;
     assert_eq!(station_priority.len(), s_count);
-    assert!(horizon > warmup && num_samples >= 2);
+    assert!(horizon > warmup);
+    assert!(
+        num_samples.is_none_or(|k| k >= 2),
+        "a trajectory needs at least 2 samples"
+    );
+    // Without a trajectory both sampling loops below stop at once.
+    let num_samples = num_samples.unwrap_or(0);
 
     // Per-class priority rank within its station.
     let mut rank = vec![usize::MAX; n];
@@ -170,7 +181,7 @@ pub fn simulate_network(
     let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
     let mut warmup_done = false;
 
-    let sample_dt = horizon / (num_samples - 1) as f64;
+    let sample_dt = horizon / num_samples.saturating_sub(1).max(1) as f64;
     let mut next_sample = 0.0;
     let mut sample_times = Vec::with_capacity(num_samples);
     let mut trajectory = Vec::with_capacity(num_samples);
@@ -317,7 +328,14 @@ mod tests {
         // L0 = 0.5/0.5 = 1, L1 = 0.6/0.4 = 1.5.
         let net = tandem();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let res = simulate_network(&net, &[vec![0], vec![1]], 120_000.0, 4_000.0, 50, &mut rng);
+        let res = simulate_network(
+            &net,
+            &[vec![0], vec![1]],
+            120_000.0,
+            4_000.0,
+            Some(50),
+            &mut rng,
+        );
         assert!(
             (res.mean_number[0] - 1.0).abs() < 0.12,
             "L0 = {}",
@@ -334,10 +352,31 @@ mod tests {
     fn trajectory_is_sampled_on_schedule() {
         let net = tandem();
         let mut rng = ChaCha8Rng::seed_from_u64(4);
-        let res = simulate_network(&net, &[vec![0], vec![1]], 1_000.0, 0.0, 11, &mut rng);
+        let res = simulate_network(&net, &[vec![0], vec![1]], 1_000.0, 0.0, Some(11), &mut rng);
         assert_eq!(res.sample_times.len(), 11);
         assert_eq!(res.trajectory.len(), 11);
         assert!((res.sample_times[10] - 1000.0).abs() < 101.0);
+    }
+
+    /// `None` records no trajectory and leaves every other field's bits
+    /// as a run that records one.
+    #[test]
+    fn a_run_without_a_trajectory_records_none_and_changes_nothing_else() {
+        let net = tandem();
+        let run = |samples| {
+            let mut rng = ChaCha8Rng::seed_from_u64(4);
+            simulate_network(&net, &[vec![0], vec![1]], 1_000.0, 100.0, samples, &mut rng)
+        };
+        let (with, without) = (run(Some(11)), run(None));
+        assert!(without.trajectory.is_empty() && without.sample_times.is_empty());
+        assert_eq!(with.final_total, without.final_total);
+        assert_eq!(
+            with.holding_cost_rate.to_bits(),
+            without.holding_cost_rate.to_bits()
+        );
+        for (a, b) in with.mean_number.iter().zip(&without.mean_number) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
     }
 
     #[test]
@@ -346,6 +385,6 @@ mod tests {
         let net = tandem();
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         // Class 1 does not live at station 0.
-        let _ = simulate_network(&net, &[vec![1], vec![0]], 100.0, 0.0, 5, &mut rng);
+        let _ = simulate_network(&net, &[vec![1], vec![0]], 100.0, 0.0, Some(5), &mut rng);
     }
 }

@@ -124,7 +124,7 @@ pub fn run_lu_kumar(
     rng: &mut dyn RngCore,
 ) -> StabilityRun {
     let network = params.build();
-    let result = simulate_network(&network, priority, horizon, 0.0, 200, rng);
+    let result = simulate_network(&network, priority, horizon, 0.0, Some(200), rng);
     let growth = growth_rate(&result.sample_times, &result.trajectory);
     StabilityRun {
         label: label.to_string(),

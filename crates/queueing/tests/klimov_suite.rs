@@ -116,7 +116,7 @@ fn klimov_order_beats_the_reversed_order_in_simulation() {
     let network_cost = |order: &Vec<usize>| {
         let mut rng = ChaCha8Rng::seed_from_u64(33);
         let slice = std::slice::from_ref(order);
-        simulate_network(&network, slice, 60_000.0, 2_000.0, 2, &mut rng).holding_cost_rate
+        simulate_network(&network, slice, 60_000.0, 2_000.0, None, &mut rng).holding_cost_rate
     };
     assert!(network_cost(&best) <= network_cost(&reversed) * 1.02);
 }

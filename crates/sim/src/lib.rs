@@ -9,7 +9,9 @@
 //!   events are processed in insertion order and runs are exactly
 //!   reproducible);
 //! * [`rng`] — reproducible per-replication random-number streams derived
-//!   from a single master seed (ChaCha8, stream-split by replication index);
+//!   from a single master seed (ChaCha8, stream-split by replication index),
+//!   and [`rng::ExpStream`], which draws a stream's exponentials 32 at a
+//!   time with the bits of drawing them one by one;
 //! * [`stats`] — Welford online moments, confidence intervals,
 //!   time-weighted averages for queue-length processes, and the
 //!   deterministic quantile sketch;
@@ -24,6 +26,7 @@
 //! on these primitives; each runs its own event loop.
 
 pub mod events;
+mod neg_ln;
 pub mod pool;
 pub mod replication;
 pub mod rng;

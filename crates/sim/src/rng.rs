@@ -8,9 +8,16 @@
 //!   EXPERIMENTS.md;
 //! * parallel replication runners can hand independent streams to worker
 //!   threads without any shared mutable state.
+//!
+//! A stream that serves nothing but exponential draws can be wrapped in an
+//! [`ExpStream`], which draws its unit exponentials 32 at a time with the
+//! bits of drawing them one at a time.
 
+use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+use crate::neg_ln::{neg_ln_batch, BATCH};
 
 /// SplitMix64 step, used to decorrelate (seed, stream) pairs.
 fn splitmix64(mut z: u64) -> u64 {
@@ -56,10 +63,63 @@ impl RngStreams {
     }
 }
 
+/// A stream of unit exponentials `-(1.0 - u).ln()`, one per uniform `u`
+/// of the generator it owns, in order, drawn 32 at a time.
+///
+/// Each draw has the bits of `-(1.0 - rng.gen::<f64>()).ln()` on that
+/// generator, so `draw() / rate` has the bits of the inverse-transform
+/// draw `-(1.0 - u).ln() / rate` of `ss_distributions::Exponential`: both
+/// divide the same operands, and the negation is exact. Drawing ahead
+/// changes only how many uniforms the generator has yielded when a run
+/// ends, and nothing else reads the generator. A batch of 32 uniforms is
+/// 64 words, one ChaCha8 refill.
+///
+/// A refill takes the 32 logarithms together: on x86-64 Linux with GNU
+/// libc, when the CPU has AVX2 and FMA, through a port of glibc's `log`
+/// that returns its bits four lanes at a time, and elsewhere through
+/// `f64::ln`.
+#[derive(Debug, Clone)]
+pub struct ExpStream {
+    rng: ChaCha8Rng,
+    buf: [f64; BATCH],
+    /// Next unread draw in `buf`; `BATCH` means "refill needed".
+    next: usize,
+}
+
+impl ExpStream {
+    /// A stream drawing from `rng`.
+    pub fn new(rng: ChaCha8Rng) -> Self {
+        Self {
+            rng,
+            buf: [0.0; BATCH],
+            next: BATCH,
+        }
+    }
+
+    /// The next unit exponential (mean 1).
+    #[inline]
+    pub fn draw(&mut self) -> f64 {
+        if self.next == BATCH {
+            self.refill();
+        }
+        let e = self.buf[self.next];
+        self.next += 1;
+        e
+    }
+
+    #[inline(never)]
+    fn refill(&mut self) {
+        for x in &mut self.buf {
+            *x = 1.0 - self.rng.gen::<f64>();
+        }
+        neg_ln_batch(&mut self.buf);
+        self.next = 0;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn streams_are_reproducible() {
@@ -104,5 +164,20 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.gen::<f64>()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
+    }
+
+    /// An `ExpStream` yields `-(1.0 - u).ln()` for the uniforms `u` of a
+    /// twin generator, bit for bit, across thousands of refills.
+    #[test]
+    fn exp_stream_matches_the_scalar_draw_bit_for_bit() {
+        for seed in [0, 1, 0xFAB0_5EED, u64::MAX] {
+            let mut twin = ChaCha8Rng::seed_from_u64(seed);
+            let mut stream = ExpStream::new(ChaCha8Rng::seed_from_u64(seed));
+            for i in 0..100_000 {
+                let want = -(1.0 - twin.gen::<f64>()).ln();
+                let got = stream.draw();
+                assert_eq!(got.to_bits(), want.to_bits(), "seed {seed}, draw {i}");
+            }
+        }
     }
 }

@@ -119,10 +119,17 @@ fn main() {
     let order = klimov_order(&network);
     println!("Klimov priority order: {order:?}");
     // A Klimov network is a one-station queueing network; simulate each
-    // order on it, with the trajectory (unused here) at its two-point minimum.
+    // order on it, recording no trajectory.
     let station = network.as_network();
     let sim = |order: Vec<usize>| {
-        simulate_network(&station, &[order], 400_000.0, 10_000.0, 2, &mut seeded(3))
+        simulate_network(
+            &station,
+            &[order],
+            400_000.0,
+            10_000.0,
+            None,
+            &mut seeded(3),
+        )
     };
     let res = sim(order);
     println!(
