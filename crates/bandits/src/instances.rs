@@ -29,7 +29,8 @@ pub fn random_project<R: Rng + ?Sized>(k: usize, rng: &mut R) -> BanditProject {
 /// one level deeper with probability `wear_prob` (the last level is
 /// absorbing).  Deteriorating rewards make the Gittins index monotone,
 /// which several tests exploit.
-pub fn deteriorating_project(k: usize, wear_prob: f64) -> BanditProject {
+#[cfg(test)]
+pub(crate) fn deteriorating_project(k: usize, wear_prob: f64) -> BanditProject {
     assert!(k >= 2 && (0.0..=1.0).contains(&wear_prob));
     let rewards: Vec<f64> = (0..k).map(|i| 1.0 - i as f64 / (k - 1) as f64).collect();
     let transitions: Vec<Vec<(usize, f64)>> = (0..k)

@@ -10,7 +10,7 @@
 //! |---|---|
 //! | The Gittins index rule is optimal for the discounted multi-armed bandit | [`gittins`] (three independent index algorithms), [`exact`] (joint-state DP verification), [`simulate`] |
 //! | With switching costs the Gittins rule is no longer optimal; a partial characterisation / heuristics exist (Asawa–Teneketzis 1996) | [`switching`] |
-//! | Restless bandits: Whittle's LP relaxation and index heuristic, asymptotic optimality (Whittle 1988, Weber–Weiss 1990), primal-dual index heuristics and performance bounds (Bertsimas–Niño-Mora 2000) | [`restless`], [`restless_exact`] (exact joint-chain oracles) |
+//! | Restless bandits: Whittle's LP relaxation and index heuristic, asymptotic optimality (Whittle 1988, Weber–Weiss 1990), relaxation performance bounds (Bertsimas–Niño-Mora 2000) | [`restless`], [`restless_exact`] (exact joint-chain oracles) |
 //! | Partial conservation laws and marginal productivity indices — the polyhedral computation of the Whittle index (Niño-Mora 2001, 2002) | [`mpi`] |
 //! | Branching bandit processes unifying batch scheduling and Klimov's queue (Weiss 1988) | [`branching`] |
 //!

@@ -51,18 +51,6 @@ impl BanditProject {
         &self.transitions[i]
     }
 
-    /// Dense transition matrix (row-stochastic).
-    pub fn dense_matrix(&self) -> Vec<Vec<f64>> {
-        let k = self.num_states();
-        let mut p = vec![vec![0.0; k]; k];
-        for (i, row) in self.transitions.iter().enumerate() {
-            for &(j, prob) in row {
-                p[i][j] += prob;
-            }
-        }
-        p
-    }
-
     /// Sample the next state when engaged in state `i`.
     pub fn sample_next<R: rand::Rng + ?Sized>(&self, i: usize, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
@@ -96,8 +84,6 @@ mod tests {
         assert_eq!(p.num_states(), 2);
         assert_eq!(p.reward(0), 1.0);
         assert_eq!(p.transitions(1), &[(1, 1.0)]);
-        let dense = p.dense_matrix();
-        assert!((dense[0][1] - 0.6).abs() < 1e-12);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Unlike the classical model, *passive* projects keep changing state, and
 //! `m >= 1` of the `N` projects must be engaged at every epoch; the Gittins
 //! theorem no longer applies and the problem is PSPACE-hard in general.
-//! The survey describes the now-standard toolkit, all of which is
-//! implemented here for the time-average criterion:
+//! The survey describes the now-standard toolkit; this module implements
+//! it for the time-average criterion:
 //!
 //! * **Subsidy problems and indexability** — for a passivity subsidy `λ`,
 //!   each project becomes a two-action average-reward MDP
@@ -27,10 +27,6 @@
 //!   `m/N` fixed: the per-project reward of the Whittle rule approaches the
 //!   relaxation bound, reproducing the asymptotic-optimality shape quoted
 //!   in the survey (experiment E10).
-//! * **LP-occupancy priority indices** ([`lp_priority_indices`]) — a
-//!   primal heuristic extracted from the relaxation in the spirit of the
-//!   primal-dual index of Bertsimas–Niño-Mora (2000): states are ranked by
-//!   the activity share the relaxed solution assigns them.
 
 use rand::Rng;
 use ss_lp::{LinearProgram, Relation};
@@ -476,68 +472,6 @@ pub fn relaxation_bound_identical(project: &RestlessProject, alpha: f64) -> f64 
         .objective
 }
 
-/// Priority indices extracted from the relaxed solution: the activity share
-/// `x_{i,active} / (x_{i,active} + x_{i,passive})` of each state (states the
-/// relaxation never visits get index 0).  A primal heuristic in the spirit
-/// of the Bertsimas–Niño-Mora primal-dual index.
-pub fn lp_priority_indices(project: &RestlessProject, alpha: f64) -> Vec<f64> {
-    let k = project.num_states();
-    let idx = |i: usize, active: bool| -> usize {
-        if active {
-            i
-        } else {
-            k + i
-        }
-    };
-    let mut objective = vec![0.0; 2 * k];
-    for i in 0..k {
-        objective[idx(i, true)] = project.active_reward(i);
-        objective[idx(i, false)] = project.passive_reward(i);
-    }
-    let mut lp = LinearProgram::maximize(objective);
-    let mut norm = vec![0.0; 2 * k];
-    for i in 0..k {
-        norm[idx(i, true)] = 1.0;
-        norm[idx(i, false)] = 1.0;
-    }
-    lp.add_constraint(norm, Relation::Eq, 1.0);
-    for j in 0..k {
-        let mut row = vec![0.0; 2 * k];
-        row[idx(j, true)] += 1.0;
-        row[idx(j, false)] += 1.0;
-        for i in 0..k {
-            for &(next, prob) in project.active_transitions(i) {
-                if next == j {
-                    row[idx(i, true)] -= prob;
-                }
-            }
-            for &(next, prob) in project.passive_transitions(i) {
-                if next == j {
-                    row[idx(i, false)] -= prob;
-                }
-            }
-        }
-        lp.add_constraint(row, Relation::Eq, 0.0);
-    }
-    let mut coupling = vec![0.0; 2 * k];
-    for i in 0..k {
-        coupling[idx(i, true)] = 1.0;
-    }
-    lp.add_constraint(coupling, Relation::Eq, alpha);
-    let sol = lp.solve().expect("LP must be feasible");
-    (0..k)
-        .map(|i| {
-            let a = sol.x[idx(i, true)].max(0.0);
-            let p = sol.x[idx(i, false)].max(0.0);
-            if a + p < 1e-12 {
-                0.0
-            } else {
-                a / (a + p)
-            }
-        })
-        .collect()
-}
-
 /// How the simulator chooses which `m` projects to activate each period.
 #[derive(Debug, Clone)]
 pub enum RestlessPolicy {
@@ -882,26 +816,5 @@ mod tests {
         // The passive set still grows monotonically here ({} -> {1}), so the
         // project is indexable even though state 0 has no finite index.
         assert!(is_indexable(&p, 15));
-    }
-
-    #[test]
-    fn lp_priority_indices_prefer_worn_states() {
-        let p = maint();
-        let idx = lp_priority_indices(&p, 0.3);
-        assert_eq!(idx.len(), 5);
-        // The relaxed solution repairs (activates) machines only after they
-        // have worn, never fresh ones, so some worn level gets a strictly
-        // larger activity share than level 0.  (Deeply worn levels may be
-        // unreachable under the relaxed solution and then carry index 0 —
-        // the known blind spot of purely primal occupancy indices.)
-        assert!(
-            idx[0] < 0.5,
-            "fresh machines should rarely be repaired: {idx:?}"
-        );
-        let max_worn = idx[1..].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(
-            max_worn > idx[0],
-            "worn machines should be repaired more often: {idx:?}"
-        );
     }
 }

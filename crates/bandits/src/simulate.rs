@@ -1,21 +1,13 @@
-//! Monte-Carlo roll-outs of multi-armed bandit policies.
+//! Monte-Carlo roll-outs of the Gittins index rule.
 //!
 //! The exact joint-state DP in [`crate::exact`] only scales to a handful of
-//! projects; the simulator here evaluates index policies on larger bandits
-//! (and provides an independent check of the exact values on small ones).
+//! projects; the roll-out here evaluates the Gittins rule by simulation,
+//! an independent check of the exact values on small bandits (the
+//! `gittins-vs-dp` oracle pair of `ss-verify`).
 
 use crate::exact::MultiArmedBandit;
 use crate::gittins::gittins_indices_vwb;
 use rand::Rng;
-
-/// A stationary bandit policy: given the per-project states, choose which
-/// project to engage.
-pub trait BanditPolicy {
-    /// Name used in comparison tables.
-    fn name(&self) -> &str;
-    /// Choose a project given the current per-project states.
-    fn choose(&self, states: &[usize]) -> usize;
-}
 
 /// The Gittins index rule (indices precomputed per project).
 pub struct GittinsRule {
@@ -32,13 +24,10 @@ impl GittinsRule {
             .collect();
         Self { indices }
     }
-}
 
-impl BanditPolicy for GittinsRule {
-    fn name(&self) -> &str {
-        "Gittins"
-    }
-    fn choose(&self, states: &[usize]) -> usize {
+    /// Engage the project whose current state has the largest index
+    /// (ties to the lowest project number).
+    pub fn choose(&self, states: &[usize]) -> usize {
         let mut best = 0usize;
         let mut best_val = f64::NEG_INFINITY;
         for (a, &s) in states.iter().enumerate() {
@@ -52,71 +41,12 @@ impl BanditPolicy for GittinsRule {
     }
 }
 
-/// The myopic rule: engage the project with the largest immediate reward.
-pub struct MyopicRule {
-    rewards: Vec<Vec<f64>>,
-}
-
-impl MyopicRule {
-    /// Capture the reward tables of `mab`.
-    pub fn new(mab: &MultiArmedBandit) -> Self {
-        Self {
-            rewards: mab.projects.iter().map(|p| p.rewards().to_vec()).collect(),
-        }
-    }
-}
-
-impl BanditPolicy for MyopicRule {
-    fn name(&self) -> &str {
-        "myopic"
-    }
-    fn choose(&self, states: &[usize]) -> usize {
-        let mut best = 0usize;
-        let mut best_val = f64::NEG_INFINITY;
-        for (a, &s) in states.iter().enumerate() {
-            let v = self.rewards[a][s];
-            if v > best_val {
-                best_val = v;
-                best = a;
-            }
-        }
-        best
-    }
-}
-
-/// Round-robin: engage projects cyclically regardless of state (a
-/// deliberately state-blind baseline).
-pub struct RoundRobinRule {
-    counter: std::cell::Cell<usize>,
-    num_projects: usize,
-}
-
-impl RoundRobinRule {
-    /// Create for `num_projects` projects.
-    pub fn new(num_projects: usize) -> Self {
-        Self {
-            counter: std::cell::Cell::new(0),
-            num_projects,
-        }
-    }
-}
-
-impl BanditPolicy for RoundRobinRule {
-    fn name(&self) -> &str {
-        "round-robin"
-    }
-    fn choose(&self, _states: &[usize]) -> usize {
-        let c = self.counter.get();
-        self.counter.set(c + 1);
-        c % self.num_projects
-    }
-}
-
-/// Simulate one discounted roll-out of `policy` from `initial_states`,
-/// truncating the horizon once `discount^t` falls below `1e-12`.
+/// Simulate one discounted roll-out of the Gittins rule from
+/// `initial_states`, truncating the horizon once `discount^t` falls below
+/// `1e-12`.
 pub fn rollout_discounted<R: Rng + ?Sized>(
     mab: &MultiArmedBandit,
-    policy: &dyn BanditPolicy,
+    policy: &GittinsRule,
     initial_states: &[usize],
     rng: &mut R,
 ) -> f64 {
@@ -135,26 +65,10 @@ pub fn rollout_discounted<R: Rng + ?Sized>(
     total
 }
 
-/// Average `replications` roll-outs.
-pub fn estimate_policy_value<R: Rng + ?Sized>(
-    mab: &MultiArmedBandit,
-    policy: &dyn BanditPolicy,
-    initial_states: &[usize],
-    replications: usize,
-    rng: &mut R,
-) -> f64 {
-    assert!(replications > 0);
-    (0..replications)
-        .map(|_| rollout_discounted(mab, policy, initial_states, rng))
-        .sum::<f64>()
-        / replications as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::instances::random_project;
-    use crate::project::BanditProject;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -168,35 +82,14 @@ mod tests {
         let init = vec![0usize, 0];
         let exact = mab.gittins_policy_value(&init);
         let policy = GittinsRule::new(&mab);
-        let est = estimate_policy_value(&mab, &policy, &init, 4000, &mut rng);
+        let reps = 4000;
+        let est = (0..reps)
+            .map(|_| rollout_discounted(&mab, &policy, &init, &mut rng))
+            .sum::<f64>()
+            / reps as f64;
         assert!(
             (est - exact).abs() / exact.abs().max(1e-9) < 0.05,
             "simulated {est} vs exact {exact}"
         );
-    }
-
-    #[test]
-    fn gittins_dominates_baselines_in_simulation() {
-        // Two-project instance where exploration matters.
-        let a = BanditProject::new(vec![0.4], vec![vec![(0, 1.0)]]);
-        let b = BanditProject::new(vec![0.0, 1.0], vec![vec![(1, 1.0)], vec![(1, 1.0)]]);
-        let mab = MultiArmedBandit::new(vec![a, b], 0.9);
-        let init = vec![0usize, 0];
-        let mut rng = ChaCha8Rng::seed_from_u64(10);
-        let gittins = estimate_policy_value(&mab, &GittinsRule::new(&mab), &init, 2000, &mut rng);
-        let myopic = estimate_policy_value(&mab, &MyopicRule::new(&mab), &init, 2000, &mut rng);
-        let rr = estimate_policy_value(&mab, &RoundRobinRule::new(2), &init, 2000, &mut rng);
-        assert!(gittins > myopic, "Gittins {gittins} vs myopic {myopic}");
-        assert!(gittins > rr, "Gittins {gittins} vs round robin {rr}");
-    }
-
-    #[test]
-    fn round_robin_cycles() {
-        let rr = RoundRobinRule::new(3);
-        let states = vec![0usize, 0, 0];
-        assert_eq!(rr.choose(&states), 0);
-        assert_eq!(rr.choose(&states), 1);
-        assert_eq!(rr.choose(&states), 2);
-        assert_eq!(rr.choose(&states), 0);
     }
 }

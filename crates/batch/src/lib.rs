@@ -2,8 +2,8 @@
 //!
 //! A fixed batch of `n` jobs with random processing times (known
 //! distributions) must be completed by `m` machines.  This crate implements
-//! every model variant the survey discusses, together with the exact
-//! methods needed to verify the optimality claims:
+//! the survey's model variants whose claims a test pins against something
+//! exact, together with the exact methods that verify them:
 //!
 //! | Survey claim | Module |
 //! |---|---|
@@ -12,20 +12,16 @@
 //! | SEPT minimises `E[Σ C]` on identical parallel machines for exponential / common-IHR / stochastically ordered jobs | [`parallel`], [`exact_exp`] |
 //! | LEPT minimises `E[max C]` for exponential / common-DHR jobs | [`parallel`], [`exact_exp`] |
 //! | Two-point jobs on two machines break the simple index rules (Coffman–Hofri–Weiss 1989) | [`two_point_exact`] |
-//! | Uniform (speed-scaled) machines: threshold policies | [`uniform_machines`] |
-//! | Stochastic flow shops (machines in series) | [`flow_shop`] |
+//! | Uniform (speed-scaled) machines: when jobs commit to a machine, a very slow machine should be used only while enough jobs remain (threshold structure, Agrawala et al. 1984) | [`uniform_machines`] |
 //! | WSEPT is asymptotically optimal on parallel machines: additive gap `O(1)`, relative gap `→ 0` (Weiss 1992) | [`turnpike`] |
-//! | In-tree precedence constraints (Papadimitriou–Tsitsiklis 1987) | [`precedence`] |
 //!
 //! The experiment harness (`ss-bench`, experiments E1–E6) drives these
 //! modules to regenerate the tables in `EXPERIMENTS.md`.
 
 pub mod discipline;
 pub mod exact_exp;
-pub mod flow_shop;
 pub mod parallel;
 pub mod policies;
-pub mod precedence;
 pub mod preemptive;
 pub mod single_machine;
 pub mod turnpike;

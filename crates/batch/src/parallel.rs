@@ -92,31 +92,6 @@ pub fn evaluate_list_policy(
     })
 }
 
-/// Evaluate several candidate lists at once, one summary per list, fanning
-/// the lists out across the pool.
-///
-/// Each list's inner replication loop runs serially on the worker that
-/// claimed it (nested parallel calls fall back to serial), so concurrency
-/// is capped at `orders.len()` — the right shape when comparing many
-/// policies; to parallelize *within* a single policy's replications, call
-/// [`evaluate_list_policy`] directly.
-///
-/// Every list is evaluated with the same `seed`, giving common random
-/// numbers across policies: the summaries are exactly what
-/// [`evaluate_list_policy`] returns list by list.
-pub fn evaluate_list_policies(
-    instance: &BatchInstance,
-    orders: &[Vec<usize>],
-    machines: usize,
-    metric: ParallelMetric,
-    replications: usize,
-    seed: u64,
-) -> Vec<ReplicationSummary> {
-    ss_sim::pool::parallel_indexed(orders.len(), |i| {
-        evaluate_list_policy(instance, &orders[i], machines, metric, replications, seed)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,23 +205,5 @@ mod tests {
         let a = evaluate_list_policy(&inst, &[0, 1, 2], 2, ParallelMetric::Makespan, 100, 42);
         let b = evaluate_list_policy(&inst, &[0, 1, 2], 2, ParallelMetric::Makespan, 100, 42);
         assert_eq!(a.values, b.values);
-    }
-
-    #[test]
-    fn multi_list_evaluation_matches_one_by_one() {
-        let inst = BatchInstance::builder()
-            .unweighted_job(dyn_dist(Exponential::with_mean(0.5)))
-            .unweighted_job(dyn_dist(Exponential::with_mean(1.5)))
-            .unweighted_job(dyn_dist(Exponential::with_mean(2.5)))
-            .build();
-        let orders = vec![sept_order(&inst), lept_order(&inst), vec![0, 1, 2]];
-        let batch =
-            evaluate_list_policies(&inst, &orders, 2, ParallelMetric::TotalFlowtime, 200, 13);
-        assert_eq!(batch.len(), orders.len());
-        for (order, summary) in orders.iter().zip(&batch) {
-            let single =
-                evaluate_list_policy(&inst, order, 2, ParallelMetric::TotalFlowtime, 200, 13);
-            assert_eq!(summary.values, single.values);
-        }
     }
 }

@@ -15,61 +15,33 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use ss_core::index::argsort_decreasing;
 use ss_core::instance::BatchInstance;
-use ss_core::job::Job;
-use ss_core::policy::IndexPolicy;
-
-/// WSEPT as an [`IndexPolicy`] (index `w / E[P]`).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WseptPolicy;
-
-impl IndexPolicy for WseptPolicy {
-    fn name(&self) -> &str {
-        "WSEPT"
-    }
-    fn index(&self, job: &Job, _attained: f64) -> f64 {
-        job.wsept_index()
-    }
-}
-
-/// SEPT as an [`IndexPolicy`] (index `1 / E[P]`, weights ignored).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SeptPolicy;
-
-impl IndexPolicy for SeptPolicy {
-    fn name(&self) -> &str {
-        "SEPT"
-    }
-    fn index(&self, job: &Job, _attained: f64) -> f64 {
-        1.0 / job.mean_processing()
-    }
-}
-
-/// LEPT as an [`IndexPolicy`] (index `E[P]`, weights ignored).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LeptPolicy;
-
-impl IndexPolicy for LeptPolicy {
-    fn name(&self) -> &str {
-        "LEPT"
-    }
-    fn index(&self, job: &Job, _attained: f64) -> f64 {
-        job.mean_processing()
-    }
-}
 
 /// The WSEPT order: job indices sorted by nonincreasing `w_i / E[P_i]`.
 pub fn wsept_order(instance: &BatchInstance) -> Vec<usize> {
-    WseptPolicy.static_order(instance)
+    let values: Vec<f64> = instance.jobs().iter().map(|j| j.wsept_index()).collect();
+    argsort_decreasing(&values)
 }
 
-/// The SEPT order: nondecreasing expected processing time.
+/// The SEPT order: nondecreasing expected processing time (index
+/// `1 / E[P]`, weights ignored).
 pub fn sept_order(instance: &BatchInstance) -> Vec<usize> {
-    SeptPolicy.static_order(instance)
+    let values: Vec<f64> = instance
+        .jobs()
+        .iter()
+        .map(|j| 1.0 / j.mean_processing())
+        .collect();
+    argsort_decreasing(&values)
 }
 
-/// The LEPT order: nonincreasing expected processing time.
+/// The LEPT order: nonincreasing expected processing time (index `E[P]`,
+/// weights ignored).
 pub fn lept_order(instance: &BatchInstance) -> Vec<usize> {
-    LeptPolicy.static_order(instance)
+    let values: Vec<f64> = instance
+        .jobs()
+        .iter()
+        .map(|j| j.mean_processing())
+        .collect();
+    argsort_decreasing(&values)
 }
 
 /// A uniformly random order (the natural "no information" baseline).
@@ -102,6 +74,13 @@ mod tests {
     #[test]
     fn wsept_sorts_by_weight_over_mean() {
         assert_eq!(wsept_order(&instance()), vec![1, 2, 0]);
+        // Equal indices (0.5 and 0.5) keep job-id order.
+        let tied = BatchInstance::builder()
+            .job(1.0, dyn_dist(Exponential::with_mean(2.0))) // wsept 0.5
+            .job(4.0, dyn_dist(Exponential::with_mean(1.0))) // wsept 4.0
+            .job(2.0, dyn_dist(Exponential::with_mean(4.0))) // wsept 0.5
+            .build();
+        assert_eq!(wsept_order(&tied), vec![1, 0, 2]);
     }
 
     #[test]

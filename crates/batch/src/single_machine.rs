@@ -30,18 +30,6 @@ pub fn expected_weighted_flowtime(instance: &BatchInstance, order: &[usize]) -> 
     total
 }
 
-/// Exact expected total (unweighted) flowtime of a static list.
-pub fn expected_total_flowtime(instance: &BatchInstance, order: &[usize]) -> f64 {
-    let jobs = instance.jobs();
-    let mut completion = 0.0;
-    let mut total = 0.0;
-    for &idx in order {
-        completion += jobs[idx].mean_processing();
-        total += completion;
-    }
-    total
-}
-
 /// Exhaustive search over all `n!` static lists; returns `(best_order,
 /// best_value)`.  Intended for `n <= 10`.
 pub fn exhaustive_optimal_order(instance: &BatchInstance) -> (Vec<usize>, f64) {
@@ -106,7 +94,6 @@ mod tests {
             .build();
         assert!((expected_weighted_flowtime(&inst, &[0, 1]) - 6.0).abs() < 1e-12);
         assert!((expected_weighted_flowtime(&inst, &[1, 0]) - 11.0).abs() < 1e-12);
-        assert!((expected_total_flowtime(&inst, &[0, 1]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //! list — the survey's point that the optimality of simple policies "fails
 //! to extend to models that violate the required assumptions".
 
-use ss_core::instance::BatchInstance;
-use ss_distributions::{dyn_dist, TwoPoint};
+use ss_distributions::TwoPoint;
 
 /// A batch of two-point jobs.
 #[derive(Debug, Clone)]
@@ -41,15 +40,6 @@ impl TwoPointInstance {
     /// True if empty (never after construction).
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
-    }
-
-    /// Convert to a generic [`BatchInstance`] (for the simulators).
-    pub fn to_batch_instance(&self) -> BatchInstance {
-        let mut b = BatchInstance::builder();
-        for (tp, w) in self.jobs.iter().zip(&self.weights) {
-            b = b.job(*w, dyn_dist(*tp));
-        }
-        b.build()
     }
 }
 
@@ -183,7 +173,8 @@ pub fn lept_list(instance: &TwoPointInstance) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_distributions::ServiceDistribution;
+    use ss_core::instance::BatchInstance;
+    use ss_distributions::{dyn_dist, ServiceDistribution};
 
     #[test]
     fn exact_enumeration_matches_hand_case() {
@@ -217,7 +208,11 @@ mod tests {
         ]);
         let order = [0usize, 1, 2];
         let (exact_total, _, exact_mk) = exact_list_performance(&inst, &order, 2);
-        let batch = inst.to_batch_instance();
+        let mut b = BatchInstance::builder();
+        for (tp, w) in inst.jobs.iter().zip(&inst.weights) {
+            b = b.job(*w, dyn_dist(*tp));
+        }
+        let batch = b.build();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let reps = 60_000;
         let mut total = 0.0;

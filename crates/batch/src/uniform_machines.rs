@@ -5,172 +5,9 @@
 //! under fairly strong assumptions the optimal policies have a **threshold
 //! structure**: slow machines are only used when enough jobs remain
 //! (Agrawala et al. 1984 for flowtime, Coffman–Flatto–Garey–Weber 1987 for
-//! makespan, Righter 1988).  This module provides:
-//!
-//! * a list-scheduling simulator on uniform machines (fastest-available
-//!   machine first),
-//! * a threshold policy: machine `k` (in decreasing speed order) is used
-//!   only while more than `threshold[k]` jobs remain,
-//! * an exact flowtime DP for exponential jobs on two uniform machines,
-//!   used to verify the threshold structure numerically.
-
-use rand::RngCore;
-use ss_core::instance::BatchInstance;
-
-/// Simulate list scheduling on machines with the given speeds: whenever a
-/// machine frees, the next unstarted job of `order` starts on the fastest
-/// idle machine.
-pub fn simulate_uniform_list(
-    instance: &BatchInstance,
-    order: &[usize],
-    speeds: &[f64],
-    rng: &mut dyn RngCore,
-) -> (f64, f64) {
-    assert!(!speeds.is_empty() && speeds.iter().all(|&s| s > 0.0));
-    assert_eq!(order.len(), instance.len());
-    let jobs = instance.jobs();
-    // Sort machine indices by decreasing speed so "fastest idle" is cheap.
-    let mut machine_order: Vec<usize> = (0..speeds.len()).collect();
-    machine_order.sort_by(|&a, &b| speeds[b].partial_cmp(&speeds[a]).unwrap());
-    let mut free_at = vec![0.0f64; speeds.len()];
-    let mut total_flowtime = 0.0;
-    let mut makespan: f64 = 0.0;
-    for &idx in order {
-        // Pick the machine with the earliest free time; ties go to the
-        // faster machine because machine_order is speed-sorted.
-        let mut best_m = machine_order[0];
-        for &m in &machine_order {
-            if free_at[m] < free_at[best_m] - 1e-15 {
-                best_m = m;
-            }
-        }
-        let requirement = jobs[idx].dist.sample(rng);
-        let completion = free_at[best_m] + requirement / speeds[best_m];
-        free_at[best_m] = completion;
-        total_flowtime += completion;
-        makespan = makespan.max(completion);
-    }
-    (total_flowtime, makespan)
-}
-
-/// Simulate a threshold policy: the `k`-th fastest machine is only used
-/// while strictly more than `thresholds[k]` jobs remain unstarted
-/// (`thresholds[0]` is normally 0 so the fastest machine is always used).
-///
-/// Jobs are taken in `order` (e.g. SEPT).  Returns `(total flowtime,
-/// makespan)` of one realisation.
-pub fn simulate_threshold_policy(
-    instance: &BatchInstance,
-    order: &[usize],
-    speeds: &[f64],
-    thresholds: &[usize],
-    rng: &mut dyn RngCore,
-) -> (f64, f64) {
-    assert_eq!(speeds.len(), thresholds.len());
-    let jobs = instance.jobs();
-    let n = order.len();
-    // Machines sorted by decreasing speed.
-    let mut ms: Vec<usize> = (0..speeds.len()).collect();
-    ms.sort_by(|&a, &b| speeds[b].partial_cmp(&speeds[a]).unwrap());
-
-    // Event-driven: track per-machine busy-until times and the completion
-    // time of the job currently on each machine.
-    let mut free_at = vec![0.0f64; speeds.len()];
-    let mut next_job = 0usize;
-    let mut total_flowtime = 0.0;
-    let mut makespan: f64 = 0.0;
-    let mut clock = 0.0;
-
-    // Repeatedly advance to the next machine-free epoch and assign work.
-    loop {
-        // Assign jobs to idle machines allowed by their thresholds.
-        for (rank, &m) in ms.iter().enumerate() {
-            if next_job >= n {
-                break;
-            }
-            let remaining = n - next_job;
-            if free_at[m] <= clock + 1e-15 && remaining > thresholds[rank] {
-                let idx = order[next_job];
-                next_job += 1;
-                let requirement = jobs[idx].dist.sample(rng);
-                let completion = clock + requirement / speeds[m];
-                free_at[m] = completion;
-                total_flowtime += completion;
-                makespan = makespan.max(completion);
-            }
-        }
-        if next_job >= n {
-            break;
-        }
-        // Advance the clock to the next completion among busy machines.
-        let next_clock = free_at
-            .iter()
-            .cloned()
-            .filter(|&t| t > clock + 1e-15)
-            .fold(f64::INFINITY, f64::min);
-        if !next_clock.is_finite() {
-            // No machine is busy but jobs remain: thresholds forbid every
-            // machine.  Relax by forcing the fastest machine (guards against
-            // misconfigured thresholds).
-            let m = ms[0];
-            let idx = order[next_job];
-            next_job += 1;
-            let requirement = jobs[idx].dist.sample(rng);
-            let completion = clock + requirement / speeds[m];
-            free_at[m] = completion;
-            total_flowtime += completion;
-            makespan = makespan.max(completion);
-            if next_job >= n {
-                break;
-            }
-            continue;
-        }
-        clock = next_clock;
-    }
-    (total_flowtime, makespan)
-}
-
-/// Exact expected total flowtime for exponential jobs on two uniform
-/// machines under the policy "always use the fast machine; use the slow
-/// machine only while more than `threshold` jobs remain", serving jobs in
-/// SEPT order.  Exponential rates are per unit requirement; machine speeds
-/// multiply them.
-pub fn exp_two_uniform_flowtime(rates: &[f64], speeds: (f64, f64), threshold: usize) -> f64 {
-    let n = rates.len();
-    assert!(n <= 20);
-    assert!(
-        speeds.0 >= speeds.1 && speeds.1 > 0.0,
-        "speeds must be (fast, slow)"
-    );
-    // SEPT order: biggest rate first.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| rates[b].partial_cmp(&rates[a]).unwrap());
-
-    // State = mask of remaining jobs.  Serve the first remaining job of the
-    // order on the fast machine; if remaining count > threshold also serve
-    // the second on the slow machine.
-    let full: u32 = (1u32 << n) - 1;
-    let mut value = vec![0.0f64; (full as usize) + 1];
-    for mask in 1..=full {
-        let remaining: Vec<usize> = order
-            .iter()
-            .cloned()
-            .filter(|&j| mask & (1 << j) != 0)
-            .collect();
-        let count = remaining.len();
-        let mut served: Vec<(usize, f64)> = vec![(remaining[0], rates[remaining[0]] * speeds.0)];
-        if count > threshold && count >= 2 {
-            served.push((remaining[1], rates[remaining[1]] * speeds.1));
-        }
-        let lambda_total: f64 = served.iter().map(|&(_, r)| r).sum();
-        let mut v = count as f64 / lambda_total;
-        for &(j, r) in &served {
-            v += r / lambda_total * value[(mask & !(1 << j)) as usize];
-        }
-        value[mask as usize] = v;
-    }
-    value[full as usize]
-}
+//! makespan, Righter 1988).  This module provides an exact flowtime DP for
+//! identical exponential jobs on two uniform machines in the commitment
+//! model, which exhibits that threshold structure numerically.
 
 /// Exact expected total flowtime for `n` *identical* exponential jobs
 /// (requirement rate `lambda`) on two uniform machines in the
@@ -251,68 +88,6 @@ pub fn exp_identical_two_uniform_commit_flowtime(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use ss_distributions::{dyn_dist, Deterministic, Exponential};
-
-    #[test]
-    fn fast_machine_preferred() {
-        // One deterministic job on machines with speeds (2, 1): it should
-        // run on the fast machine and finish at 0.5.
-        let inst = BatchInstance::builder()
-            .unweighted_job(dyn_dist(Deterministic::new(1.0)))
-            .build();
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let (total, mk) = simulate_uniform_list(&inst, &[0], &[2.0, 1.0], &mut rng);
-        assert!((total - 0.5).abs() < 1e-12);
-        assert!((mk - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn equal_speeds_match_identical_machine_scheduler() {
-        let inst = BatchInstance::builder()
-            .unweighted_job(dyn_dist(Deterministic::new(3.0)))
-            .unweighted_job(dyn_dist(Deterministic::new(2.0)))
-            .unweighted_job(dyn_dist(Deterministic::new(1.0)))
-            .build();
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let (total, mk) = simulate_uniform_list(&inst, &[2, 1, 0], &[1.0, 1.0], &mut rng);
-        let mut rng2 = ChaCha8Rng::seed_from_u64(2);
-        let out = crate::parallel::simulate_list_schedule(&inst, &[2, 1, 0], 2, &mut rng2);
-        assert!((total - out.total_flowtime).abs() < 1e-12);
-        assert!((mk - out.makespan).abs() < 1e-12);
-    }
-
-    #[test]
-    fn threshold_zero_uses_both_machines() {
-        let inst = BatchInstance::builder()
-            .unweighted_job(dyn_dist(Deterministic::new(2.0)))
-            .unweighted_job(dyn_dist(Deterministic::new(2.0)))
-            .build();
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (_, mk) = simulate_threshold_policy(&inst, &[0, 1], &[1.0, 1.0], &[0, 0], &mut rng);
-        assert!((mk - 2.0).abs() < 1e-12);
-        // With the slow machine disabled (threshold larger than n), both jobs
-        // run sequentially on the fast machine.
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let (_, mk_seq) =
-            simulate_threshold_policy(&inst, &[0, 1], &[1.0, 1.0], &[0, 10], &mut rng);
-        assert!((mk_seq - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn migration_model_never_hurts_from_extra_capacity() {
-        // In the (migration-allowed) set DP, serving on the slow machine as
-        // well can only help, whatever its speed.
-        let rates = vec![1.0; 4];
-        let both = exp_two_uniform_flowtime(&rates, (1.0, 0.05), 0);
-        let rates3 = vec![1.0; 3];
-        let both3 = exp_two_uniform_flowtime(&rates3, (1.0, 0.05), 0);
-        assert!(both3 < both, "fewer jobs means less flowtime");
-        // Faster slow machine helps.
-        let faster = exp_two_uniform_flowtime(&rates, (1.0, 0.5), 0);
-        assert!(faster < both);
-    }
 
     #[test]
     fn commitment_model_exhibits_threshold_structure() {
@@ -343,30 +118,5 @@ mod tests {
         let v = exp_identical_two_uniform_commit_flowtime(n, 2.0, (1.0, 1.0), 100);
         let expected: f64 = (1..=n).map(|k| k as f64 / 2.0).sum();
         assert!((v - expected).abs() < 1e-9, "{v} vs {expected}");
-    }
-
-    #[test]
-    fn exponential_uniform_simulation_close_to_dp() {
-        // The list simulator commits jobs to machines, so compare against the
-        // commitment-model DP (not the migration DP, which is strictly lower
-        // because it can always keep the last job on the fast machine).
-        let rates = vec![1.0, 1.0, 1.0];
-        let exact = exp_identical_two_uniform_commit_flowtime(3, 1.0, (1.0, 0.5), 0);
-        let mut b = BatchInstance::builder();
-        for &r in &rates {
-            b = b.unweighted_job(dyn_dist(Exponential::new(r)));
-        }
-        let inst = b.build();
-        let mut rng = ChaCha8Rng::seed_from_u64(17);
-        let reps = 40_000;
-        let mut acc = 0.0;
-        for _ in 0..reps {
-            acc += simulate_threshold_policy(&inst, &[0, 1, 2], &[1.0, 0.5], &[0, 0], &mut rng).0;
-        }
-        acc /= reps as f64;
-        assert!(
-            (acc - exact).abs() / exact < 0.03,
-            "sim {acc} vs dp {exact}"
-        );
     }
 }

@@ -39,12 +39,6 @@ impl BatchInstance {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-
-    /// Sum of expected processing times (a lower bound on the makespan on a
-    /// single machine and `m` times the lower bound on `m` machines).
-    pub fn total_expected_work(&self) -> f64 {
-        self.jobs.iter().map(|j| j.mean_processing()).sum()
-    }
 }
 
 /// Builder for [`BatchInstance`].
@@ -178,24 +172,6 @@ impl InstanceGenerator {
             .collect();
         BatchInstance::from_jobs(jobs)
     }
-
-    /// Generate an instance where all jobs share one common distribution
-    /// (required by the common-IHR / common-DHR parallel-machine theorems).
-    pub fn generate_common_distribution<R: Rng + ?Sized>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> BatchInstance {
-        assert!(n > 0);
-        let dist = self.sample_dist(rng);
-        let jobs = (0..n)
-            .map(|id| {
-                let weight = rng.gen_range(self.weight_low..self.weight_high);
-                Job::new(id, weight, dist.clone())
-            })
-            .collect();
-        BatchInstance::from_jobs(jobs)
-    }
 }
 
 #[cfg(test)]
@@ -244,18 +220,6 @@ mod tests {
             assert!(j.mean_processing() >= 1.0 - 1e-9 && j.mean_processing() <= 2.0 + 1e-9);
             assert!(j.weight >= 1.0 && j.weight <= 1.5);
             assert_eq!(j.dist.kind(), ss_distributions::DistKind::Exponential);
-        }
-        assert!(inst.total_expected_work() > 50.0);
-    }
-
-    #[test]
-    fn common_distribution_instances_share_means() {
-        let gen = InstanceGenerator::with_family(InstanceFamily::Erlang);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(13);
-        let inst = gen.generate_common_distribution(8, &mut rng);
-        let m0 = inst.jobs()[0].mean_processing();
-        for j in inst.jobs() {
-            assert!((j.mean_processing() - m0).abs() < 1e-12);
         }
     }
 

@@ -13,10 +13,7 @@
 //!   job classes;
 //! * [`instance`] — batch-scheduling problem instances, builders and random
 //!   generators with documented seeds;
-//! * [`policy`] — the [`policy::IndexPolicy`] trait and static-list
-//!   policies;
 //! * [`index`] — a total-ordering wrapper for `f64` priority indices;
-//! * [`objective`] — the performance objectives used across the workspace;
 //! * [`result`] — comparison tables (policy → value ± CI) shared by the
 //!   experiment harness and the examples.
 
@@ -26,8 +23,6 @@ pub mod index;
 pub mod instance;
 pub mod job;
 pub mod linalg;
-pub mod objective;
-pub mod policy;
 pub mod result;
 
 pub use adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, WorkMeasure};
@@ -35,6 +30,4 @@ pub use discipline::Discipline;
 pub use index::PriorityIndex;
 pub use instance::{BatchInstance, BatchInstanceBuilder};
 pub use job::{Job, JobClass};
-pub use objective::Objective;
-pub use policy::{IndexPolicy, StaticListPolicy};
 pub use result::{ComparisonRow, ComparisonTable};

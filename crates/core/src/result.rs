@@ -16,8 +16,8 @@ pub struct ComparisonRow {
 }
 
 /// A table comparing several policies (and bounds) on one experiment
-/// configuration, with markdown and CSV rendering used by the experiment
-/// harness to regenerate the tables recorded in EXPERIMENTS.md.
+/// configuration, with the markdown rendering the experiment harness uses
+/// to regenerate the tables recorded in EXPERIMENTS.md.
 #[derive(Debug, Clone)]
 pub struct ComparisonTable {
     /// Table title (e.g. "E1: single machine, n = 8, exponential").
@@ -61,18 +61,6 @@ impl ComparisonTable {
             .min_by(|a, b| a.value.partial_cmp(&b.value).unwrap())
     }
 
-    /// Ratio of each row's value to the best (smallest) value.
-    pub fn ratios_to_best(&self) -> Vec<(String, f64)> {
-        let best = match self.best_row() {
-            Some(r) if r.value.abs() > 1e-300 => r.value,
-            _ => return Vec::new(),
-        };
-        self.rows
-            .iter()
-            .map(|r| (r.name.clone(), r.value / best))
-            .collect()
-    }
-
     /// Render as a GitHub-flavoured markdown table.
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
@@ -91,16 +79,6 @@ impl ComparisonTable {
                 "| {} | {:.4} | {} | {} |\n",
                 r.name, r.value, ci, r.note
             ));
-        }
-        out
-    }
-
-    /// Render as CSV (`policy,value,ci95,note` with a header).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("policy,value,ci95,note\n");
-        for r in &self.rows {
-            let ci = r.ci95.map(|c| format!("{c}")).unwrap_or_default();
-            out.push_str(&format!("{},{},{},{}\n", r.name, r.value, ci, r.note));
         }
         out
     }
@@ -125,11 +103,9 @@ mod tests {
     }
 
     #[test]
-    fn best_row_and_ratios() {
+    fn best_row_is_the_smallest_value() {
         let t = sample_table();
         assert_eq!(t.best_row().unwrap().value, 10.0);
-        let ratios = t.ratios_to_best();
-        assert!((ratios[1].1 - 1.3).abs() < 1e-12);
     }
 
     #[test]
@@ -139,13 +115,5 @@ mod tests {
         assert!(md.contains("LEPT"));
         assert!(md.contains("±0.1000"));
         assert!(md.contains("| exhaustive optimum | 10.0000 | — | exact |"));
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let csv = sample_table().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4);
-        assert_eq!(lines[0], "policy,value,ci95,note");
     }
 }

@@ -58,14 +58,6 @@ impl DiscreteDist {
         Self { values, probs, cum }
     }
 
-    /// Uniform distribution over the given support points.
-    pub fn uniform_over(values: Vec<f64>) -> Self {
-        let n = values.len();
-        assert!(n > 0);
-        let probs = vec![1.0 / n as f64; n];
-        Self::new(values, probs)
-    }
-
     /// Support points (sorted).
     pub fn values(&self) -> &[f64] {
         &self.values
@@ -196,11 +188,5 @@ mod tests {
         assert!((counts[0] as f64 / n as f64 - 0.2).abs() < 0.01);
         assert!((counts[1] as f64 / n as f64 - 0.3).abs() < 0.01);
         assert!((counts[2] as f64 / n as f64 - 0.5).abs() < 0.01);
-    }
-
-    #[test]
-    fn uniform_over_support() {
-        let d = DiscreteDist::uniform_over(vec![2.0, 4.0, 6.0, 8.0]);
-        assert!((d.mean() - 5.0).abs() < 1e-12);
     }
 }

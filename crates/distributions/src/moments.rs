@@ -12,12 +12,6 @@ pub fn sample_stats(xs: &[f64]) -> (f64, f64) {
     (mean, var)
 }
 
-/// Sample k-th raw moment.
-pub fn raw_moment(xs: &[f64], k: u32) -> f64 {
-    assert!(!xs.is_empty());
-    xs.iter().map(|x| x.powi(k as i32)).sum::<f64>() / xs.len() as f64
-}
-
 /// Empirical squared coefficient of variation.
 pub fn sample_scv(xs: &[f64]) -> f64 {
     let (m, v) = sample_stats(xs);
@@ -38,7 +32,6 @@ mod tests {
         let (m, v) = sample_stats(&xs);
         assert!((m - 2.5).abs() < 1e-12);
         assert!((v - 1.25).abs() < 1e-12);
-        assert!((raw_moment(&xs, 2) - 7.5).abs() < 1e-12);
         assert!((sample_scv(&xs) - 1.25 / 6.25).abs() < 1e-12);
     }
 

@@ -4,9 +4,10 @@
 //! 1986) only requires the job processing times to be **stochastically
 //! ordered**.  These helpers verify, on a grid, whether two distributions
 //! are comparable in the usual stochastic order (`<=st`), the hazard-rate
-//! order (`<=hr`) and the likelihood-ratio order (`<=lr`), and are used by
-//! the instance generators to certify that a generated instance satisfies
-//! the hypotheses of the theorem being tested.
+//! order (`<=hr`) and the likelihood-ratio order (`<=lr`).  The tier-1
+//! property suite (`tests/property_based.rs`) uses them to check the chain
+//! "`<=lr` implies `<=hr` implies `<=st`" and that sorted exponentials form
+//! a stochastically ordered chain.
 
 use crate::traits::ServiceDistribution;
 

@@ -5,7 +5,8 @@
 //! lint --rule L004     run one rule (allows for other rules exempt)
 //! lint --list          print the rule table
 //! lint --allows        print per-allow suppression counts (audit view)
-//! lint --root PATH     explicit workspace root (default: ascend from cwd)
+//! lint --root PATH     explicit workspace root (default: the workspace
+//!                      this binary was built from)
 //! ```
 //!
 //! Output is deterministic: findings sorted by `(path, line, rule)`, one
@@ -20,19 +21,6 @@ fn usage_error(msg: &str) -> ! {
     eprintln!("lint: {msg}");
     eprintln!("usage: lint [--list] [--allows] [--rule KEY] [--root PATH]");
     exit(2);
-}
-
-/// Ascend from `start` to the first directory holding `lint.toml`.
-fn find_root(start: PathBuf) -> Option<PathBuf> {
-    let mut dir = start;
-    loop {
-        if dir.join("lint.toml").is_file() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
 }
 
 fn main() {
@@ -65,17 +53,7 @@ fn main() {
         return;
     }
 
-    let root = match root {
-        Some(r) => r,
-        None => {
-            let cwd = std::env::current_dir().unwrap_or_else(|e| {
-                usage_error(&format!("cannot determine cwd: {e}"));
-            });
-            find_root(cwd).unwrap_or_else(|| {
-                usage_error("no lint.toml found between cwd and filesystem root; pass --root");
-            })
-        }
-    };
+    let root = root.unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
 
     let report = match ss_lint::run_workspace(&root, rule.as_deref()) {
         Ok(r) => r,

@@ -20,19 +20,19 @@
 //!   tests, benches out of scope) and `#[cfg(test)]` masking;
 //! * [`rules`] — the six token-level rules L001–L006, each anchored on a
 //!   historical bug class (see the table in [`rules`]);
-//! * [`config`] — `lint.toml`, the schema-versioned suppression list with
-//!   mandatory reasons and a hard error on stale allows.
+//! * [`allows`] — the suppression list, a Rust table with mandatory
+//!   reasons and a hard error on stale allows.
 //!
 //! The `lint` binary (`--list`, `--rule KEY`, `--allows`) prints findings
 //! as deterministic sorted `file:line rule message` lines and is a
 //! blocking CI job.
 
-pub mod config;
+pub mod allows;
 pub mod lexer;
 pub mod rules;
 pub mod scan;
 
-use config::Allow;
+use allows::{Allow, ALLOWS};
 use rules::Finding;
 use std::path::Path;
 
@@ -43,9 +43,10 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of findings suppressed by allows.
     pub suppressed: usize,
-    /// Per-allow suppression counts, in `lint.toml` order.  `None` means
-    /// the allow's rule was outside a `--rule` selection (exempt from the
-    /// staleness check — it had no chance to match).
+    /// Per-allow suppression counts, in allow-list order ([`ALLOWS`] for a
+    /// workspace run).  `None` means the allow's rule was outside a
+    /// `--rule` selection (exempt from the staleness check — it had no
+    /// chance to match).
     pub allow_uses: Vec<(Allow, Option<usize>)>,
 }
 
@@ -73,9 +74,9 @@ impl Report {
         }
         for a in self.stale_allows() {
             out.push_str(&format!(
-                "lint.toml:{} stale allow: {} at {} suppressed nothing — the site was fixed \
-                 or moved; remove the entry (reason was: {})\n",
-                a.line, a.rule, a.path, a.reason
+                "crates/lint/src/allows.rs: stale allow: {} at {} suppressed nothing — the site \
+                 was fixed or moved; remove the entry (reason was: {})\n",
+                a.rule, a.path, a.reason
             ));
         }
         out.push_str(&format!(
@@ -104,19 +105,15 @@ pub fn run_workspace(root: &Path, selected: Option<&str>) -> Result<Report, Stri
     let design_path = root.join("DESIGN.md");
     let design_md = std::fs::read_to_string(&design_path)
         .map_err(|e| format!("read {}: {e}", design_path.display()))?;
-    let config_path = root.join("lint.toml");
-    let config_text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("read {}: {e}", config_path.display()))?;
-    let allows = config::parse(&config_text)?;
     Ok(apply_allows(
         rules::run(&files, &design_md, selected),
-        allows,
+        ALLOWS,
         selected,
     ))
 }
 
 /// Partition raw findings through the allow list.
-pub fn apply_allows(raw: Vec<Finding>, allows: Vec<Allow>, selected: Option<&str>) -> Report {
+pub fn apply_allows(raw: Vec<Finding>, allows: &[Allow], selected: Option<&str>) -> Report {
     let mut counts = vec![0usize; allows.len()];
     let mut findings = Vec::new();
     let mut suppressed = 0usize;
@@ -135,7 +132,8 @@ pub fn apply_allows(raw: Vec<Finding>, allows: Vec<Allow>, selected: Option<&str
     // Allows for rules outside the selected set could not have matched;
     // exempt them from the staleness check.
     let allow_uses = allows
-        .into_iter()
+        .iter()
+        .copied()
         .zip(counts)
         .map(|(a, n)| {
             let exempt = selected.is_some_and(|rule| a.rule != rule);

@@ -6,9 +6,9 @@
 //! the hasher's per-process state.  The rule over-approximates — it flags
 //! every *use* of the types in artifact-producing crates, not just
 //! iteration, because at token level "this map is never iterated" is a
-//! claim only a reviewer can make.  That claim is exactly what a
-//! `lint.toml` allow records (e.g. an exact-bits-keyed cache that is only
-//! ever read with `get` and written with `insert`).
+//! claim only a reviewer can make.  That claim is exactly what an allow in
+//! `crates/lint/src/allows.rs` records (e.g. an exact-bits-keyed cache
+//! that is only ever read with `get` and written with `insert`).
 //!
 //! Scope: the artifact dataflow — every crate whose output can reach a
 //! committed fixture, bench artifact or CI-diffed report.  `ss-conform`
@@ -52,7 +52,8 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                 message: format!(
                     "{} in an artifact-producing crate: iteration order is \
                      per-process and can leak into artifact bytes — use BTreeMap/BTreeSet or a \
-                     sorted Vec, or add a lint.toml allow stating why ordering cannot escape",
+                     sorted Vec, or add an allow to crates/lint/src/allows.rs stating why \
+                     ordering cannot escape",
                     t.text
                 ),
             });

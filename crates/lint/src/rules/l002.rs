@@ -7,8 +7,8 @@
 //! E21's measured thread sweep, which the conformance renderers already
 //! strip or omit (`harness_subset_report` drops `[`-prefixed lines and
 //! rejects E21; `--check` renderings never include them).  Each of those
-//! is a `lint.toml` allow with its reason; any *new* wall-clock read fails
-//! the lint until reviewed.
+//! is an allow in `crates/lint/src/allows.rs` with its reason; any *new*
+//! wall-clock read fails the lint until reviewed.
 
 use crate::rules::Finding;
 use crate::scan::SourceFile;
@@ -33,7 +33,7 @@ pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
                 message: format!(
                     "{}::now() outside an audited wall-clock site: clock values must never \
                      reach deterministic report bytes — keep them on a stripped timing line, \
-                     then add a lint.toml allow with the reason",
+                     then add an allow to crates/lint/src/allows.rs with the reason",
                     t.text
                 ),
             });

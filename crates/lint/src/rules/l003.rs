@@ -13,7 +13,8 @@
 //! `is_nan` / `is_finite` / `is_infinite`, or a `<` `>` `<=` `>=`
 //! comparison.  The fix is to promote the guard to `assert!` (the PR 6 /
 //! PR 9 precedent) or restructure so the invariant holds by construction;
-//! a `lint.toml` allow records the rare hot-path exception.
+//! an allow in `crates/lint/src/allows.rs` records the rare hot-path
+//! exception.
 
 use crate::lexer::Tok;
 use crate::rules::Finding;

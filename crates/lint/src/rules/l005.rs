@@ -20,7 +20,8 @@
 //!
 //! Type-blind token rules cannot prove floatness, so the vocabulary is an
 //! over-approximation tuned to this workspace; a false positive is
-//! silenced with a `lint.toml` allow carrying the reviewer's reasoning.
+//! silenced with an allow in `crates/lint/src/allows.rs` carrying the
+//! reviewer's reasoning.
 
 use crate::lexer::{num_is_float, Tok, TokKind};
 use crate::rules::Finding;

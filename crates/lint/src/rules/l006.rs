@@ -12,8 +12,8 @@
 //! any identifier mentioning `seed` — the signature of an inline seed
 //! derivation — everywhere except `crates/sim/src/rng.rs`.  The lone
 //! grandfathered site (`ss_bench::workloads::seed_for`, whose derived
-//! seeds are frozen into every committed artifact) carries a `lint.toml`
-//! allow explaining exactly that.
+//! seeds are frozen into every committed artifact) carries an allow in
+//! `crates/lint/src/allows.rs` explaining exactly that.
 
 use crate::lexer::TokKind;
 use crate::rules::Finding;

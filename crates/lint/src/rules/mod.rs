@@ -2,8 +2,8 @@
 //!
 //! Every rule is anchored on a bug class this repo has actually shipped
 //! (or a divergence class `ss-conform` localizes).  The IDs are stable:
-//! `lint.toml` allows, the conform root-cause hints and DESIGN.md's rule
-//! table all refer to them.
+//! the allows in `crates/lint/src/allows.rs`, the conform root-cause hints
+//! and DESIGN.md's rule table all refer to them.
 //!
 //! | ID   | Bug class it encodes |
 //! |------|----------------------|

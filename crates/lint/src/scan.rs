@@ -40,8 +40,9 @@ impl SourceFile {
 /// Remove every `#[cfg(test)]`-gated item (attribute included) from the
 /// token stream.  Handles the common shapes: a gated `mod tests { … }`
 /// block, a gated item with a braced body, and a gated `mod tests;` /
-/// `use …;` declaration.  Nested braces are balanced; `cfg(all(test, …))`
-/// style predicates count as test-gated if the predicate mentions `test`.
+/// `use …;` declaration.  Nested braces are balanced.  Only predicates that
+/// hold in test builds alone count as test-gated (see
+/// [`holds_only_in_tests`]).
 fn mask_cfg_test(tokens: &mut Vec<Tok>) {
     let mut out: Vec<Tok> = Vec::with_capacity(tokens.len());
     let mut i = 0;
@@ -56,32 +57,53 @@ fn mask_cfg_test(tokens: &mut Vec<Tok>) {
     *tokens = out;
 }
 
-/// If `tokens[i..]` starts a `#[cfg(test)]` attribute, return the index
-/// one past the end of the gated item; `None` otherwise.
+/// Whether a `cfg` predicate (the tokens inside `cfg( … )`) holds in test
+/// builds alone: `test` itself, or `all(…)` with `test` as one of its
+/// direct arguments.  Anything else — `not(test)`, `any(test, …)` — can
+/// hold in a release build, so the item it gates stays in the scan.
+fn holds_only_in_tests(pred: &[Tok]) -> bool {
+    match pred {
+        [t] => t.is_ident("test"),
+        [all, open, args @ .., close]
+            if all.is_ident("all") && open.is_punct('(') && close.is_punct(')') =>
+        {
+            let mut depth = 0usize;
+            args.iter().any(|t| {
+                if t.is_punct('(') {
+                    depth += 1;
+                } else if t.is_punct(')') {
+                    depth = depth.saturating_sub(1);
+                }
+                depth == 0 && t.is_ident("test")
+            })
+        }
+        _ => false,
+    }
+}
+
+/// If `tokens[i..]` starts a test-only `#[cfg(…)]` attribute, return the
+/// index one past the end of the gated item; `None` otherwise.
 fn cfg_test_item_end(tokens: &[Tok], i: usize) -> Option<usize> {
-    // `#` `[` `cfg` `(` … test … `)` `]`
+    // `#` `[` `cfg` `(` predicate `)` `]`
     if !(tokens.get(i)?.is_punct('#') && tokens.get(i + 1)?.is_punct('[')) {
         return None;
     }
     if !tokens.get(i + 2)?.is_ident("cfg") || !tokens.get(i + 3)?.is_punct('(') {
         return None;
     }
-    // Find the matching `)` and check the predicate mentions `test`.
+    // Find the matching `)`.
     let mut depth = 1usize;
     let mut j = i + 4;
-    let mut mentions_test = false;
     while j < tokens.len() && depth > 0 {
         let t = &tokens[j];
         if t.is_punct('(') {
             depth += 1;
         } else if t.is_punct(')') {
             depth -= 1;
-        } else if t.is_ident("test") {
-            mentions_test = true;
         }
         j += 1;
     }
-    if !mentions_test || !tokens.get(j)?.is_punct(']') {
+    if depth > 0 || !holds_only_in_tests(&tokens[i + 4..j - 1]) || !tokens.get(j)?.is_punct(']') {
         return None;
     }
     j += 1; // past `]`

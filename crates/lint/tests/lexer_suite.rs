@@ -128,14 +128,19 @@ pub fn keep() {}
 
 #[test]
 fn non_test_cfg_is_not_masked() {
-    // A cfg gate that does not mention `test` must stay in the stream.
-    let src = "
-#[cfg(feature = \"extra\")]
-use std::collections::HashMap;
-";
-    let findings = all_findings(src);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].contains("L001"), "{findings:?}");
+    // A cfg gate that can hold outside test builds must stay in the
+    // stream: one that does not mention `test`, `not(test)` (compiled only
+    // in release builds) and `any(test, …)`.
+    for gate in [
+        "feature = \"extra\"",
+        "not(test)",
+        "any(test, feature = \"x\")",
+    ] {
+        let src = format!("\n#[cfg({gate})]\nuse std::collections::HashMap;\n");
+        let findings = all_findings(&src);
+        assert_eq!(findings.len(), 1, "cfg({gate}): {findings:?}");
+        assert!(findings[0].contains("L001"), "cfg({gate}): {findings:?}");
+    }
 }
 
 #[test]

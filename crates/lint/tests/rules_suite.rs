@@ -323,7 +323,7 @@ fn workspace_self_scan_is_clean() {
     );
     assert!(
         report.suppressed > 0,
-        "lint.toml allows should be load-bearing, not decorative"
+        "the allows in crates/lint/src/allows.rs should be load-bearing, not decorative"
     );
 }
 

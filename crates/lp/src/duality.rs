@@ -70,7 +70,7 @@ mod tests {
         let b = vec![1.0];
         let c = vec![1.0, 1.0, 1.0];
         assert_eq!(standard_dual(&a, &b, &c).num_vars(), 1);
-        assert_eq!(standard_dual(&a, &b, &c).num_constraints(), 3);
+        assert_eq!(standard_dual(&a, &b, &c).constraints.len(), 3);
         assert_eq!(standard_primal(&a, &b, &c).num_vars(), 3);
     }
 

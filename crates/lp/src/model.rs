@@ -68,11 +68,6 @@ impl LinearProgram {
         self.objective.len()
     }
 
-    /// Number of constraints added so far.
-    pub fn num_constraints(&self) -> usize {
-        self.constraints.len()
-    }
-
     /// Add the constraint `coeffs · x  rel  rhs`.
     ///
     /// `coeffs` must have exactly [`LinearProgram::num_vars`] entries.
@@ -94,13 +89,6 @@ impl LinearProgram {
         self
     }
 
-    /// Convenience: add an upper bound `x_i <= ub`.
-    pub fn add_upper_bound(&mut self, var: usize, ub: f64) -> &mut Self {
-        let mut coeffs = vec![0.0; self.num_vars()];
-        coeffs[var] = 1.0;
-        self.add_constraint(coeffs, Relation::Le, ub)
-    }
-
     /// Solve with the two-phase simplex method.
     pub fn solve(&self) -> Result<LpSolution, LpError> {
         let mut sol = simplex::solve(self)?;
@@ -119,9 +107,9 @@ mod tests {
     fn builder_counts() {
         let mut lp = LinearProgram::minimize(vec![1.0, 2.0, 3.0]);
         lp.add_constraint(vec![1.0, 1.0, 1.0], Relation::Eq, 1.0);
-        lp.add_upper_bound(2, 0.5);
+        lp.add_constraint(vec![0.0, 0.0, 1.0], Relation::Le, 0.5);
         assert_eq!(lp.num_vars(), 3);
-        assert_eq!(lp.num_constraints(), 2);
+        assert_eq!(lp.constraints.len(), 2);
     }
 
     #[test]

@@ -36,11 +36,6 @@ impl MarkovChain {
         self.p.len()
     }
 
-    /// Transition matrix.
-    pub fn matrix(&self) -> &[Vec<f64>] {
-        &self.p
-    }
-
     /// Stationary distribution of an irreducible chain, solved from
     /// `pi P = pi`, `sum pi = 1` by replacing one balance equation with the
     /// normalisation constraint.
@@ -60,55 +55,6 @@ impl MarkovChain {
         b[n - 1] = 1.0;
         let pi = solve_dense(a, b);
         pi.into_iter().map(|x| x.max(0.0)).collect()
-    }
-
-    /// Expected total discounted occupancy matrix `(I - beta P)^{-1}`,
-    /// returned row by row: entry `(i, j)` is the expected discounted number
-    /// of visits to `j` starting from `i`.
-    pub fn discounted_occupancy(&self, beta: f64) -> Vec<Vec<f64>> {
-        assert!((0.0..1.0).contains(&beta));
-        let n = self.p.len();
-        let mut result = vec![vec![0.0; n]; n];
-        for start in 0..n {
-            // Solve (I - beta P)^T ? No: occupancy row solves
-            // N[start][.] = e_start + beta * N[start][.] P  =>
-            // N = e (I - beta P)^{-1}; equivalently solve (I - beta P)^T x = e_start
-            // for the column vector x = N[start][.]^T.
-            let mut a = vec![vec![0.0; n]; n];
-            for i in 0..n {
-                for j in 0..n {
-                    a[i][j] = (if i == j { 1.0 } else { 0.0 }) - beta * self.p[j][i];
-                }
-            }
-            let mut b = vec![0.0; n];
-            b[start] = 1.0;
-            let x = solve_dense(a, b);
-            result[start] = x;
-        }
-        result
-    }
-
-    /// For a chain with transient states `0..k` and absorbing states
-    /// `k..n`, returns the expected number of visits to each transient state
-    /// before absorption, starting from each transient state (the
-    /// fundamental matrix `N = (I - Q)^{-1}`).
-    pub fn fundamental_matrix(&self, num_transient: usize) -> Vec<Vec<f64>> {
-        let k = num_transient;
-        assert!(k <= self.p.len());
-        let mut result = vec![vec![0.0; k]; k];
-        for start in 0..k {
-            let mut a = vec![vec![0.0; k]; k];
-            for i in 0..k {
-                for j in 0..k {
-                    a[i][j] = (if i == j { 1.0 } else { 0.0 }) - self.p[j][i];
-                }
-            }
-            let mut b = vec![0.0; k];
-            b[start] = 1.0;
-            let x = solve_dense(a, b);
-            result[start] = x;
-        }
-        result
     }
 }
 
@@ -136,41 +82,5 @@ mod tests {
         for &p in &pi {
             assert!((p - 1.0 / 3.0).abs() < 1e-10);
         }
-    }
-
-    #[test]
-    fn discounted_occupancy_identity_chain() {
-        // Absorbing single state: occupancy = 1 / (1 - beta).
-        let c = MarkovChain::new(vec![vec![1.0]]);
-        let n = c.discounted_occupancy(0.8);
-        assert!((n[0][0] - 5.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn discounted_occupancy_rows_sum_to_geometric_total() {
-        let c = MarkovChain::new(vec![vec![0.3, 0.7], vec![0.6, 0.4]]);
-        let beta = 0.9;
-        let n = c.discounted_occupancy(beta);
-        for row in &n {
-            let total: f64 = row.iter().sum();
-            assert!((total - 1.0 / (1.0 - beta)).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn fundamental_matrix_gambler() {
-        // Transient states 0,1 each move to the absorbing state 2 w.p. 0.5
-        // or to the other transient state w.p. 0.5.
-        let c = MarkovChain::new(vec![
-            vec![0.0, 0.5, 0.5],
-            vec![0.5, 0.0, 0.5],
-            vec![0.0, 0.0, 1.0],
-        ]);
-        let n = c.fundamental_matrix(2);
-        // N = (I - Q)^{-1} with Q = [[0,.5],[.5,0]] -> N = [[4/3, 2/3],[2/3, 4/3]].
-        assert!((n[0][0] - 4.0 / 3.0).abs() < 1e-10);
-        assert!((n[0][1] - 2.0 / 3.0).abs() < 1e-10);
-        assert!((n[1][0] - 2.0 / 3.0).abs() < 1e-10);
-        assert!((n[1][1] - 4.0 / 3.0).abs() < 1e-10);
     }
 }

@@ -35,11 +35,6 @@ impl Mdp {
         self.actions[s].len()
     }
 
-    /// Total number of state-action pairs.
-    pub fn num_state_actions(&self) -> usize {
-        self.actions.iter().map(|a| a.len()).sum()
-    }
-
     /// Immediate expected reward of `(s, a)`.
     pub fn reward(&self, s: usize, a: usize) -> f64 {
         self.actions[s][a].0
@@ -201,7 +196,6 @@ mod tests {
         assert_eq!(m.num_states(), 2);
         assert_eq!(m.num_actions(0), 2);
         assert_eq!(m.num_actions(1), 1);
-        assert_eq!(m.num_state_actions(), 3);
         assert_eq!(m.reward(0, 0), 1.0);
         assert_eq!(m.transitions(0, 1)[0].next, 1);
     }

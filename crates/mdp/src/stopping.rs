@@ -6,8 +6,6 @@
 //! The calibration algorithm in `ss-bandits` solves a sequence of these
 //! stopping problems by bisection on `M`.
 
-use crate::mdp::Mdp;
-
 /// A discounted optimal stopping problem over an underlying Markov reward
 /// process: at each state you may *stop* (collect `stop_reward[s]` once and
 /// end) or *continue* (collect the continuation reward and move according to
@@ -84,27 +82,28 @@ pub fn optimal_stopping(problem: &StoppingProblem) -> StoppingSolution {
     }
 }
 
-/// Build the equivalent two-action MDP (action 0 = continue, action 1 =
-/// stop into an absorbing zero-reward state appended at index `n`).
-pub fn stopping_as_mdp(problem: &StoppingProblem) -> Mdp {
-    let n = problem.continue_reward.len();
-    let mut b = crate::mdp::MdpBuilder::new(n + 1);
-    for s in 0..n {
-        b.add_action(
-            s,
-            problem.continue_reward[s],
-            problem.transitions[s].clone(),
-        );
-        b.add_action(s, problem.stop_reward[s], vec![(n, 1.0)]);
-    }
-    b.add_action(n, 0.0, vec![(n, 1.0)]);
-    b.build()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mdp::Mdp;
     use crate::value_iteration::{value_iteration, ValueIterationOptions};
+
+    /// Build the equivalent two-action MDP (action 0 = continue, action 1 =
+    /// stop into an absorbing zero-reward state appended at index `n`).
+    fn stopping_as_mdp(problem: &StoppingProblem) -> Mdp {
+        let n = problem.continue_reward.len();
+        let mut b = crate::mdp::MdpBuilder::new(n + 1);
+        for s in 0..n {
+            b.add_action(
+                s,
+                problem.continue_reward[s],
+                problem.transitions[s].clone(),
+            );
+            b.add_action(s, problem.stop_reward[s], vec![(n, 1.0)]);
+        }
+        b.add_action(n, 0.0, vec![(n, 1.0)]);
+        b.build()
+    }
 
     fn simple_problem(stop_at: f64) -> StoppingProblem {
         // Two states; continuing in state 0 pays 1 and moves to state 1,

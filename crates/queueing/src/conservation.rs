@@ -58,42 +58,42 @@ pub fn subset_lower_bound(classes: &[JobClass], subset: &[usize]) -> f64 {
         .sum()
 }
 
-/// Check that a vector of per-class mean waits is (approximately) inside
-/// the achievable region: every subset lower bound holds and the full-set
-/// identity holds with equality.  Intended for small numbers of classes.
-pub fn is_achievable(classes: &[JobClass], waits: &[f64], tolerance: f64) -> bool {
-    assert_eq!(waits.len(), classes.len());
-    let n = classes.len();
-    assert!(n <= 12);
-    // Full-set equality.
-    let total: f64 = classes
-        .iter()
-        .enumerate()
-        .map(|(j, c)| c.load() * waits[j])
-        .sum();
-    if (total - conserved_work(classes)).abs() > tolerance * conserved_work(classes).max(1.0) {
-        return false;
-    }
-    // Subset inequalities.
-    for mask in 1u32..(1 << n) {
-        let subset: Vec<usize> = (0..n).filter(|&j| mask & (1 << j) != 0).collect();
-        if subset.len() == n {
-            continue;
-        }
-        let lhs: f64 = subset.iter().map(|&j| classes[j].load() * waits[j]).sum();
-        let rhs = subset_lower_bound(classes, &subset);
-        if lhs < rhs - tolerance * rhs.abs().max(1.0) {
-            return false;
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cmu::cmu_order;
     use ss_distributions::{dyn_dist, Erlang, Exponential, HyperExponential};
+
+    /// Check that a vector of per-class mean waits is (approximately) inside
+    /// the achievable region: every subset lower bound holds and the full-set
+    /// identity holds with equality.  Intended for small numbers of classes.
+    fn is_achievable(classes: &[JobClass], waits: &[f64], tolerance: f64) -> bool {
+        assert_eq!(waits.len(), classes.len());
+        let n = classes.len();
+        assert!(n <= 12);
+        // Full-set equality.
+        let total: f64 = classes
+            .iter()
+            .enumerate()
+            .map(|(j, c)| c.load() * waits[j])
+            .sum();
+        if (total - conserved_work(classes)).abs() > tolerance * conserved_work(classes).max(1.0) {
+            return false;
+        }
+        // Subset inequalities.
+        for mask in 1u32..(1 << n) {
+            let subset: Vec<usize> = (0..n).filter(|&j| mask & (1 << j) != 0).collect();
+            if subset.len() == n {
+                continue;
+            }
+            let lhs: f64 = subset.iter().map(|&j| classes[j].load() * waits[j]).sum();
+            let rhs = subset_lower_bound(classes, &subset);
+            if lhs < rhs - tolerance * rhs.abs().max(1.0) {
+                return false;
+            }
+        }
+        true
+    }
 
     fn classes_3() -> Vec<JobClass> {
         vec![

@@ -531,8 +531,9 @@ mod tests {
     fn parallel_indexed_preserves_order() {
         // Empty, small, and large enough for many chunks per lane; plus a
         // map whose every item is itself a `parallel_indexed` (the shape of
-        // `evaluate_list_policies` and the experiment harness).  Each is
-        // bit-identical to the serial map on one lane and on four.
+        // the experiment harness, whose experiments replicate inside a pool
+        // task).  Each is bit-identical to the serial map on one lane and
+        // on four.
         let nested = |i: usize| parallel_indexed(i % 7, move |j| ((i * j) as f64).sqrt().to_bits());
         for threads in [1, 4] {
             for n in [0usize, 100, 10_000] {

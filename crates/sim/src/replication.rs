@@ -41,15 +41,6 @@ impl ReplicationSummary {
             values,
         }
     }
-
-    /// Relative half-width (CI95 / |mean|), a convergence diagnostic.
-    pub fn relative_precision(&self) -> f64 {
-        if self.mean.abs() < 1e-300 {
-            f64::INFINITY
-        } else {
-            self.ci95 / self.mean.abs()
-        }
-    }
 }
 
 /// Run `n` replications serially.
@@ -124,7 +115,7 @@ mod tests {
     fn estimates_uniform_mean() {
         let summary = run_replications_parallel(500, 11, |_i, rng| rng.gen::<f64>());
         assert!((summary.mean - 0.5).abs() < 0.05);
-        assert!(summary.relative_precision() < 0.2);
+        assert!(summary.ci95 / summary.mean < 0.2);
     }
 
     #[test]

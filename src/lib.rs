@@ -15,11 +15,11 @@
 //!   relaxations).
 //! * [`mdp`] — finite Markov decision process solvers (discounted and
 //!   average criteria, optimal stopping).
-//! * [`core`] — shared scheduling vocabulary: jobs, objectives, index
-//!   policies, comparison tables.
+//! * [`core`] — shared scheduling vocabulary: jobs, instances, priority
+//!   indices, the adaptive-greedy algorithm, comparison tables.
 //! * [`batch`] — §1 of the survey: scheduling a batch of stochastic jobs
-//!   (WSEPT, SEPT/LEPT, preemptive Gittins-type indices, parallel machines,
-//!   flow shops, turnpike asymptotics).
+//!   (WSEPT, SEPT/LEPT, preemptive Gittins-type indices, parallel and
+//!   uniform machines, turnpike asymptotics).
 //! * [`bandits`] — §2: multi-armed and restless bandits (Gittins index,
 //!   Whittle index, marginal productivity indices, branching bandits,
 //!   LP relaxation bounds, switching costs).
