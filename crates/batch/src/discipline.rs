@@ -15,31 +15,17 @@ use ss_core::job::JobClass;
 
 use crate::preemptive::gittins_service_index;
 
-/// Resolution knobs for the quantile grid behind the Gittins index
-/// computation; the defaults match the preemptive simulator's oracle tests.
-#[derive(Debug, Clone, Copy)]
-pub struct GittinsGrid {
-    /// Smallest stopping quantum considered in the sup over stopping times.
-    pub min_quantum: f64,
-    /// Truncation horizon for the service distributions.
-    pub horizon: f64,
-    /// Number of candidate stopping points on `[min_quantum, horizon]`.
-    pub grid_points: usize,
-}
-
-impl Default for GittinsGrid {
-    fn default() -> Self {
-        Self {
-            min_quantum: 1e-3,
-            horizon: 60.0,
-            grid_points: 400,
-        }
-    }
-}
+/// Smallest stopping quantum considered in the sup over stopping times.
+const MIN_QUANTUM: f64 = 1e-3;
+/// Truncation horizon for the service distributions.
+const HORIZON: f64 = 60.0;
+/// Number of candidate stopping points on `[MIN_QUANTUM, HORIZON]`.
+const GRID_POINTS: usize = 400;
 
 /// The Gittins rule as a nonpreemptive fabric discipline: classes ranked by
-/// their weighted Gittins service index at zero attained service.
-pub fn gittins_discipline(classes: &[JobClass], grid: GittinsGrid) -> StaticIndex {
+/// their weighted Gittins service index at zero attained service, on the
+/// quantile grid the preemptive simulator's oracle tests use.
+pub fn gittins_discipline(classes: &[JobClass]) -> StaticIndex {
     let indices = classes
         .iter()
         .map(|c| {
@@ -47,9 +33,9 @@ pub fn gittins_discipline(classes: &[JobClass], grid: GittinsGrid) -> StaticInde
                 c.service.as_ref(),
                 c.holding_cost,
                 0.0,
-                grid.min_quantum,
-                grid.horizon,
-                grid.grid_points,
+                MIN_QUANTUM,
+                HORIZON,
+                GRID_POINTS,
             )
         })
         .collect();
@@ -71,7 +57,7 @@ mod tests {
             JobClass::new(1, 0.1, dyn_dist(Exponential::with_mean(0.25)), 1.0), // cµ = 4
             JobClass::new(2, 0.1, dyn_dist(Exponential::with_mean(1.0)), 2.5), // cµ = 2.5
         ];
-        let d = gittins_discipline(&classes, GittinsGrid::default());
+        let d = gittins_discipline(&classes);
         assert_eq!(d.name(), "gittins");
         assert!(d.class_index(1, 1) > d.class_index(2, 1));
         assert!(d.class_index(2, 1) > d.class_index(0, 1));
@@ -85,7 +71,7 @@ mod tests {
             dyn_dist(HyperExponential::new(vec![0.5, 0.5], vec![2.0, 0.25])),
             1.0,
         )];
-        let d = gittins_discipline(&classes, GittinsGrid::default());
+        let d = gittins_discipline(&classes);
         assert_eq!(
             d.class_index(0, 1).to_bits(),
             d.class_index(0, 77).to_bits()

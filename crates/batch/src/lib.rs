@@ -28,6 +28,6 @@ pub mod turnpike;
 pub mod two_point_exact;
 pub mod uniform_machines;
 
-pub use discipline::{gittins_discipline, GittinsGrid};
+pub use discipline::gittins_discipline;
 pub use policies::{lept_order, random_order, sept_order, wsept_order};
 pub use single_machine::{exhaustive_optimal_order, expected_weighted_flowtime};

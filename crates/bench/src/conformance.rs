@@ -52,14 +52,15 @@ pub fn sweep_values_report() -> String {
 /// The experiment-harness artifact: the report bodies of the experiments
 /// [`select_experiments`] picks for `ids` (E-id order, each once), with
 /// every `[`-prefixed wall-clock line stripped — exactly the text CI's old
-/// `grep -v '^\['` diff compared across `SS_THREADS`/`--jobs` values.
+/// `grep -v '^\['` diff compared across `SS_THREADS` values.  The
+/// experiments fan out on the current pool lanes.
 ///
 /// Timing-sensitive experiments (E21 embeds its own measured thread-sweep
 /// wall-clocks in the report body) are rejected: their reports vary run to
 /// run by construction and can never be conformance artifacts.  A panicking
 /// or unknown experiment is an error, not an artifact — a `PANICKED:` line
 /// is deterministic and would byte-diff clean across replicas.
-pub fn harness_subset_report(ids: &[String], jobs: usize) -> Result<String, String> {
+pub fn harness_subset_report(ids: &[String]) -> Result<String, String> {
     let experiments = all_experiments();
     let selected = select_experiments(&experiments, ids)?;
     if let Some(e) = selected.iter().find(|e| e.timing_sensitive()) {
@@ -69,7 +70,7 @@ pub fn harness_subset_report(ids: &[String], jobs: usize) -> Result<String, Stri
             e.id
         ));
     }
-    let reports = run_experiments(&selected, jobs);
+    let reports = run_experiments(&selected);
     let mut out = String::new();
     for r in &reports {
         if r.panicked {
@@ -92,9 +93,9 @@ mod tests {
 
     #[test]
     fn harness_subset_rejects_unknown_and_timing_sensitive_ids() {
-        let err = harness_subset_report(&["E999".to_string()], 1).unwrap_err();
+        let err = harness_subset_report(&["E999".to_string()]).unwrap_err();
         assert!(err.contains("unknown experiment id"), "{err}");
-        let err = harness_subset_report(&["E21".to_string()], 1).unwrap_err();
+        let err = harness_subset_report(&["E21".to_string()]).unwrap_err();
         assert!(err.contains("timing-sensitive"), "{err}");
     }
 

@@ -86,25 +86,23 @@ pub struct ExperimentReport {
     pub panicked: bool,
 }
 
-/// Run `selected` experiments with `jobs` concurrent harness lanes and
-/// return the reports in the order they were selected (E-id order when the
-/// caller preserves it), each with its wall-clock.
+/// Run `selected` experiments on the current pool lanes and return the
+/// reports in the order they were selected (E-id order when the caller
+/// preserves it), each with its wall-clock.
 ///
-/// With `jobs == 1` the experiments run sequentially on the calling thread
-/// exactly as the harness always did (inner Monte-Carlo loops still use the
-/// global pool).  With `jobs > 1` the experiments are fanned out over a
-/// dedicated pool of `jobs` lanes; each experiment's own parallel calls
-/// then fall back to serial on its worker (nested-parallelism rule), so
-/// concurrency moves to the coarsest grain.  Either way every experiment
-/// draws from its own fixed-seed [`ss_sim::RngStreams`]-derived generators,
-/// so the *reports* are byte-for-byte identical for any `jobs` value — only
-/// the wall-clocks change — with one exception: timing-sensitive
-/// experiments (E21) embed their own measured wall-clock tables in the
-/// report body, which vary run to run by construction.  They always run
-/// alone, after the concurrent batch, and byte-identity consumers (the
-/// `experiments-subset` conformance target) exclude them.
-pub fn run_experiments(selected: &[&Experiment], jobs: usize) -> Vec<ExperimentReport> {
-    assert!(jobs >= 1, "need at least one harness job");
+/// The experiments fan out with one [`ss_sim::pool::parallel_indexed`], so
+/// on one lane they run sequentially on the calling thread and on more
+/// lanes each experiment's own parallel calls run serially on its lane
+/// (the nested-call rule): concurrency moves to the coarsest grain.
+/// Either way every experiment draws from its own fixed-seed
+/// [`ss_sim::RngStreams`]-derived generators, so the *reports* are
+/// byte-for-byte identical for any lane count — only the wall-clocks
+/// change — with one exception: timing-sensitive experiments (E21) embed
+/// their own measured wall-clock tables in the report body, which vary run
+/// to run by construction.  They always run alone, after the concurrent
+/// batch, and byte-identity consumers (the `experiments-subset`
+/// conformance target) exclude them.
+pub fn run_experiments(selected: &[&Experiment]) -> Vec<ExperimentReport> {
     let timed = |e: &Experiment| {
         let start = std::time::Instant::now();
         // Capture a panic instead of unwinding through the harness: one
@@ -131,20 +129,16 @@ pub fn run_experiments(selected: &[&Experiment], jobs: usize) -> Vec<ExperimentR
             panicked,
         }
     };
-    if jobs == 1 {
-        return selected.iter().map(|e| timed(e)).collect();
-    }
     let (concurrent, exclusive): (Vec<usize>, Vec<usize>) =
         (0..selected.len()).partition(|&i| !selected[i].timing_sensitive());
-    let batch = ss_sim::pool::with_threads(jobs, || {
-        ss_sim::pool::parallel_indexed(concurrent.len(), |i| timed(selected[concurrent[i]]))
-    });
+    let batch =
+        ss_sim::pool::parallel_indexed(concurrent.len(), |i| timed(selected[concurrent[i]]));
     let mut slots: Vec<Option<ExperimentReport>> = (0..selected.len()).map(|_| None).collect();
     for (&slot, report) in concurrent.iter().zip(batch) {
         slots[slot] = Some(report);
     }
-    // Timing-sensitive experiments get the machine to themselves, with no
-    // installed pool, so they can size and measure their own pools.
+    // Timing-sensitive experiments get the machine to themselves, outside
+    // any fan-out, so they can scope and measure their own lane counts.
     for &i in &exclusive {
         slots[i] = Some(timed(selected[i]));
     }
@@ -169,7 +163,7 @@ pub fn markdown_document(reports: &[ExperimentReport]) -> String {
          draws from its own ChaCha8 stream keyed by `(master seed, stream id)`\n\
          (`ss_sim::RngStreams`), and the parallel engine collects results in\n\
          index order, so these tables are bit-for-bit reproducible for any\n\
-         `SS_THREADS` setting and any `--jobs` harness concurrency.  Wall-clock\n\
+         `SS_THREADS` setting.  Wall-clock\n\
          lines are from the generating host ({host} logical CPU(s) for this\n\
          revision — see E21 for the serial-vs-parallel trajectory).\n\n\
          Per-experiment descriptions and the claims under test are catalogued in\n\
@@ -1219,7 +1213,7 @@ fn e20_setup_thresholds() -> String {
 
 /// The shared E21 workload: one list-schedule Monte-Carlo evaluation, sized
 /// so one replication (200 sampled jobs through the machine calendar) is
-/// heavy enough to dwarf the pool's per-chunk overhead.
+/// heavy enough to dwarf the cost of starting the pool's lanes.
 pub(crate) fn parallel_replication_workload(replications: usize) -> ss_sim::ReplicationSummary {
     use ss_batch::parallel::{evaluate_list_policy, ParallelMetric};
     let inst = workloads::batch_instance(200, InstanceFamily::Mixed, 2100);
@@ -1244,14 +1238,15 @@ fn e21_parallel_replications() -> String {
         "### E21: parallel replication engine — 200-job list-schedule simulation, {reps} replications per run (host: {host} logical CPU(s))\n\n"
     );
     let time_with_threads = |threads: usize| {
-        // Pool built outside the timer: thread spawn/join is setup cost,
-        // not workload cost. Best of 3 to damp scheduler noise.
-        let pool = ss_sim::pool::ThreadPool::new(threads);
+        // Each run starts its own lanes inside the timer: at most 7 helper
+        // spawns of tens of µs each, against 2.5-3 ms of work per run on a
+        // 2-vCPU host.  Best of 3 to damp scheduler noise.
         let mut best = f64::INFINITY;
         let mut last = None;
         for _ in 0..3 {
             let start = Instant::now();
-            let summary = pool.install(|| parallel_replication_workload(reps));
+            let summary =
+                ss_sim::pool::with_threads(threads, || parallel_replication_workload(reps));
             best = best.min(start.elapsed().as_secs_f64());
             last = Some(summary);
         }
@@ -1420,22 +1415,22 @@ mod tests {
     }
 
     #[test]
-    fn harness_reports_are_identical_across_jobs() {
+    fn harness_reports_are_identical_across_lanes() {
         // The concurrent harness only changes scheduling, never content:
         // a cheap subset (two exact experiments plus the E6 sweep) must
-        // produce byte-identical reports at --jobs 1 and --jobs 4.
+        // produce byte-identical reports on 1 lane and on 4.
         let all = all_experiments();
         let subset: Vec<&Experiment> = all
             .iter()
             .filter(|e| matches!(e.id, "E3" | "E5" | "E6" | "E9"))
             .collect();
-        let serial = run_experiments(&subset, 1);
-        let parallel = run_experiments(&subset, 4);
+        let serial = ss_sim::pool::with_threads(1, || run_experiments(&subset));
+        let parallel = ss_sim::pool::with_threads(4, || run_experiments(&subset));
         assert_eq!(serial.len(), 4);
         assert_eq!(parallel.len(), 4);
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.id, b.id, "report order must be the selection order");
-            assert_eq!(a.report, b.report, "{} diverged across jobs", a.id);
+            assert_eq!(a.report, b.report, "{} diverged across lanes", a.id);
         }
     }
 
@@ -1457,9 +1452,9 @@ mod tests {
             description: "always completes",
             run: fine,
         };
-        for jobs in [1usize, 4] {
-            let reports = run_experiments(&[&bad, &good], jobs);
-            assert_eq!(reports.len(), 2, "jobs={jobs}");
+        for lanes in [1usize, 4] {
+            let reports = ss_sim::pool::with_threads(lanes, || run_experiments(&[&bad, &good]));
+            assert_eq!(reports.len(), 2, "lanes={lanes}");
             assert!(reports[0].panicked);
             assert!(reports[0].report.contains("deliberate test panic"));
             assert!(!reports[1].panicked);

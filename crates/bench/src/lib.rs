@@ -4,7 +4,7 @@
 //! experiment E1–E22 of `DESIGN.md`; each regenerates the corresponding
 //! table/series of `EXPERIMENTS.md`.  Run all of them with
 //! `cargo run --release -p ss-bench --bin experiments` (concurrently on
-//! `--jobs` pool lanes, reports buffered and printed in E-id order), a
+//! the pool's lanes, reports buffered and printed in E-id order), a
 //! subset with `-- E7 E10`, or the whole `EXPERIMENTS.md` document with
 //! `-- --markdown`.  E21 is the pool-scaling record: it times the
 //! replication engine at 1/2/4/8 threads.

@@ -92,7 +92,7 @@ fn main() {
     for &t in &selected {
         let outcome = run_target(
             t.key(),
-            &|threads| t.render(threads),
+            &|| t.render(),
             &|artifact| t.check(artifact),
             &root,
             mode,

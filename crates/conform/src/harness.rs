@@ -1,8 +1,8 @@
 //! The N-replica conformance runner.
 //!
 //! For one target the harness renders the canonical artifact once per
-//! replica (each on a dedicated pool of a size in [`REPLICA_THREADS`], so
-//! the replicas *are* the `SS_THREADS` matrix), byte-compares every replica
+//! replica (each under a lane count from [`REPLICA_THREADS`], so the
+//! replicas *are* the `SS_THREADS` matrix), byte-compares every replica
 //! against the first, checks the target's structural expectations against
 //! the canonical output, and compares (or blesses) the committed golden
 //! fixture.  Any mismatch is localized by [`crate::divergence`].
@@ -146,14 +146,13 @@ impl TargetOutcome {
 }
 
 /// Run one target: render every replica, compare, check expectations, and
-/// check or bless the golden fixture under `root`.  `render` receives each
-/// replica's pool size and must produce the canonical artifact text; it
-/// runs on a dedicated pool of that many threads installed by the harness.
-/// `check` returns the structural expectations the canonical artifact
-/// violates.
+/// check or bless the golden fixture under `root`.  `render` must produce
+/// the canonical artifact text; the harness runs it once per replica under
+/// [`pool::with_threads`] with that replica's pool size.  `check` returns
+/// the structural expectations the canonical artifact violates.
 pub fn run_target(
     key: &str,
-    render: &dyn Fn(usize) -> Result<String, String>,
+    render: &dyn Fn() -> Result<String, String>,
     check: &dyn Fn(&str) -> Vec<String>,
     root: &Path,
     mode: RunMode,
@@ -161,7 +160,7 @@ pub fn run_target(
     let mut errors = Vec::new();
     let mut outputs: Vec<Option<String>> = Vec::new();
     for threads in REPLICA_THREADS {
-        match pool::with_threads(threads, || render(threads)) {
+        match pool::with_threads(threads, render) {
             Ok(text) => outputs.push(Some(text)),
             Err(e) => {
                 errors.push(format!("replica {}: {e}", replica_label(threads)));

@@ -2,8 +2,8 @@
 //!
 //! The workspace's core correctness claim is the **determinism contract**:
 //! every artifact-producing check target emits bit-identical output for any
-//! `SS_THREADS` / `--jobs` value.  This crate turns that claim from a pile
-//! of per-binary CI shell into a first-class subsystem:
+//! `SS_THREADS` value.  This crate turns that claim from a pile of
+//! per-binary CI shell into a first-class subsystem:
 //!
 //! * every conformance target is declared once, as a [`Target`] variant
 //!   ([`targets`]) that knows its key, its renderer, its committed golden

@@ -7,7 +7,7 @@
 //!
 //! Each renderer produces, **in process**, exactly the deterministic text
 //! the corresponding check binary prints (shared rendering functions in the
-//! owning crates guarantee this), using whatever pool the harness installed
+//! owning crates guarantee this), on whatever lane count the harness scoped
 //! for the replica.  Running in process keeps the conformance matrix one
 //! compile + one process instead of 3×5 `cargo run` invocations, and makes
 //! the replica pool size exact rather than inherited through an env var.
@@ -23,8 +23,7 @@ use ss_verify::run::render_check_report;
 use ss_verify::scenario::Budget as VerifyBudget;
 use ss_verify::{generate_corpus, run_corpus, summarize, CorpusStats};
 
-/// Pool sizes of every target's replicas: the `SS_THREADS` matrix.  The
-/// experiments target also uses each size as its `--jobs` lanes.
+/// Pool sizes of every target's replicas: the `SS_THREADS` matrix.
 pub const REPLICA_THREADS: [usize; 3] = [1, 2, 4];
 
 /// Directory of the committed golden fixtures, relative to the repo root.
@@ -124,17 +123,16 @@ impl Target {
             }
             Target::SweepsCheck => "Parameter-sweep value bit patterns from the sweeps workload",
             Target::ExperimentsSubset => {
-                "Experiments harness CI subset (wall-clock lines stripped), across threads and --jobs"
+                "Experiments harness CI subset (wall-clock lines stripped), across threads"
             }
         }
     }
 
-    /// Render the canonical artifact on the pool the harness installed for
-    /// a replica of `threads` threads.  Renderers must not install another
-    /// pool around their parallel fan-outs, except where the real binary
-    /// does: the experiments harness installs its `--jobs` pool itself,
-    /// which is exactly the behaviour under test.
-    pub fn render(self, threads: usize) -> Result<String, String> {
+    /// Render the canonical artifact on the lane count the harness scoped
+    /// for a replica.  Renderers must not scope another lane count around
+    /// their parallel fan-outs: the replica's count is the behaviour under
+    /// test.
+    pub fn render(self) -> Result<String, String> {
         let run = std::panic::catch_unwind(|| match self {
             Target::VerifyCheck => {
                 let corpus = generate_corpus(ss_verify::DEFAULT_SEED);
@@ -159,9 +157,7 @@ impl Target {
             }
             Target::ReplicationsCheck => Ok(replication_values_report(REPLICATIONS)),
             Target::SweepsCheck => Ok(sweep_values_report()),
-            Target::ExperimentsSubset => {
-                harness_subset_report(&EXPERIMENT_IDS.map(String::from), threads)
-            }
+            Target::ExperimentsSubset => harness_subset_report(&EXPERIMENT_IDS.map(String::from)),
         });
         match run {
             Ok(result) => result,

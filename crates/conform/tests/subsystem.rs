@@ -108,7 +108,7 @@ fn injected_timestamp_nondeterminism_is_caught_and_localized() {
     // Deterministic stand-in for a wall clock: each replica renders a
     // different "epoch" value, exactly what a real clock leak produces.
     let calls = AtomicUsize::new(0);
-    let render = move |_: usize| {
+    let render = move || {
         let fake_epoch = 1_700_000_000 + calls.fetch_add(1, Ordering::SeqCst);
         Ok(format!(
             "stable line A\nelapsed {fake_epoch} seconds\nstable line B\n"
@@ -157,7 +157,7 @@ fn injected_timestamp_nondeterminism_is_caught_and_localized() {
 #[test]
 fn bless_refuses_to_bless_diverging_replicas() {
     let calls = AtomicUsize::new(0);
-    let render = move |_: usize| Ok(format!("value {}\n", calls.fetch_add(1, Ordering::SeqCst)));
+    let render = move || Ok(format!("value {}\n", calls.fetch_add(1, Ordering::SeqCst)));
     let scratch = ScratchRoot::new("refuse");
     let outcome = run_target(
         "refuse-bless",
@@ -201,7 +201,7 @@ fn bless_refuses_to_bless_a_failed_expectation() {
 
 // ------------------------------------------------------- fixture lifecycle
 
-fn deterministic_render(_: usize) -> Result<String, String> {
+fn deterministic_render() -> Result<String, String> {
     Ok("artifact line 1\nartifact line 2\n".to_string())
 }
 

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use ss_bandits::discipline::WhittleQueueDiscipline;
-use ss_batch::discipline::{gittins_discipline, GittinsGrid};
+use ss_batch::discipline::gittins_discipline;
 use ss_core::discipline::{Discipline, Fifo};
 use ss_core::job::JobClass;
 use ss_distributions::DynDist;
@@ -350,9 +350,7 @@ impl FabricConfig {
         match self.tiers[tier].discipline {
             DisciplineKind::Fifo => Arc::new(Fifo),
             DisciplineKind::Cmu => Arc::new(cmu_discipline(&classes)),
-            DisciplineKind::Gittins => {
-                Arc::new(gittins_discipline(&classes, GittinsGrid::default()))
-            }
+            DisciplineKind::Gittins => Arc::new(gittins_discipline(&classes)),
             DisciplineKind::Whittle => {
                 Arc::new(WhittleQueueDiscipline::new(&classes, WHITTLE_TRUNCATION))
             }

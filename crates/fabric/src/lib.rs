@@ -50,7 +50,7 @@ pub use resilience::{
     TokenBucket,
 };
 pub use scenarios::{
-    aggregate, render_suite_report, retry_storm_config, run_suite, scenario_list, suite_lines,
-    Budget, DEFAULT_SEED,
+    aggregate, render_suite_report, retry_storm_config, run_suite, scenario_list, Budget,
+    DEFAULT_SEED,
 };
 pub use sim::{replication_seed, run_fabric, run_fabric_with, FABRIC_SIM_STREAM};

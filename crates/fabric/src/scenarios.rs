@@ -477,15 +477,6 @@ pub fn run_suite(seed: u64, budget: &Budget) -> Vec<(String, FabricReport)> {
         .collect()
 }
 
-/// The deterministic report of a suite run, one line block per scenario —
-/// the text the CI determinism job diffs across `SS_THREADS` values.
-pub fn suite_lines(seed: u64, budget: &Budget) -> Vec<String> {
-    run_suite(seed, budget)
-        .iter()
-        .flat_map(|(name, report)| report.report_lines(name))
-        .collect()
-}
-
 /// Render already-computed suite results exactly as the `fabric` binary
 /// prints them (per-scenario report blocks plus the footer, no wall-clock).
 /// Shared with the `ss-conform` subsystem so the binary's `--check` output

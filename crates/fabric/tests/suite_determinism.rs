@@ -2,7 +2,7 @@
 //! across thread counts and a pure function of the seed (the same contract
 //! CI enforces by diffing `fabric --check` output across `SS_THREADS`).
 
-use ss_fabric::{run_suite, scenario_list, suite_lines, Budget, DEFAULT_SEED};
+use ss_fabric::{render_suite_report, run_suite, scenario_list, Budget, DEFAULT_SEED};
 use ss_sim::pool;
 
 #[test]
@@ -58,12 +58,13 @@ fn suite_is_thread_count_invariant() {
 #[test]
 fn report_lines_are_a_pure_function_of_the_seed() {
     let budget = Budget::check();
-    let first = suite_lines(DEFAULT_SEED, &budget);
-    let again = suite_lines(DEFAULT_SEED, &budget);
+    let report = |seed| render_suite_report(seed, &run_suite(seed, &budget));
+    let first = report(DEFAULT_SEED);
+    let again = report(DEFAULT_SEED);
     assert_eq!(first, again, "same seed must reproduce the exact report");
 
-    let other = suite_lines(DEFAULT_SEED ^ 1, &budget);
-    assert_eq!(other.len(), first.len());
+    let other = report(DEFAULT_SEED ^ 1);
+    assert_eq!(other.lines().count(), first.lines().count());
     assert_ne!(
         other, first,
         "a different seed must actually change the run"

@@ -17,15 +17,17 @@
 //!   deterministic quantile sketch;
 //! * [`replication`] — serial and parallel replication runners that return
 //!   summary statistics with confidence intervals;
-//! * [`pool`] — the multi-threaded execution pool every parallel workload
-//!   schedules on, through one order-preserving map
-//!   ([`pool::parallel_indexed`]), with scoped pools, an `SS_THREADS`
-//!   override and a bit-for-bit serial/parallel determinism contract.
+//! * [`pool`] — the execution pool every parallel workload schedules on,
+//!   through one order-preserving map ([`pool::parallel_indexed`]) whose
+//!   lanes are scoped threads started per call, with a scoped lane count
+//!   ([`pool::with_threads`]), an `SS_THREADS` override and a bit-for-bit
+//!   serial/parallel determinism contract.
 //!
 //! The simulators in `ss-queueing`, `ss-batch` and `ss-fabric` are built
 //! on these primitives; each runs its own event loop.
 
 pub mod events;
+#[allow(unsafe_code)]
 mod neg_ln;
 pub mod pool;
 pub mod replication;

@@ -37,9 +37,10 @@
 //! input off glibc's special cases (zero, subnormal, negative, infinite,
 //! NaN). The kernel is tested on that domain only.
 //!
-//! This file holds the crate's only `unsafe` outside the pool: the call
-//! into the kernel after run-time CPU detection, and in the kernel the
-//! four-lane loads and stores of the batch and the table gathers, each
+//! This file holds the only `unsafe` in `crates/`: the workspace denies
+//! `unsafe_code`, and `lib.rs` allows it on this module alone.  It is the
+//! call into the kernel after run-time CPU detection, and in the kernel
+//! the four-lane loads and stores of the batch and the table gathers, each
 //! with a `// SAFETY:` comment.
 
 /// Values per batch: one `ChaCha8Rng` refill is 64 words, so 32 `f64`

@@ -55,6 +55,9 @@ pub struct ScenarioReport {
     pub verdict: Verdict,
 }
 
+/// Confidence level of the CI term in the tolerance gate.
+const CONFIDENCE: f64 = 0.99;
+
 /// Per-pair relative tolerances of the Monte-Carlo oracle pairs (the CI
 /// half-width is added on top; exact pairs use [`Tolerance::exact`]).
 fn tolerance_for(pair: OraclePair) -> Tolerance {
@@ -135,7 +138,7 @@ fn run_queue(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(pair),
     )
 }
@@ -172,7 +175,7 @@ fn run_bandit(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::GittinsRolloutVsDp),
     )
 }
@@ -254,7 +257,7 @@ fn run_klimov(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::KlimovVsExact),
     )
 }
@@ -296,7 +299,7 @@ fn run_restless(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::WhittleVsDp),
     )
 }
@@ -369,7 +372,7 @@ fn run_fabric_erlang(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::FabricVsErlangC),
     )
 }
@@ -417,7 +420,7 @@ fn run_fabric_mmck(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::FabricVsMmck),
     )
 }
@@ -458,7 +461,7 @@ fn run_list_schedule(
     check(
         stats.mean(),
         exact,
-        stats.ci_half_width_t(budget.confidence),
+        stats.ci_half_width_t(CONFIDENCE),
         tolerance_for(OraclePair::SeptLeptVsDp),
     )
 }

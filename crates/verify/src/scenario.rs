@@ -197,8 +197,6 @@ pub struct Budget {
     pub restless_horizon: usize,
     /// Schedule realisations per list-schedule scenario.
     pub list_replications: usize,
-    /// Confidence level of the CI term in the tolerance gate (e.g. `0.99`).
-    pub confidence: f64,
 }
 
 impl Budget {
@@ -212,7 +210,6 @@ impl Budget {
             restless_replications: 4,
             restless_horizon: 4_000,
             list_replications: 1_500,
-            confidence: 0.99,
         }
     }
 
@@ -226,7 +223,6 @@ impl Budget {
             restless_replications: 8,
             restless_horizon: 12_000,
             list_replications: 6_000,
-            confidence: 0.99,
         }
     }
 }
