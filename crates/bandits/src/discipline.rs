@@ -37,8 +37,12 @@
 //! W(s) = (u_{T=s+1}(s) − u_{T=s}(s)) / (w_{T=s+1}(s) − w_{T=s}(s))
 //! ```
 //!
-//! Two Thomas solves per threshold give the whole table in `O(n²)` — no
-//! value iteration, no bisection.  All classes share one uniformization
+//! One Thomas elimination per threshold solves both systems, whose matrix
+//! is the same, and gives the whole table in `O(n²)` — no value
+//! iteration, no bisection.  Thresholds are solved in increasing order,
+//! and rows below `T − 1` are the same for `T − 1` and `T`, so each
+//! elimination resumes where its predecessor's rows start to differ.  All
+//! classes share one uniformization
 //! clock (`Λ = max_j (λ_j + µ_j)`) and one per-slot discount
 //! [`WHITTLE_DISCOUNT`], so the indices are comparable across classes.
 
@@ -106,46 +110,88 @@ impl Discipline for WhittleQueueDiscipline {
     }
 }
 
-/// Solve the tridiagonal system `(I − β P_T) v = r` by the Thomas
-/// algorithm, where `P_T` is the threshold-`T` policy's transition matrix
-/// on states `0..=n`: active states (`s ≥ t`) step down with probability
-/// `d`, every state below `n` steps up with probability `a`, and the rest
-/// self-loops.  The matrix is strictly diagonally dominant (row sums of
-/// `βP` are `β < 1`), so the elimination is stable and never divides by
-/// zero.
-fn solve_threshold_system(a: f64, d: f64, t: usize, n: usize, beta: f64, r: &[f64]) -> Vec<f64> {
-    let k = n + 1;
-    // Release-mode check: a mis-sized reward vector would read stale
-    // rows of the elimination arrays and solve the wrong system.
-    assert_eq!(r.len(), k, "reward vector length must be n + 1");
-    let mut diag = vec![0.0; k];
-    let mut sub = vec![0.0; k]; // sub[s] multiplies v[s-1] in row s
-    let mut sup = vec![0.0; k]; // sup[s] multiplies v[s+1] in row s
-    for s in 0..k {
-        let p_down = if s >= t && s > 0 { d } else { 0.0 };
-        let p_up = if s < n { a } else { 0.0 };
-        let p_self = 1.0 - p_down - p_up;
-        sub[s] = -beta * p_down;
-        sup[s] = -beta * p_up;
-        diag[s] = 1.0 - beta * p_self;
+/// The threshold systems `(I − β P_T) v = r` of one project, where `P_T`
+/// is the threshold-`T` policy's transition matrix on states `0..=n`:
+/// active states (`s ≥ T`) step down with probability `d`, every state
+/// below `n` steps up with probability `a`, and the rest self-loops.  The
+/// matrix is strictly diagonally dominant (row sums of `βP` are `β < 1`),
+/// so the Thomas elimination is stable and never divides by zero.
+///
+/// One elimination serves both right-hand sides, the holding cost (giving
+/// the discounted cost-to-go `u_T`) and the idle indicator `1{s < T}`
+/// (giving the discounted idle time `w_T`): its pivots depend on the
+/// matrix alone.  Rows `s < min(T, T')` are the same for thresholds `T`
+/// and `T'`, right-hand sides included, so the forward pass keeps the rows
+/// of the previous threshold below that and recomputes the rest.  Every
+/// value has the bits of a separate solve per right-hand side.
+struct ThresholdSolver {
+    a: f64,
+    d: f64,
+    n: usize,
+    beta: f64,
+    cost: Vec<f64>,
+    /// The threshold of the last elimination: rows below the smaller of
+    /// it and the next threshold carry over. It starts at 0, so the first
+    /// solve eliminates every row.
+    eliminated: usize,
+    c_star: Vec<f64>,
+    u_star: Vec<f64>,
+    w_star: Vec<f64>,
+}
+
+impl ThresholdSolver {
+    fn new(a: f64, d: f64, holding_cost: f64, n: usize, beta: f64) -> Self {
+        let k = n + 1;
+        Self {
+            a,
+            d,
+            n,
+            beta,
+            cost: (0..k)
+                .map(|s| holding_cost * (s * (s + 1)) as f64 / 2.0)
+                .collect(),
+            eliminated: 0,
+            c_star: vec![0.0; k],
+            u_star: vec![0.0; k],
+            w_star: vec![0.0; k],
+        }
     }
-    // Forward elimination.
-    let mut c_star = vec![0.0; k];
-    let mut d_star = vec![0.0; k];
-    c_star[0] = sup[0] / diag[0];
-    d_star[0] = r[0] / diag[0];
-    for s in 1..k {
-        let m = diag[s] - sub[s] * c_star[s - 1];
-        c_star[s] = sup[s] / m;
-        d_star[s] = (r[s] - sub[s] * d_star[s - 1]) / m;
+
+    /// Write threshold `t`'s cost-to-go to `u` and idle-time-to-go to `w`.
+    fn solve(&mut self, t: usize, u: &mut [f64], w: &mut [f64]) {
+        let (a, d, n, beta) = (self.a, self.d, self.n, self.beta);
+        let k = n + 1;
+        // Release-mode check: a mis-sized output would leave stale rows.
+        assert!(u.len() == k && w.len() == k, "outputs must have n + 1 rows");
+        // Forward elimination from the first row that differs.
+        for s in self.eliminated.min(t)..k {
+            let p_down = if s >= t && s > 0 { d } else { 0.0 };
+            let p_up = if s < n { a } else { 0.0 };
+            let p_self = 1.0 - p_down - p_up;
+            let sub = -beta * p_down; // multiplies v[s-1] in row s
+            let sup = -beta * p_up; // multiplies v[s+1] in row s
+            let diag = 1.0 - beta * p_self;
+            let idle = f64::from(u8::from(s < t));
+            if s == 0 {
+                self.c_star[0] = sup / diag;
+                self.u_star[0] = self.cost[0] / diag;
+                self.w_star[0] = idle / diag;
+            } else {
+                let m = diag - sub * self.c_star[s - 1];
+                self.c_star[s] = sup / m;
+                self.u_star[s] = (self.cost[s] - sub * self.u_star[s - 1]) / m;
+                self.w_star[s] = (idle - sub * self.w_star[s - 1]) / m;
+            }
+        }
+        self.eliminated = t;
+        // Back substitution.
+        u[k - 1] = self.u_star[k - 1];
+        w[k - 1] = self.w_star[k - 1];
+        for s in (0..k - 1).rev() {
+            u[s] = self.u_star[s] - self.c_star[s] * u[s + 1];
+            w[s] = self.w_star[s] - self.c_star[s] * w[s + 1];
+        }
     }
-    // Back substitution.
-    let mut v = vec![0.0; k];
-    v[k - 1] = d_star[k - 1];
-    for s in (0..k - 1).rev() {
-        v[s] = d_star[s] - c_star[s] * v[s + 1];
-    }
-    v
 }
 
 /// Discounted Whittle indices of the truncated birth–death service-control
@@ -174,31 +220,25 @@ pub fn discounted_whittle_table(
     );
     assert!(holding_cost > 0.0 && (0.0..1.0).contains(&beta));
     let k = n + 1;
-    let cost: Vec<f64> = (0..k)
-        .map(|s| holding_cost * (s * (s + 1)) as f64 / 2.0)
-        .collect();
-    // u[t], w[t]: discounted cost-to-go / idle-time-to-go of threshold
-    // t = 1..=n+1 (t = n+1 never serves).
-    let evaluate = |t: usize| {
-        let idle: Vec<f64> = (0..k).map(|s| f64::from(u8::from(s < t))).collect();
-        (
-            solve_threshold_system(a, d, t, n, beta, &cost),
-            solve_threshold_system(a, d, t, n, beta, &idle),
-        )
-    };
+    // Discounted cost-to-go / idle-time-to-go of thresholds s and s + 1,
+    // for t = 1..=n+1 (t = n+1 never serves).
+    let mut solver = ThresholdSolver::new(a, d, holding_cost, n, beta);
+    let (mut lower_u, mut lower_w) = (vec![0.0; k], vec![0.0; k]);
+    let (mut upper_u, mut upper_w) = (vec![0.0; k], vec![0.0; k]);
     let mut table = vec![0.0];
     let mut running_max = f64::NEG_INFINITY;
-    let mut lower = evaluate(1);
+    solver.solve(1, &mut lower_u, &mut lower_w);
     for s in 1..=n {
-        let upper = evaluate(s + 1);
-        let du = upper.0[s] - lower.0[s];
-        let dw = upper.1[s] - lower.1[s];
+        solver.solve(s + 1, &mut upper_u, &mut upper_w);
+        let du = upper_u[s] - lower_u[s];
+        let dw = upper_w[s] - lower_w[s];
         assert!(dw > 0.0, "raising the threshold idles state {s} more");
         let index = du / dw;
         assert!(!index.is_nan(), "NaN Whittle index at state {s}");
         running_max = running_max.max(index);
         table.push(running_max);
-        lower = upper;
+        std::mem::swap(&mut lower_u, &mut upper_u);
+        std::mem::swap(&mut lower_w, &mut upper_w);
     }
     table
 }
@@ -215,6 +255,78 @@ mod tests {
             dyn_dist(Exponential::with_mean(mean_service)),
             cost,
         )
+    }
+
+    /// One right-hand side's Thomas solve of threshold `t`'s system, with
+    /// the matrix stored: the reference the shared elimination must match
+    /// bit for bit.
+    fn solve_threshold_system(
+        a: f64,
+        d: f64,
+        t: usize,
+        n: usize,
+        beta: f64,
+        r: &[f64],
+    ) -> Vec<f64> {
+        let k = n + 1;
+        assert_eq!(r.len(), k, "reward vector length must be n + 1");
+        let mut diag = vec![0.0; k];
+        let mut sub = vec![0.0; k]; // sub[s] multiplies v[s-1] in row s
+        let mut sup = vec![0.0; k]; // sup[s] multiplies v[s+1] in row s
+        for s in 0..k {
+            let p_down = if s >= t && s > 0 { d } else { 0.0 };
+            let p_up = if s < n { a } else { 0.0 };
+            let p_self = 1.0 - p_down - p_up;
+            sub[s] = -beta * p_down;
+            sup[s] = -beta * p_up;
+            diag[s] = 1.0 - beta * p_self;
+        }
+        let mut c_star = vec![0.0; k];
+        let mut d_star = vec![0.0; k];
+        c_star[0] = sup[0] / diag[0];
+        d_star[0] = r[0] / diag[0];
+        for s in 1..k {
+            let m = diag[s] - sub[s] * c_star[s - 1];
+            c_star[s] = sup[s] / m;
+            d_star[s] = (r[s] - sub[s] * d_star[s - 1]) / m;
+        }
+        let mut v = vec![0.0; k];
+        v[k - 1] = d_star[k - 1];
+        for s in (0..k - 1).rev() {
+            v[s] = d_star[s] - c_star[s] * v[s + 1];
+        }
+        v
+    }
+
+    /// The shared elimination returns the bits of one solve per
+    /// right-hand side at every threshold of n = 40: in the table's
+    /// increasing order, where each elimination resumes on its
+    /// predecessor's rows, and in an order that jumps both ways.
+    #[test]
+    fn shared_elimination_equals_two_single_solves() {
+        let (a, d, c, n, beta) = (0.31, 0.52, 1.7, 40, WHITTLE_DISCOUNT);
+        let mut solver = ThresholdSolver::new(a, d, c, n, beta);
+        let (mut u, mut w) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+        let increasing = 0..=n + 1;
+        let jumping = (0..=n + 1).rev().chain([7, 30, 2, 2, 41, 0, 19]);
+        for t in increasing.chain(jumping) {
+            solver.solve(t, &mut u, &mut w);
+            let idle: Vec<f64> = (0..=n).map(|s| f64::from(u8::from(s < t))).collect();
+            let want_u = solve_threshold_system(a, d, t, n, beta, &solver.cost);
+            let want_w = solve_threshold_system(a, d, t, n, beta, &idle);
+            for s in 0..=n {
+                assert_eq!(
+                    u[s].to_bits(),
+                    want_u[s].to_bits(),
+                    "u, threshold {t}, state {s}"
+                );
+                assert_eq!(
+                    w[s].to_bits(),
+                    want_w[s].to_bits(),
+                    "w, threshold {t}, state {s}"
+                );
+            }
+        }
     }
 
     /// Fixed-point policy evaluation (v ← r + βPv) as an oracle for the

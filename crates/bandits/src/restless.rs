@@ -497,26 +497,31 @@ pub fn simulate_restless<R: Rng + ?Sized>(
     assert!(m >= 1 && m <= projects.len() && horizon > 0);
     let n = projects.len();
     let mut states: Vec<usize> = vec![0; n];
+    let mut scored: Vec<(f64, usize)> = Vec::with_capacity(n);
+    let mut is_active = vec![false; n];
     let mut total = 0.0;
     for _ in 0..horizon {
-        // Score every project.
-        let mut scored: Vec<(f64, usize)> = (0..n)
-            .map(|p| {
-                let s = states[p];
-                let score = match policy {
-                    RestlessPolicy::WhittleIndex(indices) => indices[p][s],
-                    RestlessPolicy::Myopic => {
-                        projects[p].active_reward(s) - projects[p].passive_reward(s)
-                    }
-                    RestlessPolicy::Random => rng.gen::<f64>(),
-                };
-                (score, p)
-            })
-            .collect();
-        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-        let active: Vec<usize> = scored.iter().take(m).map(|&(_, p)| p).collect();
-        let mut is_active = vec![false; n];
-        for &p in &active {
+        // Score every project, in project order (the `Random` draws).
+        scored.clear();
+        scored.extend((0..n).map(|p| {
+            let s = states[p];
+            let score = match policy {
+                RestlessPolicy::WhittleIndex(indices) => indices[p][s],
+                RestlessPolicy::Myopic => {
+                    projects[p].active_reward(s) - projects[p].passive_reward(s)
+                }
+                RestlessPolicy::Random => rng.gen::<f64>(),
+            };
+            (score, p)
+        }));
+        // Score descending, then project id, orders distinct ids totally,
+        // so the set of the m first does not depend on how the selection
+        // reaches it.
+        scored.select_nth_unstable_by(m - 1, |a, b| {
+            b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1))
+        });
+        is_active.fill(false);
+        for &(_, p) in &scored[..m] {
             is_active[p] = true;
         }
         for p in 0..n {

@@ -224,7 +224,7 @@ mod tests {
     #[test]
     fn active_set_matches_simulator_tie_breaking() {
         // Equal indices: the lowest project numbers win, exactly as in
-        // simulate_restless's sort.
+        // simulate_restless's selection.
         let indices = vec![vec![1.0], vec![1.0], vec![1.0]];
         assert_eq!(whittle_active_set(&[0, 0, 0], &indices, 2), vec![0, 1]);
         let indices = vec![vec![0.0], vec![2.0], vec![1.0]];

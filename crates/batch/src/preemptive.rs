@@ -17,7 +17,9 @@
 //! WSEPT measured in experiment E2.
 //!
 //! The index is computed numerically on a quantum grid; the scheduler is a
-//! discrete-review simulator with a configurable review period.
+//! discrete-review simulator with a configurable review period, reading
+//! each job's index from a [`GittinsIndexTable`] keyed by the quanta of
+//! service the job has received.
 
 use rand::RngCore;
 use ss_core::instance::BatchInstance;
@@ -46,16 +48,23 @@ pub fn gittins_service_index(
     let ratio = (horizon / min_quantum).powf(1.0 / (grid_points - 1) as f64);
     let mut best = 0.0f64;
     let mut s = min_quantum;
+    // The trapezoid's abscissae a + kh, k = 1..=STEPS, and their survival.
+    const STEPS: usize = 32;
+    let mut xs = [0.0; STEPS];
+    let mut sfs = [0.0; STEPS];
     for _ in 0..grid_points {
         let p_complete = dist.completion_rate(attained, s);
         // E[min(residual, s) | survive a] by trapezoidal integration of the
-        // conditional survival function.
-        let steps = 32;
-        let h = s / steps as f64;
+        // conditional survival function, summed in k order.
+        let h = s / STEPS as f64;
+        for (k, x) in (1..=STEPS).zip(&mut xs) {
+            *x = attained + k as f64 * h;
+        }
+        dist.sf_batch(&xs, &mut sfs);
         let mut integral = 0.0;
         let mut prev = 1.0; // S(a + 0)/S(a)
-        for k in 1..=steps {
-            let cur = dist.sf(attained + k as f64 * h) / sa;
+        for &sf in &sfs {
+            let cur = sf / sa;
             integral += 0.5 * (prev + cur) * h;
             prev = cur;
         }
@@ -102,21 +111,89 @@ impl Default for PreemptiveConfig {
     }
 }
 
+/// The Gittins indices of one instance's jobs under one configuration,
+/// keyed by (job, quanta of service received).
+///
+/// A job's attained service after `m` quanta is the same `m`-fold sum of
+/// `review_period` in every review epoch and every replication, and so is
+/// its index. Each entry is computed on first use and served from then on.
+/// The table borrows the instance and copies the configuration it is built
+/// from, so it cannot serve another pair.
+#[derive(Debug)]
+pub struct GittinsIndexTable<'a> {
+    instance: &'a BatchInstance,
+    config: PreemptiveConfig,
+    /// `attained[m]`: the service after `m` quanta, summed one quantum at a
+    /// time as service accrues.
+    attained: Vec<f64>,
+    /// `indices[job][m]`: the job's index after `m` quanta.
+    indices: Vec<Vec<f64>>,
+}
+
+impl<'a> GittinsIndexTable<'a> {
+    /// An empty table for `instance` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// If `config.review_period` is not positive and finite: service would
+    /// never accrue, and the simulation would never end.
+    pub fn new(instance: &'a BatchInstance, config: &PreemptiveConfig) -> Self {
+        assert!(
+            config.review_period > 0.0 && config.review_period.is_finite(),
+            "PreemptiveConfig::review_period must be positive and finite, got {}",
+            config.review_period
+        );
+        Self {
+            instance,
+            config: *config,
+            attained: vec![0.0],
+            indices: vec![Vec::new(); instance.len()],
+        }
+    }
+
+    /// The attained service after `quanta` quanta.
+    fn attained(&mut self, quanta: usize) -> f64 {
+        while self.attained.len() <= quanta {
+            let last = self.attained[self.attained.len() - 1];
+            self.attained.push(last + self.config.review_period);
+        }
+        self.attained[quanta]
+    }
+
+    /// The index of `job` after `quanta` quanta of service.
+    fn index(&mut self, job: usize, quanta: usize) -> f64 {
+        while self.indices[job].len() <= quanta {
+            let attained = self.attained(self.indices[job].len());
+            let j = &self.instance.jobs()[job];
+            let index = gittins_service_index(
+                j.dist.as_ref(),
+                j.weight,
+                attained,
+                self.config.min_quantum,
+                self.config.index_horizon,
+                self.config.grid_points,
+            );
+            self.indices[job].push(index);
+        }
+        self.indices[job][quanta]
+    }
+}
+
 /// Simulate one realisation of the Gittins-index preemptive policy on a
-/// single machine.
+/// single machine, for the instance and configuration of `table`.
 ///
 /// Processing times are sampled up front (the scheduler never sees them);
 /// at each review epoch the job with the largest current index receives the
-/// next quantum of service.
+/// next quantum of service. Replications of one pair may share one table.
 pub fn simulate_gittins_preemptive(
-    instance: &BatchInstance,
-    config: &PreemptiveConfig,
+    table: &mut GittinsIndexTable<'_>,
     rng: &mut dyn RngCore,
 ) -> PreemptiveOutcome {
-    let jobs = instance.jobs();
+    let jobs = table.instance.jobs();
+    let review_period = table.config.review_period;
     let n = jobs.len();
     let true_sizes: Vec<f64> = jobs.iter().map(|j| j.dist.sample(rng)).collect();
-    let mut attained = vec![0.0f64; n];
+    let mut quanta = vec![0usize; n];
     let mut done = vec![false; n];
     let mut completion = vec![0.0f64; n];
     let mut remaining = n;
@@ -132,14 +209,7 @@ pub fn simulate_gittins_preemptive(
             if done[i] {
                 continue;
             }
-            let idx = gittins_service_index(
-                jobs[i].dist.as_ref(),
-                jobs[i].weight,
-                attained[i],
-                config.min_quantum,
-                config.index_horizon,
-                config.grid_points,
-            );
+            let idx = table.index(i, quanta[i]);
             if idx > best_index {
                 best_index = idx;
                 best_job = Some(i);
@@ -153,16 +223,15 @@ pub fn simulate_gittins_preemptive(
         }
         last_served = Some(i);
 
-        let needed = true_sizes[i] - attained[i];
-        if needed <= config.review_period {
+        let needed = true_sizes[i] - table.attained(quanta[i]);
+        if needed <= review_period {
             clock += needed.max(0.0);
-            attained[i] = true_sizes[i];
             done[i] = true;
             completion[i] = clock;
             remaining -= 1;
         } else {
-            clock += config.review_period;
-            attained[i] += config.review_period;
+            clock += review_period;
+            quanta[i] += 1;
         }
     }
 
@@ -188,7 +257,151 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use ss_distributions::{dyn_dist, Deterministic, Exponential, HyperExponential};
+    use ss_distributions::{dyn_dist, Deterministic, Erlang, Exponential, HyperExponential};
+
+    /// The reference simulator: every unfinished job's index recomputed at
+    /// every review epoch from its attained service, which grows by one
+    /// `review_period` per quantum.
+    fn simulate_recomputing_every_index(
+        instance: &BatchInstance,
+        config: &PreemptiveConfig,
+        rng: &mut dyn RngCore,
+    ) -> PreemptiveOutcome {
+        let jobs = instance.jobs();
+        let n = jobs.len();
+        let true_sizes: Vec<f64> = jobs.iter().map(|j| j.dist.sample(rng)).collect();
+        let mut attained = vec![0.0f64; n];
+        let mut done = vec![false; n];
+        let mut completion = vec![0.0f64; n];
+        let mut remaining = n;
+        let mut clock = 0.0;
+        let mut last_served: Option<usize> = None;
+        let mut preemptions = 0;
+        while remaining > 0 {
+            let mut best_job = None;
+            let mut best_index = f64::NEG_INFINITY;
+            for i in 0..n {
+                if done[i] {
+                    continue;
+                }
+                let idx = gittins_service_index(
+                    jobs[i].dist.as_ref(),
+                    jobs[i].weight,
+                    attained[i],
+                    config.min_quantum,
+                    config.index_horizon,
+                    config.grid_points,
+                );
+                if idx > best_index {
+                    best_index = idx;
+                    best_job = Some(i);
+                }
+            }
+            let i = best_job.unwrap();
+            if let Some(prev) = last_served {
+                if prev != i && !done[prev] {
+                    preemptions += 1;
+                }
+            }
+            last_served = Some(i);
+            let needed = true_sizes[i] - attained[i];
+            if needed <= config.review_period {
+                clock += needed.max(0.0);
+                attained[i] = true_sizes[i];
+                done[i] = true;
+                completion[i] = clock;
+                remaining -= 1;
+            } else {
+                clock += config.review_period;
+                attained[i] += config.review_period;
+            }
+        }
+        PreemptiveOutcome {
+            weighted_flowtime: (0..n).map(|i| jobs[i].weight * completion[i]).sum(),
+            makespan: completion.iter().cloned().fold(0.0, f64::max),
+            preemptions,
+        }
+    }
+
+    /// One table shared across 50 seeds serves the bits of recomputing
+    /// every index at every epoch: E2's two laws and configuration, and an
+    /// Erlang instance with unequal weights.
+    #[test]
+    fn shared_table_matches_recomputing_every_index() {
+        let e2 = PreemptiveConfig {
+            review_period: 0.1,
+            min_quantum: 0.1,
+            index_horizon: 40.0,
+            grid_points: 12,
+        };
+        let identical = |scv: f64| {
+            (0..4)
+                .fold(BatchInstance::builder(), |b, _| {
+                    b.job(1.0, dyn_dist(HyperExponential::with_mean_scv(1.0, scv)))
+                })
+                .build()
+        };
+        let erlang = BatchInstance::builder()
+            .job(1.0, dyn_dist(Erlang::new(2, 2.0)))
+            .job(2.5, dyn_dist(Erlang::new(4, 2.0)))
+            .job(0.7, dyn_dist(Erlang::new(3, 5.0)))
+            .build();
+        let erlang_config = PreemptiveConfig {
+            review_period: 0.15,
+            min_quantum: 0.05,
+            index_horizon: 12.0,
+            grid_points: 10,
+        };
+        for (inst, config) in [
+            (identical(1.01), e2),
+            (identical(8.0), e2),
+            (erlang, erlang_config),
+        ] {
+            let mut table = GittinsIndexTable::new(&inst, &config);
+            for seed in 0..50 {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let mut twin = ChaCha8Rng::seed_from_u64(seed);
+                let got = simulate_gittins_preemptive(&mut table, &mut rng);
+                let want = simulate_recomputing_every_index(&inst, &config, &mut twin);
+                assert_eq!(
+                    got.weighted_flowtime.to_bits(),
+                    want.weighted_flowtime.to_bits(),
+                    "seed {seed}"
+                );
+                assert_eq!(got.makespan.to_bits(), want.makespan.to_bits());
+                assert_eq!(got.preemptions, want.preemptions);
+            }
+        }
+    }
+
+    fn table_with_review_period(review_period: f64) {
+        let inst = BatchInstance::builder()
+            .job(1.0, dyn_dist(Exponential::new(1.0)))
+            .build();
+        let config = PreemptiveConfig {
+            review_period,
+            ..PreemptiveConfig::default()
+        };
+        GittinsIndexTable::new(&inst, &config);
+    }
+
+    #[test]
+    #[should_panic(expected = "review_period must be positive and finite")]
+    fn zero_review_period_is_rejected() {
+        table_with_review_period(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "review_period must be positive and finite")]
+    fn negative_review_period_is_rejected() {
+        table_with_review_period(-0.1);
+    }
+
+    #[test]
+    #[should_panic(expected = "review_period must be positive and finite")]
+    fn nan_review_period_is_rejected() {
+        table_with_review_period(f64::NAN);
+    }
 
     #[test]
     fn exponential_index_is_w_lambda() {
@@ -214,7 +427,8 @@ mod tests {
             .job(1.0, dyn_dist(Deterministic::new(2.0)))
             .build();
         let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let out = simulate_gittins_preemptive(&inst, &PreemptiveConfig::default(), &mut rng);
+        let mut table = GittinsIndexTable::new(&inst, &PreemptiveConfig::default());
+        let out = simulate_gittins_preemptive(&mut table, &mut rng);
         // Makespan is the total work regardless of policy.
         assert!((out.makespan - 3.0).abs() < 1e-9);
         // The short job should finish first: 1*1 + 1*3 = 4.
@@ -238,10 +452,11 @@ mod tests {
             grid_points: 8,
         };
         let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let mut table = GittinsIndexTable::new(&inst, &config);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng).weighted_flowtime;
+            pre += simulate_gittins_preemptive(&mut table, &mut rng).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng);
         }
         pre /= reps as f64;
@@ -272,10 +487,11 @@ mod tests {
         };
         let mut rng_a = ChaCha8Rng::seed_from_u64(21);
         let mut rng_b = ChaCha8Rng::seed_from_u64(21);
+        let mut table = GittinsIndexTable::new(&inst, &config);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng_a).weighted_flowtime;
+            pre += simulate_gittins_preemptive(&mut table, &mut rng_a).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng_b);
         }
         pre /= reps as f64;

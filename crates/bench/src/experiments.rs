@@ -22,7 +22,7 @@ use ss_batch::exact_exp::{
 };
 use ss_batch::policies::{lept_order, random_order, sept_order, weight_only_order, wsept_order};
 use ss_batch::preemptive::{
-    simulate_gittins_preemptive, simulate_wsept_nonpreemptive, PreemptiveConfig,
+    simulate_gittins_preemptive, simulate_wsept_nonpreemptive, GittinsIndexTable, PreemptiveConfig,
 };
 use ss_batch::single_machine::{exhaustive_optimal_order, expected_weighted_flowtime};
 use ss_batch::turnpike::turnpike_sweep;
@@ -404,10 +404,11 @@ fn e2_preemptive_gittins() -> String {
         };
         let reps = 4000;
         let mut rng = workloads::rng_for(200);
+        let mut table = GittinsIndexTable::new(&inst, &config);
         let mut pre = 0.0;
         let mut non = 0.0;
         for _ in 0..reps {
-            pre += simulate_gittins_preemptive(&inst, &config, &mut rng).weighted_flowtime;
+            pre += simulate_gittins_preemptive(&mut table, &mut rng).weighted_flowtime;
             non += simulate_wsept_nonpreemptive(&inst, &mut rng);
         }
         pre /= reps as f64;

@@ -5,7 +5,7 @@
 //! variability" processing-time family used when the SEPT flowtime
 //! optimality conditions (common IHR distribution) must hold.
 
-use crate::special::reg_lower_gamma;
+use crate::special::{ln_gamma, reg_lower_gamma, reg_lower_gamma_lanes};
 use crate::traits::{DistKind, ServiceDistribution};
 use rand::{Rng, RngCore};
 
@@ -87,6 +87,33 @@ impl ServiceDistribution for Erlang {
             0.0
         } else {
             reg_lower_gamma(self.shape as f64, self.rate * x)
+        }
+    }
+
+    /// Four abscissae at a time through the lane kernel, with `ln Γ(k)`
+    /// computed once per call; the remainder goes through `sf`. Every value
+    /// has the bits of `sf`: `cdf` returns 0 for `x <= 0`, and so does the
+    /// kernel for `rate·x <= 0`, which that implies for a positive finite
+    /// rate.
+    fn sf_batch(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "sf_batch needs one output per abscissa"
+        );
+        let a = self.shape as f64;
+        let ln_gamma_a = ln_gamma(a);
+        let mut xs = xs.chunks_exact(4);
+        let mut outs = out.chunks_exact_mut(4);
+        for (x, o) in (&mut xs).zip(&mut outs) {
+            let x = [x[0], x[1], x[2], x[3]].map(|x| self.rate * x);
+            let p = reg_lower_gamma_lanes(a, ln_gamma_a, x);
+            for (o, p) in o.iter_mut().zip(p) {
+                *o = (1.0 - p).max(0.0);
+            }
+        }
+        for (o, &x) in outs.into_remainder().iter_mut().zip(xs.remainder()) {
+            *o = self.sf(x);
         }
     }
 

@@ -40,53 +40,101 @@ pub fn gamma(x: f64) -> f64 {
     ln_gamma(x).exp()
 }
 
-/// Regularised lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`.
+/// Regularised lower incomplete gamma function `P(a, x) = γ(a, x) / Γ(a)`:
+/// the one-lane instance of the lane kernel that Erlang's batched survival
+/// function runs four lanes wide.
 pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
+    let [p] = reg_lower_gamma_lanes(a, ln_gamma(a), [x]);
+    p
+}
+
+/// `P(a, x)` at `L` abscissae of one shape `a`, given `ln_gamma_a =
+/// ln_gamma(a)`.
+///
+/// Each lane takes the series when `0 < x < a + 1` and Lentz's continued
+/// fraction for the upper function `Q = 1 − P` otherwise (NaN and +∞
+/// included); `x <= 0` gives 0. A lane that has converged keeps its state
+/// while the others iterate, and every lane stops at its branch's cap (500
+/// series terms, 499 fraction terms). So each lane runs the same
+/// operations on the same operands as a one-lane call and returns the same
+/// bits: the lanes only interleave independent division chains, which the
+/// core overlaps.
+pub(crate) fn reg_lower_gamma_lanes<const L: usize>(
+    a: f64,
+    ln_gamma_a: f64,
+    xs: [f64; L],
+) -> [f64; L] {
     assert!(a > 0.0, "shape parameter must be positive");
-    if x <= 0.0 {
-        return 0.0;
-    }
-    if x < a + 1.0 {
-        // Series representation.
-        let mut sum = 1.0 / a;
-        let mut term = sum;
-        let mut n = a;
-        for _ in 0..500 {
-            n += 1.0;
-            term *= x / n;
-            sum += term;
-            if term.abs() < sum.abs() * 1e-15 {
-                break;
-            }
+    let series = xs.map(|x| x > 0.0 && x < a + 1.0);
+    let mut done = xs.map(|x| x <= 0.0);
+    // Series state: sum, term, n. Continued-fraction state: b, c, d, h.
+    let [mut sum, mut term, mut n] = [[0.0; L]; 3];
+    let [mut b, mut c, mut d, mut h] = [[0.0; L]; 4];
+    for l in 0..L {
+        if done[l] {
+            continue;
         }
-        (sum.ln() + a * x.ln() - x - ln_gamma(a)).exp()
-    } else {
-        // Continued fraction (Lentz) for the upper function Q, then 1 - Q.
-        let mut b = x + 1.0 - a;
-        let mut c = 1.0 / 1e-300;
-        let mut d = 1.0 / b;
-        let mut h = d;
-        for i in 1..500 {
+        if series[l] {
+            sum[l] = 1.0 / a;
+            term[l] = sum[l];
+            n[l] = a;
+        } else {
+            b[l] = xs[l] + 1.0 - a;
+            c[l] = 1.0 / 1e-300;
+            d[l] = 1.0 / b[l];
+            h[l] = d[l];
+        }
+    }
+    for iteration in 0..500 {
+        let mut all_done = true;
+        for l in 0..L {
+            if done[l] {
+                continue;
+            }
+            if series[l] {
+                n[l] += 1.0;
+                term[l] *= xs[l] / n[l];
+                sum[l] += term[l];
+                done[l] = term[l].abs() < sum[l].abs() * 1e-15;
+                all_done &= done[l];
+                continue;
+            }
+            // The continued fraction's terms run i = 1..500.
+            let i = iteration + 1;
+            if i == 500 {
+                continue;
+            }
             let an = -(i as f64) * (i as f64 - a);
-            b += 2.0;
-            d = an * d + b;
-            if d.abs() < 1e-300 {
-                d = 1e-300;
+            b[l] += 2.0;
+            d[l] = an * d[l] + b[l];
+            if d[l].abs() < 1e-300 {
+                d[l] = 1e-300;
             }
-            c = b + an / c;
-            if c.abs() < 1e-300 {
-                c = 1e-300;
+            c[l] = b[l] + an / c[l];
+            if c[l].abs() < 1e-300 {
+                c[l] = 1e-300;
             }
-            d = 1.0 / d;
-            let delta = d * c;
-            h *= delta;
-            if (delta - 1.0).abs() < 1e-15 {
-                break;
-            }
+            d[l] = 1.0 / d[l];
+            let delta = d[l] * c[l];
+            h[l] *= delta;
+            done[l] = (delta - 1.0).abs() < 1e-15;
+            all_done &= done[l];
         }
-        let q = (a * x.ln() - x - ln_gamma(a)).exp() * h;
-        (1.0 - q).clamp(0.0, 1.0)
+        if all_done {
+            break;
+        }
     }
+    std::array::from_fn(|l| {
+        let x = xs[l];
+        if x <= 0.0 {
+            0.0
+        } else if series[l] {
+            (sum[l].ln() + a * x.ln() - x - ln_gamma_a).exp()
+        } else {
+            let q = (a * x.ln() - x - ln_gamma_a).exp() * h[l];
+            (1.0 - q).clamp(0.0, 1.0)
+        }
+    })
 }
 
 /// Error function, Abramowitz & Stegun 7.1.26 with sign handling.
@@ -227,5 +275,106 @@ mod tests {
             assert!((back - p).abs() < 5e-6, "p={p}, x={x}, back={back}");
         }
         assert!((std_normal_inv_cdf(0.975) - 1.959_964).abs() < 1e-4);
+    }
+    /// Folds a value's bits into an FNV-1a hash, every NaN as `f64::NAN`:
+    /// NaN payloads are not part of the arithmetic.
+    fn fold(hash: &mut u64, v: f64) {
+        for byte in canonical_bits(v).to_le_bytes() {
+            *hash ^= u64::from(byte);
+            *hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn canonical_bits(v: f64) -> u64 {
+        if v.is_nan() { f64::NAN } else { v }.to_bits()
+    }
+
+    /// `reg_lower_gamma`'s bits over shapes 1..=16, against a digest
+    /// recorded from the scalar implementation that preceded the lane
+    /// kernel. The abscissae straddle the switch from the series to the
+    /// continued fraction at `a + 1` (one ulp either side), cover the edges
+    /// (negative, ±0, subnormal, tiny, large, +∞, NaN) and spread across
+    /// both branches.
+    #[test]
+    fn reg_lower_gamma_bits_match_the_recorded_digest() {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut values = 0;
+        for shape in 1..=16u32 {
+            let a = f64::from(shape);
+            let switch = a + 1.0;
+            let edges = [
+                switch,
+                switch.next_up(),
+                switch.next_down(),
+                -1.0,
+                0.0,
+                -0.0,
+                f64::from_bits(1),
+                1e-300,
+                1e3,
+                f64::INFINITY,
+                f64::NAN,
+            ];
+            let spread = (1..=64).map(|i| f64::from(i) * 0.37);
+            for x in edges.into_iter().chain(spread) {
+                fold(&mut hash, reg_lower_gamma(a, x));
+                values += 1;
+            }
+        }
+        assert_eq!(
+            (hash, values),
+            (0x1d00_02c5_9bcd_1c90, 16 * 75),
+            "reg_lower_gamma bits drifted: digest {hash:#018x}"
+        );
+    }
+
+    /// Four lanes return each lane's one-lane bits, over 10^5 seeded
+    /// quadruples that mix the two branches, converge at different
+    /// iterations and include the edges (NaN, ±∞, 0, negative, subnormal).
+    #[test]
+    fn four_lanes_equal_one_lane_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x1a4e5);
+        let edges = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.0,
+            -0.0,
+            -2.5,
+            f64::from_bits(1),
+            1e-300,
+            1e3,
+        ];
+        let mut branches = [0usize; 2];
+        for _ in 0..100_000 {
+            let a = if rng.gen::<bool>() {
+                f64::from(rng.gen_range(1u32..=24))
+            } else {
+                rng.gen_range(0.05..30.0)
+            };
+            let xs: [f64; 4] = std::array::from_fn(|_| match rng.gen_range(0..8u32) {
+                0 => edges[rng.gen_range(0..edges.len())],
+                1 => {
+                    let switch = a + 1.0;
+                    [switch, switch.next_up(), switch.next_down()][rng.gen_range(0..3usize)]
+                }
+                2 => rng.gen_range(0.0..200.0),
+                _ => rng.gen_range(0.0..3.0 * a + 3.0),
+            });
+            let lanes = reg_lower_gamma_lanes(a, ln_gamma(a), xs);
+            for (x, p) in xs.into_iter().zip(lanes) {
+                let one = reg_lower_gamma(a, x);
+                assert_eq!(
+                    canonical_bits(p),
+                    canonical_bits(one),
+                    "P({a}, {x}) in lanes {xs:?}: {p} vs {one}"
+                );
+                if x > 0.0 {
+                    branches[usize::from(x < a + 1.0)] += 1;
+                }
+            }
+        }
+        assert!(branches.iter().all(|&n| n > 100_000), "{branches:?}");
     }
 }

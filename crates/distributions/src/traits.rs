@@ -87,6 +87,28 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
         (1.0 - self.cdf(x)).max(0.0)
     }
 
+    /// The survival function at every abscissa of `xs`, written to `out`:
+    /// `out[i]` has the bits of `self.sf(xs[i])`.
+    ///
+    /// The default loops over [`ServiceDistribution::sf`] inside the law's
+    /// own code, so a batch through a `dyn` handle makes one dynamic call,
+    /// not one per point. A law may override it with a faster evaluation
+    /// of the same bits.
+    ///
+    /// # Panics
+    ///
+    /// If `xs` and `out` differ in length.
+    fn sf_batch(&self, xs: &[f64], out: &mut [f64]) {
+        assert_eq!(
+            xs.len(),
+            out.len(),
+            "sf_batch needs one output per abscissa"
+        );
+        for (o, &x) in out.iter_mut().zip(xs) {
+            *o = self.sf(x);
+        }
+    }
+
     /// Second raw moment `E[X^2]`.
     fn second_moment(&self) -> f64 {
         let m = self.mean();
@@ -254,6 +276,73 @@ mod tests {
         for d in &others {
             assert_eq!(d.exponential_rate(), None, "{}", d.describe());
         }
+    }
+
+    /// `sf_batch` returns `sf`'s bits for every law, at lengths on both
+    /// sides of Erlang's four-lane chunks, with the edges mixed in. Every
+    /// NaN compares as `f64::NAN`: NaN payloads are not part of the
+    /// arithmetic.
+    #[test]
+    fn sf_batch_equals_sf_bit_for_bit() {
+        use crate::{
+            Deterministic, DiscreteDist, Empirical, Erlang, HyperExponential, LogNormal, Mixture,
+            TwoPoint, Uniform, Weibull,
+        };
+        let mut laws: Vec<crate::DynDist> = vec![
+            crate::dyn_dist(Exponential::new(0.9)),
+            crate::dyn_dist(HyperExponential::with_mean_scv(1.0, 8.0)),
+            crate::dyn_dist(Mixture::new(
+                vec![0.3, 0.7],
+                vec![
+                    crate::dyn_dist(Exponential::new(0.9)),
+                    crate::dyn_dist(Erlang::new(3, 2.0)),
+                ],
+            )),
+            crate::dyn_dist(Deterministic::new(1.0)),
+            crate::dyn_dist(DiscreteDist::new(vec![1.0, 2.0], vec![0.5, 0.5])),
+            crate::dyn_dist(Empirical::new(vec![1.0, 2.0, 3.0])),
+            crate::dyn_dist(LogNormal::new(0.0, 1.0)),
+            crate::dyn_dist(TwoPoint::new(0.5, 1.0, 2.0)),
+            crate::dyn_dist(Uniform::new(0.0, 2.0)),
+            crate::dyn_dist(Weibull::new(2.0, 1.0)),
+        ];
+        for shape in [1, 2, 4, 9, 16, 40] {
+            laws.push(crate::dyn_dist(Erlang::new(shape, 0.7 * f64::from(shape))));
+        }
+        let canonical = |v: f64| if v.is_nan() { f64::NAN } else { v }.to_bits();
+        let edges = [f64::NAN, 0.0, -0.0, -1.0, f64::INFINITY, f64::from_bits(1)];
+        for d in &laws {
+            for len in [0, 1, 3, 4, 5, 32, 33] {
+                let xs: Vec<f64> = (0..len)
+                    .map(|i| match i % 3 {
+                        1 => edges[i / 3 % edges.len()],
+                        _ => 0.173 * i as f64 * d.mean(),
+                    })
+                    .collect();
+                let mut out = vec![-1.0; len];
+                d.sf_batch(&xs, &mut out);
+                for (&x, &got) in xs.iter().zip(&out) {
+                    assert_eq!(
+                        canonical(got),
+                        canonical(d.sf(x)),
+                        "{} at {x} (batch of {len})",
+                        d.describe()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per abscissa")]
+    fn sf_batch_rejects_a_short_output() {
+        Exponential::new(1.0).sf_batch(&[1.0, 2.0], &mut [0.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one output per abscissa")]
+    fn erlang_sf_batch_rejects_a_short_output() {
+        crate::Erlang::new(4, 1.0).sf_batch(&[1.0; 8], &mut [0.0; 7]);
     }
 
     #[test]
