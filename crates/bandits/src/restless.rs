@@ -348,6 +348,21 @@ pub fn whittle_indices(project: &RestlessProject) -> Vec<f64> {
 /// equal `m`.  The optimal value upper-bounds every admissible policy.
 pub fn whittle_relaxation_bound(projects: &[RestlessProject], m: usize) -> f64 {
     assert!(!projects.is_empty() && m >= 1 && m <= projects.len());
+    relaxation_lp(projects, m as f64)
+}
+
+/// Relaxation bound per project for `N` identical copies of `project` with
+/// an active fraction `alpha = m / N`: solved on a single copy with the
+/// coupling constraint `Σ_i x_{i,active} = alpha`, so the `N`-project bound
+/// is `N` times the returned value.
+pub fn relaxation_bound_identical(project: &RestlessProject, alpha: f64) -> f64 {
+    assert!((0.0..=1.0).contains(&alpha));
+    relaxation_lp(std::slice::from_ref(project), alpha)
+}
+
+/// The optimal value of the relaxation LP over `projects` whose coupling
+/// constraint holds the average number of active projects at `active`.
+fn relaxation_lp(projects: &[RestlessProject], active: f64) -> f64 {
     // Variable layout: for project n with k_n states, active vars then
     // passive vars: x[n][i][a], flattened.
     let mut var_offset = Vec::with_capacity(projects.len());
@@ -411,64 +426,10 @@ pub fn whittle_relaxation_bound(projects: &[RestlessProject], m: usize) -> f64 {
             row[idx(n, i, true, projects)] = 1.0;
         }
     }
-    lp.add_constraint(row, Relation::Eq, m as f64);
+    lp.add_constraint(row, Relation::Eq, active);
 
     lp.solve()
         .expect("relaxation LP must be feasible")
-        .objective
-}
-
-/// Relaxation bound per project for `N` identical copies of `project` with
-/// an active fraction `alpha = m / N`: solved on a single copy with the
-/// coupling constraint `Σ_i x_{i,active} = alpha`, so the `N`-project bound
-/// is `N` times the returned value.
-pub fn relaxation_bound_identical(project: &RestlessProject, alpha: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&alpha));
-    let k = project.num_states();
-    let idx = |i: usize, active: bool| -> usize {
-        if active {
-            i
-        } else {
-            k + i
-        }
-    };
-    let mut objective = vec![0.0; 2 * k];
-    for i in 0..k {
-        objective[idx(i, true)] = project.active_reward(i);
-        objective[idx(i, false)] = project.passive_reward(i);
-    }
-    let mut lp = LinearProgram::maximize(objective);
-    let mut norm = vec![0.0; 2 * k];
-    for i in 0..k {
-        norm[idx(i, true)] = 1.0;
-        norm[idx(i, false)] = 1.0;
-    }
-    lp.add_constraint(norm, Relation::Eq, 1.0);
-    for j in 0..k {
-        let mut row = vec![0.0; 2 * k];
-        row[idx(j, true)] += 1.0;
-        row[idx(j, false)] += 1.0;
-        for i in 0..k {
-            for &(next, prob) in project.active_transitions(i) {
-                if next == j {
-                    row[idx(i, true)] -= prob;
-                }
-            }
-            for &(next, prob) in project.passive_transitions(i) {
-                if next == j {
-                    row[idx(i, false)] -= prob;
-                }
-            }
-        }
-        lp.add_constraint(row, Relation::Eq, 0.0);
-    }
-    let mut coupling = vec![0.0; 2 * k];
-    for i in 0..k {
-        coupling[idx(i, true)] = 1.0;
-    }
-    lp.add_constraint(coupling, Relation::Eq, alpha);
-    lp.solve()
-        .expect("identical-project relaxation LP must be feasible")
         .objective
 }
 

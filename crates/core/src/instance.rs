@@ -84,48 +84,35 @@ pub enum InstanceFamily {
     Mixed,
 }
 
+/// The range the generator draws mean processing times from, uniformly.
+const MEANS: std::ops::Range<f64> = 0.5..3.0;
+/// The range the generator draws job weights from, uniformly.
+const WEIGHTS: std::ops::Range<f64> = 0.5..2.0;
+
 /// Random-instance generator with documented, reproducible parameters.
 ///
-/// Means are drawn uniformly from `[mean_low, mean_high]` and weights from
-/// `[weight_low, weight_high]`.
+/// Means are drawn uniformly from `[0.5, 3)` and weights from `[0.5, 2)`.
 #[derive(Debug, Clone)]
 pub struct InstanceGenerator {
     /// Distribution family for processing times.
     pub family: InstanceFamily,
-    /// Lower bound of the mean-processing-time range.
-    pub mean_low: f64,
-    /// Upper bound of the mean-processing-time range.
-    pub mean_high: f64,
-    /// Lower bound of the weight range.
-    pub weight_low: f64,
-    /// Upper bound of the weight range.
-    pub weight_high: f64,
 }
 
 impl Default for InstanceGenerator {
     fn default() -> Self {
-        Self {
-            family: InstanceFamily::Mixed,
-            mean_low: 0.5,
-            mean_high: 3.0,
-            weight_low: 0.5,
-            weight_high: 2.0,
-        }
+        Self::with_family(InstanceFamily::Mixed)
     }
 }
 
 impl InstanceGenerator {
-    /// Generator with a fixed family and default ranges.
+    /// Generator with a fixed family.
     pub fn with_family(family: InstanceFamily) -> Self {
-        Self {
-            family,
-            ..Default::default()
-        }
+        Self { family }
     }
 
     /// Draw one processing-time distribution.
     pub fn sample_dist<R: Rng + ?Sized>(&self, rng: &mut R) -> DynDist {
-        let mean = rng.gen_range(self.mean_low..self.mean_high);
+        let mean = rng.gen_range(MEANS);
         let family = match self.family {
             InstanceFamily::Mixed => match rng.gen_range(0..5u32) {
                 0 => InstanceFamily::Exponential,
@@ -166,7 +153,7 @@ impl InstanceGenerator {
         assert!(n > 0);
         let jobs = (0..n)
             .map(|id| {
-                let weight = rng.gen_range(self.weight_low..self.weight_high);
+                let weight = rng.gen_range(WEIGHTS);
                 Job::new(id, weight, self.sample_dist(rng))
             })
             .collect();
@@ -207,18 +194,12 @@ mod tests {
 
     #[test]
     fn generator_respects_family_and_ranges() {
-        let gen = InstanceGenerator {
-            family: InstanceFamily::Exponential,
-            mean_low: 1.0,
-            mean_high: 2.0,
-            weight_low: 1.0,
-            weight_high: 1.5,
-        };
+        let gen = InstanceGenerator::with_family(InstanceFamily::Exponential);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let inst = gen.generate(50, &mut rng);
         for j in inst.jobs() {
-            assert!(j.mean_processing() >= 1.0 - 1e-9 && j.mean_processing() <= 2.0 + 1e-9);
-            assert!(j.weight >= 1.0 && j.weight <= 1.5);
+            assert!(j.mean_processing() >= 0.5 - 1e-9 && j.mean_processing() <= 3.0 + 1e-9);
+            assert!(WEIGHTS.contains(&j.weight));
             assert_eq!(j.dist.kind(), ss_distributions::DistKind::Exponential);
         }
     }
@@ -229,9 +210,9 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
         let inst = gen.generate(20, &mut rng);
         for j in inst.jobs() {
-            assert!(j.mean_processing() >= gen.mean_low - 1e-9);
+            assert!(j.mean_processing() >= MEANS.start - 1e-9);
             // The constructed high point keeps the mean in range by design.
-            assert!(j.mean_processing() <= gen.mean_high + 1e-9);
+            assert!(j.mean_processing() <= MEANS.end + 1e-9);
         }
     }
 }

@@ -22,11 +22,6 @@ impl Deterministic {
         );
         Self { value }
     }
-
-    /// The constant value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
 }
 
 impl ServiceDistribution for Deterministic {
@@ -58,20 +53,12 @@ impl ServiceDistribution for Deterministic {
         0.0
     }
 
-    fn mean_residual(&self, a: f64) -> f64 {
-        (self.value - a).max(0.0)
-    }
-
     fn completion_rate(&self, a: f64, delta: f64) -> f64 {
         if a + delta >= self.value {
             1.0
         } else {
             0.0
         }
-    }
-
-    fn support_upper(&self) -> f64 {
-        self.value
     }
 
     fn describe(&self) -> String {
@@ -95,14 +82,6 @@ mod tests {
         assert_eq!(d.sample(&mut rng), 3.0);
         assert_eq!(d.cdf(2.999), 0.0);
         assert_eq!(d.cdf(3.0), 1.0);
-    }
-
-    #[test]
-    fn residual_decreases_linearly() {
-        let d = Deterministic::new(5.0);
-        assert_eq!(d.mean_residual(0.0), 5.0);
-        assert_eq!(d.mean_residual(2.0), 3.0);
-        assert_eq!(d.mean_residual(7.0), 0.0);
     }
 
     #[test]

@@ -30,16 +30,6 @@ impl Erlang {
         assert!(mean > 0.0, "mean must be positive");
         Self::new(shape, shape as f64 / mean)
     }
-
-    /// Number of exponential stages.
-    pub fn shape(&self) -> u32 {
-        self.shape
-    }
-
-    /// Per-stage rate.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl ServiceDistribution for Erlang {
@@ -155,7 +145,7 @@ mod tests {
     fn with_mean_constructor() {
         let d = Erlang::with_mean(3, 6.0);
         assert!((d.mean() - 6.0).abs() < 1e-12);
-        assert_eq!(d.shape(), 3);
+        assert_eq!(d.shape, 3);
     }
 
     #[test]
@@ -166,6 +156,13 @@ mod tests {
             assert!((e.cdf(t) - x.cdf(t)).abs() < 1e-10);
             assert!((e.pdf(t) - x.pdf(t)).abs() < 1e-10);
         }
+    }
+
+    #[test]
+    fn cdf_at_infinity_is_one() {
+        let d = Erlang::new(3, 1.5);
+        assert_eq!(d.cdf(f64::INFINITY), 1.0);
+        assert_eq!(d.sf(f64::INFINITY), 0.0);
     }
 
     #[test]

@@ -28,11 +28,6 @@ impl Exponential {
         );
         Self { rate: 1.0 / mean }
     }
-
-    /// The rate parameter `lambda`.
-    pub fn rate(&self) -> f64 {
-        self.rate
-    }
 }
 
 impl ServiceDistribution for Exponential {
@@ -76,11 +71,6 @@ impl ServiceDistribution for Exponential {
 
     fn exponential_rate(&self) -> Option<f64> {
         Some(self.rate)
-    }
-
-    fn mean_residual(&self, _a: f64) -> f64 {
-        // Memorylessness: the residual life is again Exp(rate).
-        1.0 / self.rate
     }
 
     fn completion_rate(&self, _a: f64, delta: f64) -> f64 {
@@ -134,7 +124,6 @@ mod tests {
         let d = Exponential::new(3.0);
         for a in [0.0, 0.1, 1.0, 10.0] {
             assert!((d.hazard(a) - 3.0).abs() < 1e-12);
-            assert!((d.mean_residual(a) - 1.0 / 3.0).abs() < 1e-12);
         }
     }
 

@@ -49,16 +49,6 @@ impl HyperExponential {
         let r2 = 2.0 * (1.0 - p) / mean;
         Self::new(vec![p, 1.0 - p], vec![r1, r2])
     }
-
-    /// Branch probabilities.
-    pub fn probs(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Branch rates.
-    pub fn rates(&self) -> &[f64] {
-        &self.rates
-    }
 }
 
 impl ServiceDistribution for HyperExponential {

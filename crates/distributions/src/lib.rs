@@ -15,12 +15,11 @@
 //!   **moments**.
 //!
 //! This crate therefore exposes a single [`ServiceDistribution`] trait that
-//! provides moments, sampling, distribution functions, hazard rates and
-//! residual-life quantities, together with a collection of concrete families
-//! (exponential, deterministic, uniform, Erlang, hyperexponential,
-//! two-point, Weibull, log-normal, general discrete, empirical, mixtures)
-//! and utilities for classifying hazard-rate monotonicity and checking
-//! stochastic orderings numerically.
+//! provides moments, sampling, distribution functions and hazard rates,
+//! together with a collection of concrete families (exponential,
+//! deterministic, uniform, Erlang, hyperexponential, two-point, Weibull,
+//! log-normal) and utilities for classifying hazard-rate monotonicity and
+//! checking stochastic orderings numerically.
 //!
 //! # Example
 //!
@@ -35,14 +34,11 @@
 //! ```
 
 pub mod deterministic;
-pub mod discrete;
-pub mod empirical;
 pub mod erlang;
 pub mod exponential;
 pub mod hazard;
 pub mod hyperexponential;
 pub mod lognormal;
-pub mod mixture;
 pub mod moments;
 pub mod ordering;
 pub mod special;
@@ -52,13 +48,10 @@ pub mod uniform;
 pub mod weibull;
 
 pub use deterministic::Deterministic;
-pub use discrete::DiscreteDist;
-pub use empirical::Empirical;
 pub use erlang::Erlang;
 pub use exponential::Exponential;
 pub use hyperexponential::HyperExponential;
 pub use lognormal::LogNormal;
-pub use mixture::Mixture;
 pub use traits::{DistKind, ServiceDistribution};
 pub use two_point::TwoPoint;
 pub use uniform::Uniform;

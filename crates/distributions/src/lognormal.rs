@@ -31,16 +31,6 @@ impl LogNormal {
         Self::new(mu, sigma2.sqrt())
     }
 
-    /// Location parameter of `ln X`.
-    pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// Scale parameter of `ln X`.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
     /// Draw a standard normal via Box–Muller using the supplied RNG.
     fn standard_normal(rng: &mut dyn RngCore) -> f64 {
         let u1: f64 = rng.gen::<f64>().max(1e-300);

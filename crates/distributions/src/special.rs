@@ -52,8 +52,8 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 /// ln_gamma(a)`.
 ///
 /// Each lane takes the series when `0 < x < a + 1` and Lentz's continued
-/// fraction for the upper function `Q = 1 − P` otherwise (NaN and +∞
-/// included); `x <= 0` gives 0. A lane that has converged keeps its state
+/// fraction for the upper function `Q = 1 − P` otherwise (NaN included);
+/// `x <= 0` gives 0 and `x = +∞` gives 1 without iterating. A lane that has converged keeps its state
 /// while the others iterate, and every lane stops at its branch's cap (500
 /// series terms, 499 fraction terms). So each lane runs the same
 /// operations on the same operands as a one-lane call and returns the same
@@ -66,7 +66,7 @@ pub(crate) fn reg_lower_gamma_lanes<const L: usize>(
 ) -> [f64; L] {
     assert!(a > 0.0, "shape parameter must be positive");
     let series = xs.map(|x| x > 0.0 && x < a + 1.0);
-    let mut done = xs.map(|x| x <= 0.0);
+    let mut done = xs.map(|x| x <= 0.0 || x == f64::INFINITY);
     // Series state: sum, term, n. Continued-fraction state: b, c, d, h.
     let [mut sum, mut term, mut n] = [[0.0; L]; 3];
     let [mut b, mut c, mut d, mut h] = [[0.0; L]; 4];
@@ -128,6 +128,8 @@ pub(crate) fn reg_lower_gamma_lanes<const L: usize>(
         let x = xs[l];
         if x <= 0.0 {
             0.0
+        } else if x == f64::INFINITY {
+            1.0
         } else if series[l] {
             (sum[l].ln() + a * x.ln() - x - ln_gamma_a).exp()
         } else {
@@ -251,6 +253,14 @@ mod tests {
     }
 
     #[test]
+    fn reg_lower_gamma_at_infinity_is_one() {
+        for shape in 1..=16u32 {
+            assert_eq!(reg_lower_gamma(f64::from(shape), f64::INFINITY), 1.0);
+        }
+        assert!(reg_lower_gamma(2.0, f64::NAN).is_nan());
+    }
+
+    #[test]
     fn erf_known_values() {
         assert!(erf(0.0).abs() < 1e-8);
         assert!((erf(1.0) - 0.842_700_79).abs() < 1e-6);
@@ -291,7 +301,8 @@ mod tests {
 
     /// `reg_lower_gamma`'s bits over shapes 1..=16, against a digest
     /// recorded from the scalar implementation that preceded the lane
-    /// kernel. The abscissae straddle the switch from the series to the
+    /// kernel, with the 16 values at +∞ then NaN and since 1 (every other
+    /// value keeps its bits). The abscissae straddle the switch from the series to the
     /// continued fraction at `a + 1` (one ulp either side), cover the edges
     /// (negative, ±0, subnormal, tiny, large, +∞, NaN) and spread across
     /// both branches.
@@ -323,7 +334,7 @@ mod tests {
         }
         assert_eq!(
             (hash, values),
-            (0x1d00_02c5_9bcd_1c90, 16 * 75),
+            (0xfa9e_7c62_fa12_9570, 16 * 75),
             "reg_lower_gamma bits drifted: digest {hash:#018x}"
         );
     }

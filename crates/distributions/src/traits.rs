@@ -19,16 +19,10 @@ pub enum DistKind {
     Uniform,
     /// Two-point discrete distribution.
     TwoPoint,
-    /// General finite discrete distribution.
-    Discrete,
     /// Weibull.
     Weibull,
     /// Log-normal.
     LogNormal,
-    /// Empirical (resampling from observed values).
-    Empirical,
-    /// Finite mixture of other distributions.
-    Mixture,
 }
 
 impl fmt::Display for DistKind {
@@ -40,11 +34,8 @@ impl fmt::Display for DistKind {
             DistKind::HyperExponential => "HyperExponential",
             DistKind::Uniform => "Uniform",
             DistKind::TwoPoint => "TwoPoint",
-            DistKind::Discrete => "Discrete",
             DistKind::Weibull => "Weibull",
             DistKind::LogNormal => "LogNormal",
-            DistKind::Empirical => "Empirical",
-            DistKind::Mixture => "Mixture",
         };
         f.write_str(s)
     }
@@ -153,31 +144,6 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
         ((self.cdf(a + delta) - self.cdf(a)) / sa).clamp(0.0, 1.0)
     }
 
-    /// Mean residual processing time `E[X - a | X > a]`, computed by
-    /// trapezoidal integration of the conditional survival function unless a
-    /// closed form is available.
-    fn mean_residual(&self, a: f64) -> f64 {
-        let sa = self.sf(a);
-        if sa <= 1e-300 {
-            return 0.0;
-        }
-        // Integrate S(x) for x in [a, a + horizon] where horizon is chosen
-        // large enough that the tail contribution is negligible for the
-        // bounded-moment distributions used in this workspace.
-        let horizon = (self.mean() + 8.0 * self.variance().sqrt()).max(self.mean() * 12.0);
-        let n = 2048usize;
-        let h = horizon / n as f64;
-        let mut acc = 0.0;
-        let mut prev = self.sf(a);
-        for i in 1..=n {
-            let x = a + i as f64 * h;
-            let cur = self.sf(x);
-            acc += 0.5 * (prev + cur) * h;
-            prev = cur;
-        }
-        acc / sa
-    }
-
     /// The stored rate when this is an exponential law, sampled as
     /// `-(1.0 - u).ln() / rate` from one uniform `u`; `None` for every
     /// other law, including those that happen to equal an exponential
@@ -189,11 +155,6 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
     /// its bits can differ from the stored rate's.
     fn exponential_rate(&self) -> Option<f64> {
         None
-    }
-
-    /// An upper bound on the support (`f64::INFINITY` when unbounded).
-    fn support_upper(&self) -> f64 {
-        f64::INFINITY
     }
 
     /// A human-readable one-line description (family + parameters).
@@ -215,19 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn default_mean_residual_memoryless() {
-        // For the exponential the mean residual life is the mean at every a.
-        let d = Exponential::new(1.0);
-        for a in [0.0, 0.5, 2.0, 5.0] {
-            let mr = d.mean_residual(a);
-            assert!(
-                (mr - 1.0).abs() < 2e-2,
-                "mean residual at {a} was {mr}, expected ~1"
-            );
-        }
-    }
-
-    #[test]
     fn completion_rate_is_a_probability() {
         let d = Exponential::new(1.0);
         for a in [0.0, 1.0, 3.0] {
@@ -244,8 +192,7 @@ mod tests {
     #[test]
     fn only_the_exponential_reports_a_rate() {
         use crate::{
-            Deterministic, DiscreteDist, Empirical, Erlang, HyperExponential, LogNormal, Mixture,
-            TwoPoint, Uniform, Weibull,
+            Deterministic, Erlang, HyperExponential, LogNormal, TwoPoint, Uniform, Weibull,
         };
         let d = Exponential::new(0.9);
         assert_eq!(
@@ -256,18 +203,12 @@ mod tests {
         let d = Exponential::with_mean(3.0);
         assert_eq!(
             d.exponential_rate().map(f64::to_bits),
-            Some(d.rate().to_bits())
+            Some((1.0f64 / 3.0).to_bits())
         );
         let others: Vec<crate::DynDist> = vec![
             crate::dyn_dist(Erlang::new(1, 0.9)),
             crate::dyn_dist(HyperExponential::new(vec![1.0], vec![0.9])),
-            crate::dyn_dist(Mixture::new(
-                vec![1.0],
-                vec![crate::dyn_dist(Exponential::new(0.9))],
-            )),
             crate::dyn_dist(Deterministic::new(1.0)),
-            crate::dyn_dist(DiscreteDist::new(vec![1.0, 2.0], vec![0.5, 0.5])),
-            crate::dyn_dist(Empirical::new(vec![1.0, 2.0, 3.0])),
             crate::dyn_dist(LogNormal::new(0.0, 1.0)),
             crate::dyn_dist(TwoPoint::new(0.5, 1.0, 2.0)),
             crate::dyn_dist(Uniform::new(0.0, 2.0)),
@@ -285,22 +226,12 @@ mod tests {
     #[test]
     fn sf_batch_equals_sf_bit_for_bit() {
         use crate::{
-            Deterministic, DiscreteDist, Empirical, Erlang, HyperExponential, LogNormal, Mixture,
-            TwoPoint, Uniform, Weibull,
+            Deterministic, Erlang, HyperExponential, LogNormal, TwoPoint, Uniform, Weibull,
         };
         let mut laws: Vec<crate::DynDist> = vec![
             crate::dyn_dist(Exponential::new(0.9)),
             crate::dyn_dist(HyperExponential::with_mean_scv(1.0, 8.0)),
-            crate::dyn_dist(Mixture::new(
-                vec![0.3, 0.7],
-                vec![
-                    crate::dyn_dist(Exponential::new(0.9)),
-                    crate::dyn_dist(Erlang::new(3, 2.0)),
-                ],
-            )),
             crate::dyn_dist(Deterministic::new(1.0)),
-            crate::dyn_dist(DiscreteDist::new(vec![1.0, 2.0], vec![0.5, 0.5])),
-            crate::dyn_dist(Empirical::new(vec![1.0, 2.0, 3.0])),
             crate::dyn_dist(LogNormal::new(0.0, 1.0)),
             crate::dyn_dist(TwoPoint::new(0.5, 1.0, 2.0)),
             crate::dyn_dist(Uniform::new(0.0, 2.0)),

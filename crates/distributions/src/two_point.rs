@@ -4,7 +4,7 @@
 //! parallel machines with two-point processing times the simple index rules
 //! (SEPT/LEPT) are *not* optimal in general; experiment E5 reproduces that
 //! counterexample regime, so this family gets first-class support including
-//! exact conditional-residual arithmetic.
+//! exact conditional completion probabilities.
 
 use crate::traits::{DistKind, ServiceDistribution};
 use rand::{Rng, RngCore};
@@ -80,27 +80,12 @@ impl ServiceDistribution for TwoPoint {
         0.0
     }
 
-    fn mean_residual(&self, a: f64) -> f64 {
-        if a >= self.high {
-            0.0
-        } else if a >= self.low {
-            // Only the high branch survives.
-            self.high - a
-        } else {
-            self.mean() - a
-        }
-    }
-
     fn completion_rate(&self, a: f64, delta: f64) -> f64 {
         let sa = self.sf(a);
         if sa <= 0.0 {
             return 1.0;
         }
         ((self.cdf(a + delta) - self.cdf(a)) / sa).clamp(0.0, 1.0)
-    }
-
-    fn support_upper(&self) -> f64 {
-        self.high
     }
 
     fn describe(&self) -> String {
@@ -133,16 +118,6 @@ mod tests {
         let lows = (0..n).filter(|_| d.sample(&mut rng) == 1.0).count();
         let frac = lows as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "fraction {frac}");
-    }
-
-    #[test]
-    fn conditional_residual_after_low_point() {
-        let d = TwoPoint::new(0.5, 1.0, 4.0);
-        // Before the low point the residual is mean - a.
-        assert!((d.mean_residual(0.5) - 2.0).abs() < 1e-12);
-        // After surviving the low point the job is surely the long one.
-        assert!((d.mean_residual(1.5) - 2.5).abs() < 1e-12);
-        assert_eq!(d.mean_residual(4.5), 0.0);
     }
 
     #[test]

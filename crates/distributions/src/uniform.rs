@@ -19,16 +19,6 @@ impl Uniform {
         );
         Self { low, high }
     }
-
-    /// Lower endpoint.
-    pub fn low(&self) -> f64 {
-        self.low
-    }
-
-    /// Upper endpoint.
-    pub fn high(&self) -> f64 {
-        self.high
-    }
 }
 
 impl ServiceDistribution for Uniform {
@@ -65,22 +55,6 @@ impl ServiceDistribution for Uniform {
         } else {
             1.0 / (self.high - self.low)
         }
-    }
-
-    fn mean_residual(&self, a: f64) -> f64 {
-        if a >= self.high {
-            0.0
-        } else if a <= self.low {
-            // P(X > a) = 1, so the residual mean is just E[X] - a.
-            self.mean() - a
-        } else {
-            // Residual of U[a, high] is uniform on [0, high - a] given X > a.
-            0.5 * (self.high - a)
-        }
-    }
-
-    fn support_upper(&self) -> f64 {
-        self.high
     }
 
     fn describe(&self) -> String {
@@ -121,12 +95,5 @@ mod tests {
         let h2 = d.hazard(0.5);
         let h3 = d.hazard(0.9);
         assert!(h1 < h2 && h2 < h3);
-    }
-
-    #[test]
-    fn mean_residual_interior() {
-        let d = Uniform::new(0.0, 2.0);
-        assert!((d.mean_residual(1.0) - 0.5).abs() < 1e-12);
-        assert!((d.mean_residual(0.0) - 1.0).abs() < 1e-9);
     }
 }

@@ -31,16 +31,6 @@ impl Weibull {
         let scale = mean / gamma(1.0 + 1.0 / shape);
         Self::new(shape, scale)
     }
-
-    /// Shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Scale parameter `λ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
 }
 
 impl ServiceDistribution for Weibull {

@@ -5,8 +5,8 @@
 
 use ss_distributions::moments::{sample_scv, sample_stats};
 use ss_distributions::{
-    dyn_dist, Deterministic, DiscreteDist, DynDist, Empirical, Erlang, Exponential,
-    HyperExponential, LogNormal, Mixture, ServiceDistribution, TwoPoint, Uniform, Weibull,
+    dyn_dist, Deterministic, DynDist, Erlang, Exponential, HyperExponential, LogNormal,
+    ServiceDistribution, TwoPoint, Uniform, Weibull,
 };
 use ss_sim::rng::RngStreams;
 
@@ -29,17 +29,6 @@ fn catalog() -> Vec<(DynDist, f64, f64, &'static str)> {
             0.3 * 2.8f64.powi(2) + 0.7 * 1.2f64.powi(2),
             "TwoPoint",
         ),
-        // Discrete over {1, 2, 4} with probs {0.5, 0.25, 0.25}:
-        // mean 2, E[X²] = 0.5 + 1 + 4 = 5.5, var 1.5.
-        (
-            dyn_dist(DiscreteDist::new(
-                vec![1.0, 2.0, 4.0],
-                vec![0.5, 0.25, 0.25],
-            )),
-            2.0,
-            1.5,
-            "Discrete",
-        ),
         // Weibull(shape 2, scale 2): mean λΓ(1.5) = √π, var λ²(Γ(2)-Γ(1.5)²).
         (
             dyn_dist(Weibull::new(2.0, 2.0)),
@@ -60,28 +49,6 @@ fn catalog() -> Vec<(DynDist, f64, f64, &'static str)> {
             2.0,
             3.0 * 4.0,
             "HyperExponential",
-        ),
-        // Empirical over a fixed sample: mean/var are the sample moments
-        // (population variance).
-        (
-            dyn_dist(Empirical::new(vec![1.0, 2.0, 3.0, 4.0])),
-            2.5,
-            1.25,
-            "Empirical",
-        ),
-        // Mixture 0.5 Exp(mean 1) + 0.5 Det(3): mean 2,
-        // E[X²] = 0.5*2 + 0.5*9 = 5.5, var 1.5.
-        (
-            dyn_dist(Mixture::new(
-                vec![0.5, 0.5],
-                vec![
-                    dyn_dist(Exponential::with_mean(1.0)),
-                    dyn_dist(Deterministic::new(3.0)),
-                ],
-            )),
-            2.0,
-            1.5,
-            "Mixture",
         ),
     ]
 }

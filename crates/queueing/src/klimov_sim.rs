@@ -32,10 +32,9 @@
 //! coupling, not a model change.
 
 use crate::klimov::KlimovNetwork;
-use crate::sampling::sample_exp;
+use crate::population::{holding_cost_rate, ranks, Arrivals, Population};
 use rand::{Rng, RngCore};
 use ss_core::linalg::solve_dense;
-use ss_sim::stats::TimeWeighted;
 use std::collections::VecDeque;
 
 /// Result of one itinerary-presampling simulation run.
@@ -105,25 +104,11 @@ pub fn simulate_klimov_policy(
     let n = network.num_classes();
     assert_eq!(priority_order.len(), n);
     assert!(horizon > warmup && warmup >= 0.0);
-    let mut rank = vec![0usize; n];
-    for (pos, &c) in priority_order.iter().enumerate() {
-        rank[c] = pos;
-    }
+    let rank = ranks(priority_order);
 
     let mut queues: Vec<VecDeque<Itinerary>> = vec![VecDeque::new(); n];
-    let mut next_arrival: Vec<f64> = network
-        .arrival_rates
-        .iter()
-        .map(|&a| {
-            if a > 0.0 {
-                sample_exp(rng, a)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
-    let mut counts = vec![0usize; n];
-    let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
+    let mut arrivals = Arrivals::new(network.arrival_rates.iter().copied(), rng);
+    let mut population = Population::new(n, warmup);
     // The job in service: its class and the visits left after this one.
     let mut in_service: Option<(usize, Itinerary)> = None;
     let mut completion = f64::INFINITY;
@@ -134,7 +119,6 @@ pub fn simulate_klimov_policy(
     let mut work_pending = 0.0f64;
     let mut work_area = 0.0f64; // integral of V over [warmup, horizon]
     let mut prev_t = 0.0f64;
-    let mut warmup_done = false;
     let mut visits_completed = vec![0u64; n];
 
     let workload_at = |t: f64, pending: f64, serving: bool, completion: f64| -> f64 {
@@ -142,12 +126,7 @@ pub fn simulate_klimov_policy(
     };
 
     loop {
-        let (arr_class, arr_time) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (arr_class, arr_time) = arrivals.earliest();
         let t = arr_time.min(completion);
         let clock = t.min(horizon);
         // Integrate the (piecewise-linear) workload over [prev_t, clock],
@@ -163,33 +142,24 @@ pub fn simulate_klimov_policy(
             break;
         }
         prev_t = t;
-        if !warmup_done && t >= warmup {
-            for tr in &mut trackers {
-                tr.update(t, tr.current());
-                tr.reset(t);
-            }
-            warmup_done = true;
-        }
+        population.advance(t);
 
         if arr_time <= completion {
             // External arrival: pre-sample the full itinerary.
             let (itinerary, chain_work) = sample_itinerary(network, arr_class, rng);
             work_pending += chain_work;
-            counts[arr_class] += 1;
-            trackers[arr_class].update(t, counts[arr_class] as f64);
+            population.add(arr_class, t);
             queues[arr_class].push_back(itinerary);
-            next_arrival[arr_class] = t + sample_exp(rng, network.arrival_rates[arr_class]);
+            arrivals.renew(arr_class, t, rng);
         } else {
             // Service completion; the itinerary dictates the routing.
             let (class, mut rest) = in_service.take().expect("completion without service");
-            counts[class] -= 1;
-            trackers[class].update(t, counts[class] as f64);
+            population.remove(class, t);
             if t >= warmup {
                 visits_completed[class] += 1;
             }
             if let Some(&(next_class, _)) = rest.front() {
-                counts[next_class] += 1;
-                trackers[next_class].update(t, counts[next_class] as f64);
+                population.add(next_class, t);
                 queues[next_class].push_back(std::mem::take(&mut rest));
             }
             completion = f64::INFINITY;
@@ -213,12 +183,8 @@ pub fn simulate_klimov_policy(
         }
     }
 
-    let mean_number: Vec<f64> = trackers.iter().map(|tr| tr.time_average(horizon)).collect();
-    let holding_cost_rate = mean_number
-        .iter()
-        .zip(&network.holding_costs)
-        .map(|(l, c)| l * c)
-        .sum();
+    let mean_number = population.mean_number(horizon);
+    let holding_cost_rate = holding_cost_rate(network.holding_costs.iter().copied(), &mean_number);
     KlimovPolicyResult {
         mean_number,
         holding_cost_rate,

@@ -14,9 +14,10 @@
 //! | Fluid approximations and fluid-guided scheduling (Chen–Yao 1993, Atkins–Chen 1995) | [`fluid`] |
 //! | Changeover/setup times: polling disciplines (Levy–Sidi 1990) and setup thresholds from the heavy-traffic (diffusion) viewpoint (Reiman–Wein 1998) | [`setups`] |
 //!
-//! All simulators are event-driven on `ss-sim` primitives, use reproducible
-//! RNG streams, support warm-up deletion and report time-average queue
-//! lengths per class.
+//! All simulators are event-driven and keep their arrival clocks, number in
+//! system and warm-up deletion in one crate-private ledger; each draws from
+//! a reproducible RNG stream in its own order and reports time-average
+//! queue lengths per class.
 
 pub mod achievable_region;
 pub mod cmu;
@@ -29,7 +30,7 @@ pub mod klimov_sim;
 pub mod mg1;
 pub mod network;
 pub mod parallel_servers;
-pub(crate) mod sampling;
+pub(crate) mod population;
 pub mod setups;
 pub mod stability;
 

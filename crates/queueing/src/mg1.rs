@@ -8,10 +8,9 @@
 //! [`crate::cobham`] and then uses it for the disciplines the formulas do
 //! not cover.
 
-use crate::sampling::sample_exp;
+use crate::population::{holding_cost_rate, ranks, Arrivals, Population};
 use rand::RngCore;
 use ss_core::job::JobClass;
-use ss_sim::stats::TimeWeighted;
 use std::collections::VecDeque;
 
 /// Service discipline of the single server.
@@ -71,11 +70,7 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
         Discipline::Fifo => vec![0; n_classes],
         Discipline::NonpreemptivePriority(order) | Discipline::PreemptivePriority(order) => {
             assert_eq!(order.len(), n_classes);
-            let mut r = vec![0usize; n_classes];
-            for (pos, &c) in order.iter().enumerate() {
-                r[c] = pos;
-            }
-            r
+            ranks(order)
         }
     };
     let preemptive = matches!(config.discipline, Discipline::PreemptivePriority(_));
@@ -85,56 +80,22 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
     let mut queues: Vec<VecDeque<Customer>> = vec![VecDeque::new(); n_classes];
     let mut fifo_queue: VecDeque<Customer> = VecDeque::new();
 
-    // Next arrival time per class.
-    let mut next_arrival: Vec<f64> = config
-        .classes
-        .iter()
-        .map(|c| {
-            if c.arrival_rate > 0.0 {
-                sample_exp(rng, c.arrival_rate)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
-
+    let mut arrivals = Arrivals::new(config.classes.iter().map(|c| c.arrival_rate), rng);
     let mut in_service: Option<Customer> = None;
     let mut service_completion = f64::INFINITY;
-    let mut clock = 0.0;
-    let mut number_trackers: Vec<TimeWeighted> = (0..n_classes)
-        .map(|_| TimeWeighted::new(0.0, 0.0))
-        .collect();
-    let mut counts = vec![0usize; n_classes];
-    let mut warmup_done = false;
+    let mut population = Population::new(n_classes, config.warmup);
 
     let mut wait_sum = vec![0.0; n_classes];
     let mut completed = vec![0u64; n_classes];
 
-    let update_count =
-        |trackers: &mut Vec<TimeWeighted>, counts: &[usize], class: usize, time: f64| {
-            trackers[class].update(time, counts[class] as f64);
-        };
-
     loop {
         // Next event: earliest arrival or the service completion.
-        let (min_class, min_arrival) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
-        let next_time = min_arrival.min(service_completion);
-        if next_time > config.horizon {
+        let (min_class, min_arrival) = arrivals.earliest();
+        let clock = min_arrival.min(service_completion);
+        if clock > config.horizon {
             break;
         }
-        clock = next_time;
-        if !warmup_done && clock >= config.warmup {
-            for t in &mut number_trackers {
-                t.update(clock, t.current());
-                t.reset(clock);
-            }
-            warmup_done = true;
-        }
+        population.advance(clock);
 
         if min_arrival <= service_completion {
             // Arrival of class `min_class`.
@@ -146,9 +107,8 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
                 total_service: service,
                 remaining_service: service,
             };
-            counts[class] += 1;
-            update_count(&mut number_trackers, &counts, class, clock);
-            next_arrival[class] = clock + sample_exp(rng, config.classes[class].arrival_rate);
+            population.add(class, clock);
+            arrivals.renew(class, clock, rng);
 
             let mut enqueue = Some(customer);
             if in_service.is_none() {
@@ -181,8 +141,7 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
                 .take()
                 .expect("completion without a job in service");
             let class = done.class;
-            counts[class] -= 1;
-            update_count(&mut number_trackers, &counts, class, clock);
+            population.remove(class, clock);
             if clock >= config.warmup {
                 completed[class] += 1;
                 wait_sum[class] += (clock - done.arrival_time) - done.total_service;
@@ -192,36 +151,19 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
                 fifo_queue.pop_front()
             } else {
                 // Highest-priority nonempty class queue.
-                let mut best: Option<usize> = None;
-                for c in 0..n_classes {
-                    if !queues[c].is_empty() {
-                        match best {
-                            None => best = Some(c),
-                            Some(b) if rank[c] < rank[b] => best = Some(c),
-                            _ => {}
-                        }
-                    }
-                }
-                best.and_then(|c| queues[c].pop_front())
+                (0..n_classes)
+                    .filter(|&c| !queues[c].is_empty())
+                    .min_by_key(|&c| rank[c])
+                    .and_then(|c| queues[c].pop_front())
             };
-            match next {
-                Some(c) => {
-                    service_completion = clock + c.remaining_service;
-                    in_service = Some(c);
-                }
-                None => {
-                    service_completion = f64::INFINITY;
-                }
-            }
+            service_completion = next
+                .as_ref()
+                .map_or(f64::INFINITY, |c| clock + c.remaining_service);
+            in_service = next;
         }
     }
 
-    let effective_start = config.warmup.min(clock);
-    let span_end = config.horizon.max(effective_start + 1e-9);
-    let mean_number: Vec<f64> = number_trackers
-        .iter()
-        .map(|t| t.time_average(span_end))
-        .collect();
+    let mean_number = population.mean_number(config.horizon);
     let mean_wait: Vec<f64> = (0..n_classes)
         .map(|c| {
             if completed[c] > 0 {
@@ -231,12 +173,8 @@ pub fn simulate_mg1(config: &Mg1Config, rng: &mut dyn RngCore) -> Mg1Result {
             }
         })
         .collect();
-    let holding_cost_rate = config
-        .classes
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| cl.holding_cost * mean_number[c])
-        .sum();
+    let holding_cost_rate =
+        holding_cost_rate(config.classes.iter().map(|c| c.holding_cost), &mean_number);
     Mg1Result {
         mean_number,
         mean_wait,
@@ -254,7 +192,7 @@ mod tests {
     };
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use ss_distributions::{dyn_dist, Erlang, Exponential};
+    use ss_distributions::{dyn_dist, Deterministic, Erlang, Exponential};
 
     fn classes_2() -> Vec<JobClass> {
         vec![
@@ -370,5 +308,25 @@ mod tests {
         let res = run(classes, Discipline::Fifo, 6);
         assert_eq!(res.completed[1], 0);
         assert!(res.mean_number[1].abs() < 1e-9);
+    }
+
+    /// The one job arrives at about 22.5 and is still in service over the
+    /// whole measured window (50, 100], in which nothing happens.
+    #[test]
+    fn a_window_without_events_averages_over_the_window_alone() {
+        let config = Mg1Config {
+            classes: vec![JobClass::new(
+                0,
+                0.01,
+                dyn_dist(Deterministic::new(1000.0)),
+                1.0,
+            )],
+            discipline: Discipline::Fifo,
+            horizon: 100.0,
+            warmup: 50.0,
+        };
+        let res = simulate_mg1(&config, &mut ChaCha8Rng::seed_from_u64(5));
+        assert_eq!(res.mean_number, vec![1.0]);
+        assert_eq!(res.holding_cost_rate, 1.0);
     }
 }

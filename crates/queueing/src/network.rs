@@ -9,11 +9,9 @@
 //! network is the one-station case
 //! ([`crate::klimov::KlimovNetwork::as_network`]).
 
-use crate::sampling::sample_exp;
+use crate::population::{holding_cost_rate, Arrivals, Population};
 use rand::RngCore;
 use ss_distributions::DynDist;
-use ss_sim::stats::TimeWeighted;
-use std::collections::VecDeque;
 
 /// A class of a multiclass network.
 #[derive(Clone)]
@@ -145,8 +143,9 @@ pub fn simulate_network(
     // Without a trajectory both sampling loops below stop at once.
     let num_samples = num_samples.unwrap_or(0);
 
-    // Per-class priority rank within its station.
-    let mut rank = vec![usize::MAX; n];
+    // Per-class priority rank within its station; unlisted classes rank
+    // below every listed one, in index order.
+    let mut rank: Vec<usize> = (0..n).map(|k| 1000 + k).collect();
     for (s, order) in station_priority.iter().enumerate() {
         for (pos, &k) in order.iter().enumerate() {
             assert_eq!(
@@ -156,91 +155,58 @@ pub fn simulate_network(
             rank[k] = pos;
         }
     }
-    for (k, r) in rank.iter_mut().enumerate() {
-        if *r == usize::MAX {
-            *r = 1000 + k;
-        }
-    }
 
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n];
-    let mut next_arrival: Vec<f64> = network
-        .classes
-        .iter()
-        .map(|c| {
-            if c.arrival_rate > 0.0 {
-                sample_exp(rng, c.arrival_rate)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
+    // Customers waiting per class.
+    let mut waiting = vec![0usize; n];
+    let mut arrivals = Arrivals::new(network.classes.iter().map(|c| c.arrival_rate), rng);
     // Per-station in-service class and completion time.
     let mut in_service: Vec<Option<usize>> = vec![None; s_count];
     let mut completion: Vec<f64> = vec![f64::INFINITY; s_count];
-    let mut counts = vec![0usize; n];
-    let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
-    let mut warmup_done = false;
+    let mut population = Population::new(n, warmup);
 
     let sample_dt = horizon / num_samples.saturating_sub(1).max(1) as f64;
     let mut next_sample = 0.0;
     let mut sample_times = Vec::with_capacity(num_samples);
     let mut trajectory = Vec::with_capacity(num_samples);
 
-    let mut clock;
     loop {
-        let (arr_class, arr_time) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (arr_class, arr_time) = arrivals.earliest();
         let (comp_station, comp_time) = completion
             .iter()
             .cloned()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
             .unwrap();
-        let t = arr_time.min(comp_time);
-        if t > horizon {
+        let clock = arr_time.min(comp_time);
+        if clock > horizon {
             break;
         }
         // Record trajectory samples that fall before the next event.
-        while next_sample <= t && sample_times.len() < num_samples {
+        while next_sample <= clock && sample_times.len() < num_samples {
             sample_times.push(next_sample);
-            trajectory.push(counts.iter().sum::<usize>() as f64);
+            trajectory.push(population.total() as f64);
             next_sample += sample_dt;
         }
-        clock = t;
-        if !warmup_done && clock >= warmup {
-            for tr in &mut trackers {
-                tr.update(clock, tr.current());
-                tr.reset(clock);
-            }
-            warmup_done = true;
-        }
+        population.advance(clock);
 
         if arr_time <= comp_time {
-            counts[arr_class] += 1;
-            trackers[arr_class].update(clock, counts[arr_class] as f64);
-            queues[arr_class].push_back(clock);
-            next_arrival[arr_class] =
-                clock + sample_exp(rng, network.classes[arr_class].arrival_rate);
+            population.add(arr_class, clock);
+            waiting[arr_class] += 1;
+            arrivals.renew(arr_class, clock, rng);
         } else {
             let class = in_service[comp_station]
                 .take()
                 .expect("completion without service");
             completion[comp_station] = f64::INFINITY;
-            counts[class] -= 1;
-            trackers[class].update(clock, counts[class] as f64);
+            population.remove(class, clock);
             // Route.
             let u: f64 = rng.gen::<f64>();
             let mut acc = 0.0;
             for &(j, p) in &network.classes[class].routing {
                 acc += p;
                 if u <= acc {
-                    counts[j] += 1;
-                    trackers[j].update(clock, counts[j] as f64);
-                    queues[j].push_back(clock);
+                    population.add(j, clock);
+                    waiting[j] += 1;
                     break;
                 }
             }
@@ -252,10 +218,10 @@ pub fn simulate_network(
                 continue;
             }
             let next_class = (0..n)
-                .filter(|&k| network.classes[k].station == s && !queues[k].is_empty())
+                .filter(|&k| network.classes[k].station == s && waiting[k] > 0)
                 .min_by_key(|&k| rank[k]);
             if let Some(k) = next_class {
-                queues[k].pop_front();
+                waiting[k] -= 1;
                 let service = network.classes[k].service.sample(rng);
                 in_service[s] = Some(k);
                 completion[s] = clock + service;
@@ -264,22 +230,19 @@ pub fn simulate_network(
     }
     while sample_times.len() < num_samples {
         sample_times.push(next_sample);
-        trajectory.push(counts.iter().sum::<usize>() as f64);
+        trajectory.push(population.total() as f64);
         next_sample += sample_dt;
     }
 
-    let mean_number: Vec<f64> = trackers.iter().map(|tr| tr.time_average(horizon)).collect();
-    let holding_cost_rate = mean_number
-        .iter()
-        .zip(&network.classes)
-        .map(|(l, c)| l * c.holding_cost)
-        .sum();
+    let mean_number = population.mean_number(horizon);
+    let holding_cost_rate =
+        holding_cost_rate(network.classes.iter().map(|c| c.holding_cost), &mean_number);
     NetworkSimResult {
         mean_number,
         holding_cost_rate,
         trajectory,
         sample_times,
-        final_total: counts.iter().sum(),
+        final_total: population.total(),
     }
 }
 

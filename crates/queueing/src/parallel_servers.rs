@@ -19,12 +19,10 @@
 
 use crate::cmu::cmu_order;
 use crate::cobham::mg1_preemptive_priority;
-use crate::sampling::sample_exp;
+use crate::population::{holding_cost_rate, ranks, Arrivals, Population};
 use rand::RngCore;
 use ss_core::job::JobClass;
 use ss_distributions::{dyn_dist, Exponential};
-use ss_sim::stats::TimeWeighted;
-use std::collections::VecDeque;
 
 /// Result of one M/M/m simulation run.
 #[derive(Debug, Clone)]
@@ -49,55 +47,28 @@ pub fn simulate_mmm_priority(
     assert!(servers >= 1);
     assert_eq!(priority_order.len(), n);
     assert!(horizon > warmup);
-    let mut rank = vec![0usize; n];
-    for (pos, &c) in priority_order.iter().enumerate() {
-        rank[c] = pos;
-    }
+    let rank = ranks(priority_order);
 
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n];
-    let mut next_arrival: Vec<f64> = classes
-        .iter()
-        .map(|c| {
-            if c.arrival_rate > 0.0 {
-                sample_exp(rng, c.arrival_rate)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
+    // Customers waiting per class.
+    let mut waiting = vec![0usize; n];
+    let mut arrivals = Arrivals::new(classes.iter().map(|c| c.arrival_rate), rng);
     // Busy servers: completion times + class.
     let mut busy: Vec<(f64, usize)> = Vec::with_capacity(servers);
-    let mut counts = vec![0usize; n];
-    let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
-    let mut warmup_done = false;
-    let mut clock;
+    let mut population = Population::new(n, warmup);
 
     loop {
-        let (arr_class, arr_time) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (arr_class, arr_time) = arrivals.earliest();
         let next_completion = busy.iter().map(|&(t, _)| t).fold(f64::INFINITY, f64::min);
-        let t = arr_time.min(next_completion);
-        if t > horizon {
+        let clock = arr_time.min(next_completion);
+        if clock > horizon {
             break;
         }
-        clock = t;
-        if !warmup_done && clock >= warmup {
-            for tr in &mut trackers {
-                tr.update(clock, tr.current());
-                tr.reset(clock);
-            }
-            warmup_done = true;
-        }
+        population.advance(clock);
 
         if arr_time <= next_completion {
-            counts[arr_class] += 1;
-            trackers[arr_class].update(clock, counts[arr_class] as f64);
-            queues[arr_class].push_back(clock);
-            next_arrival[arr_class] = clock + sample_exp(rng, classes[arr_class].arrival_rate);
+            population.add(arr_class, clock);
+            waiting[arr_class] += 1;
+            arrivals.renew(arr_class, clock, rng);
         } else {
             // Remove the completing server.
             let pos = busy
@@ -107,28 +78,21 @@ pub fn simulate_mmm_priority(
                 .map(|(i, _)| i)
                 .unwrap();
             let (_, class) = busy.swap_remove(pos);
-            counts[class] -= 1;
-            trackers[class].update(clock, counts[class] as f64);
+            population.remove(class, clock);
         }
 
         // Assign free servers to the highest-priority waiting customers.
         while busy.len() < servers {
-            let next_class = (0..n)
-                .filter(|&c| !queues[c].is_empty())
-                .min_by_key(|&c| rank[c]);
+            let next_class = (0..n).filter(|&c| waiting[c] > 0).min_by_key(|&c| rank[c]);
             let Some(c) = next_class else { break };
-            queues[c].pop_front();
+            waiting[c] -= 1;
             let service = classes[c].service.sample(rng);
             busy.push((clock + service, c));
         }
     }
 
-    let mean_number: Vec<f64> = trackers.iter().map(|tr| tr.time_average(horizon)).collect();
-    let holding_cost_rate = classes
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| cl.holding_cost * mean_number[c])
-        .sum();
+    let mean_number = population.mean_number(horizon);
+    let holding_cost_rate = holding_cost_rate(classes.iter().map(|c| c.holding_cost), &mean_number);
     MmmResult {
         mean_number,
         holding_cost_rate,

@@ -52,12 +52,10 @@
 //! which is the shape the survey cites the work for.
 
 use crate::cobham::total_load;
-use crate::sampling::sample_exp;
+use crate::population::{holding_cost_rate, ranks, Arrivals, Population};
 use rand::RngCore;
 use ss_core::job::JobClass;
 use ss_distributions::DynDist;
-use ss_sim::stats::TimeWeighted;
-use std::collections::VecDeque;
 
 /// The scheduling policy the setup-aware simulator runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,26 +122,12 @@ pub fn simulate_setup_policy(
     }
     // cµ ranking (lower rank = higher priority) used both to pick targets
     // and to decide which classes may interrupt which.
-    let order = crate::cmu::cmu_order(classes);
-    let mut rank = vec![0usize; n];
-    for (pos, &c) in order.iter().enumerate() {
-        rank[c] = pos;
-    }
+    let rank = ranks(&crate::cmu::cmu_order(classes));
 
-    let mut queues: Vec<VecDeque<f64>> = vec![VecDeque::new(); n];
-    let mut next_arrival: Vec<f64> = classes
-        .iter()
-        .map(|c| {
-            if c.arrival_rate > 0.0 {
-                sample_exp(rng, c.arrival_rate)
-            } else {
-                f64::INFINITY
-            }
-        })
-        .collect();
-    let mut counts = vec![0usize; n];
-    let mut trackers: Vec<TimeWeighted> = (0..n).map(|_| TimeWeighted::new(0.0, 0.0)).collect();
-    let mut warmup_done = false;
+    // Customers waiting per class.
+    let mut waiting = vec![0usize; n];
+    let mut arrivals = Arrivals::new(classes.iter().map(|c| c.arrival_rate), rng);
+    let mut population = Population::new(n, warmup);
     let mut setups = 0u64;
     let mut setup_time = 0.0;
 
@@ -154,65 +138,47 @@ pub fn simulate_setup_policy(
     // gate (0 = close a new gate at the next service).  Tracked under every
     // policy; only `Gated` reads it.
     let mut gate_remaining: usize = 0;
-    let mut clock;
 
     loop {
-        let (arr_class, arr_time) = next_arrival
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (arr_class, arr_time) = arrivals.earliest();
         let busy_time = busy.map(|(t, _, _)| t).unwrap_or(f64::INFINITY);
-        let t = arr_time.min(busy_time);
-        if t > horizon {
+        let clock = arr_time.min(busy_time);
+        if clock > horizon {
             break;
         }
-        clock = t;
-        if !warmup_done && clock >= warmup {
-            for tr in &mut trackers {
-                tr.update(clock, tr.current());
-                tr.reset(clock);
-            }
-            warmup_done = true;
-        }
+        population.advance(clock);
 
         if arr_time <= busy_time {
-            counts[arr_class] += 1;
-            trackers[arr_class].update(clock, counts[arr_class] as f64);
-            queues[arr_class].push_back(clock);
-            next_arrival[arr_class] = clock + sample_exp(rng, classes[arr_class].arrival_rate);
+            population.add(arr_class, clock);
+            waiting[arr_class] += 1;
+            arrivals.renew(arr_class, clock, rng);
         } else {
             let (_, class, was_setup) = busy.take().unwrap();
             if was_setup {
                 configured = Some(class);
-                gate_remaining = queues[class].len();
+                gate_remaining = waiting[class];
             } else {
-                counts[class] -= 1;
-                trackers[class].update(clock, counts[class] as f64);
+                population.remove(class, clock);
             }
         }
 
         if busy.is_none() {
             // Pick the class the server should work towards next.
-            let highest_nonempty = (0..n)
-                .filter(|&c| !queues[c].is_empty())
-                .min_by_key(|&c| rank[c]);
+            let highest_nonempty = (0..n).filter(|&c| waiting[c] > 0).min_by_key(|&c| rank[c]);
             let target = match policy {
                 SetupPolicy::CmuEveryJob => highest_nonempty,
                 SetupPolicy::Exhaustive => match configured {
-                    Some(c) if !queues[c].is_empty() => Some(c),
+                    Some(c) if waiting[c] > 0 => Some(c),
                     _ => highest_nonempty,
                 },
                 SetupPolicy::Threshold { thresholds } => match configured {
-                    Some(c) if !queues[c].is_empty() => {
+                    Some(c) if waiting[c] > 0 => {
                         // Interrupt the current run only for a strictly
                         // higher-priority class whose backlog has reached its
                         // threshold (at least one job always required).
                         let interrupter = (0..n)
                             .filter(|&j| {
-                                rank[j] < rank[c]
-                                    && queues[j].len() as f64 >= thresholds[j].max(1.0)
+                                rank[j] < rank[c] && waiting[j] as f64 >= thresholds[j].max(1.0)
                             })
                             .min_by_key(|&j| rank[j]);
                         Some(interrupter.unwrap_or(c))
@@ -220,16 +186,16 @@ pub fn simulate_setup_policy(
                     _ => highest_nonempty,
                 },
                 SetupPolicy::Gated => match configured {
-                    Some(c) if gate_remaining > 0 && !queues[c].is_empty() => Some(c),
+                    Some(c) if gate_remaining > 0 && waiting[c] > 0 => Some(c),
                     _ => highest_nonempty,
                 },
             };
             if let Some(target) = target {
                 if configured == Some(target) {
                     if gate_remaining == 0 {
-                        gate_remaining = queues[target].len();
+                        gate_remaining = waiting[target];
                     }
-                    queues[target].pop_front();
+                    waiting[target] -= 1;
                     gate_remaining -= 1;
                     let service = classes[target].service.sample(rng);
                     busy = Some((clock + service, target, false));
@@ -246,12 +212,8 @@ pub fn simulate_setup_policy(
     }
 
     let measured = horizon - warmup;
-    let mean_number: Vec<f64> = trackers.iter().map(|tr| tr.time_average(horizon)).collect();
-    let holding_cost_rate = classes
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| cl.holding_cost * mean_number[c])
-        .sum();
+    let mean_number = population.mean_number(horizon);
+    let holding_cost_rate = holding_cost_rate(classes.iter().map(|c| c.holding_cost), &mean_number);
     SetupSimResult {
         mean_number,
         holding_cost_rate,

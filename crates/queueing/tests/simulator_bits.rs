@@ -18,39 +18,24 @@ use ss_queueing::network::{simulate_network, MultiClassNetwork, NetworkClass};
 use ss_queueing::parallel_servers::simulate_mmm_priority;
 use ss_queueing::setups::{simulate_setup_policy, SetupPolicy};
 
-/// FNV-1a over the little-endian bytes of the folded words.
-struct Digest {
-    hash: u64,
-    words: usize,
+/// Asserts that the FNV-1a digest of `words`' little-endian bytes, and
+/// their number, are the recorded ones.
+fn assert_digest(simulator: &str, words: &[u64], recorded: (u64, usize)) {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    assert_eq!(
+        (hash, words.len()),
+        recorded,
+        "{simulator} bits drifted: digest {hash:#018x} over {} words",
+        words.len()
+    );
 }
 
-impl Digest {
-    fn new() -> Self {
-        Self {
-            hash: 0xcbf2_9ce4_8422_2325,
-            words: 0,
-        }
-    }
-
-    fn word(&mut self, w: u64) {
-        for byte in w.to_le_bytes() {
-            self.hash ^= u64::from(byte);
-            self.hash = self.hash.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.words += 1;
-    }
-
-    fn f64s(&mut self, xs: &[f64]) {
-        xs.iter().for_each(|x| self.word(x.to_bits()));
-    }
-
-    fn counts(&mut self, xs: &[u64]) {
-        xs.iter().for_each(|&x| self.word(x));
-    }
-
-    fn finish(&self) -> (u64, usize) {
-        (self.hash, self.words)
-    }
+fn bits(xs: &[f64]) -> impl Iterator<Item = u64> + '_ {
+    xs.iter().map(|x| x.to_bits())
 }
 
 fn two_classes() -> Vec<JobClass> {
@@ -62,7 +47,7 @@ fn two_classes() -> Vec<JobClass> {
 
 #[test]
 fn mg1_bits_match_the_recorded_digest() {
-    let mut d = Digest::new();
+    let mut words = Vec::new();
     let disciplines = [
         Discipline::Fifo,
         Discipline::NonpreemptivePriority(vec![1, 0]),
@@ -76,17 +61,11 @@ fn mg1_bits_match_the_recorded_digest() {
             warmup: 300.0,
         };
         let res = simulate_mg1(&config, &mut ChaCha8Rng::seed_from_u64(seed as u64));
-        d.f64s(&res.mean_number);
-        d.f64s(&res.mean_wait);
-        d.f64s(&[res.holding_cost_rate]);
-        d.counts(&res.completed);
+        words.extend(bits(&res.mean_number).chain(bits(&res.mean_wait)));
+        words.push(res.holding_cost_rate.to_bits());
+        words.extend(&res.completed);
     }
-    let (digest, words) = d.finish();
-    assert_eq!(
-        (digest, words),
-        (0x28f1_318d_5721_7b80, 21),
-        "mg1 bits drifted: digest {digest:#018x} over {words} words"
-    );
+    assert_digest("mg1", &words, (0x28f1_318d_5721_7b80, 21));
 }
 
 #[test]
@@ -105,20 +84,15 @@ fn klimov_sim_bits_match_the_recorded_digest() {
             vec![0.2, 0.0, 0.0],
         ],
     );
-    let mut d = Digest::new();
+    let mut words = Vec::new();
     for (seed, order) in [[2, 1, 0], [0, 1, 2]].iter().enumerate() {
         let mut rng = ChaCha8Rng::seed_from_u64(10 + seed as u64);
         let res = simulate_klimov_policy(&network, order, 3_000.0, 300.0, &mut rng);
-        d.f64s(&res.mean_number);
-        d.f64s(&[res.holding_cost_rate, res.mean_workload]);
-        d.counts(&res.visits_completed);
+        words.extend(bits(&res.mean_number));
+        words.extend(bits(&[res.holding_cost_rate, res.mean_workload]));
+        words.extend(&res.visits_completed);
     }
-    let (digest, words) = d.finish();
-    assert_eq!(
-        (digest, words),
-        (0x72e2_2770_cc51_c0bb, 16),
-        "klimov_sim bits drifted: digest {digest:#018x} over {words} words"
-    );
+    assert_digest("klimov_sim", &words, (0x72e2_2770_cc51_c0bb, 16));
 }
 
 #[test]
@@ -140,22 +114,16 @@ fn network_bits_match_the_recorded_digest() {
         class(1, 0.15, 0.7, 1.5, vec![]),
     ]);
     let priorities = [vec![2, 0], vec![1]];
-    let mut d = Digest::new();
+    let mut words = Vec::new();
     for (seed, samples) in [Some(21), None].into_iter().enumerate() {
         let mut rng = ChaCha8Rng::seed_from_u64(20 + seed as u64);
         let res = simulate_network(&network, &priorities, 2_000.0, 200.0, samples, &mut rng);
-        d.f64s(&res.mean_number);
-        d.f64s(&[res.holding_cost_rate]);
-        d.f64s(&res.trajectory);
-        d.f64s(&res.sample_times);
-        d.counts(&[res.final_total as u64]);
+        words.extend(bits(&res.mean_number));
+        words.push(res.holding_cost_rate.to_bits());
+        words.extend(bits(&res.trajectory).chain(bits(&res.sample_times)));
+        words.push(res.final_total as u64);
     }
-    let (digest, words) = d.finish();
-    assert_eq!(
-        (digest, words),
-        (0xc218_5573_08c4_1dd9, 54),
-        "network bits drifted: digest {digest:#018x} over {words} words"
-    );
+    assert_digest("network", &words, (0xc218_5573_08c4_1dd9, 54));
 }
 
 #[test]
@@ -183,20 +151,15 @@ fn setups_bits_match_the_recorded_digest() {
         },
         SetupPolicy::Gated,
     ];
-    let mut d = Digest::new();
+    let mut words = Vec::new();
     for (seed, policy) in policies.iter().enumerate() {
         let mut rng = ChaCha8Rng::seed_from_u64(30 + seed as u64);
         let res = simulate_setup_policy(&classes, &setup, policy, 3_000.0, 300.0, &mut rng);
-        d.f64s(&res.mean_number);
-        d.f64s(&[res.holding_cost_rate, res.setup_time_fraction]);
-        d.counts(&[res.setups]);
+        words.extend(bits(&res.mean_number));
+        words.extend(bits(&[res.holding_cost_rate, res.setup_time_fraction]));
+        words.push(res.setups);
     }
-    let (digest, words) = d.finish();
-    assert_eq!(
-        (digest, words),
-        (0x42c6_e9ef_0436_98ca, 24),
-        "setups bits drifted: digest {digest:#018x} over {words} words"
-    );
+    assert_digest("setups", &words, (0x42c6_e9ef_0436_98ca, 24));
 }
 
 #[test]
@@ -205,17 +168,12 @@ fn parallel_servers_bits_match_the_recorded_digest() {
         JobClass::new(0, 0.8, dyn_dist(Exponential::with_mean(1.0)), 1.0),
         JobClass::new(1, 0.6, dyn_dist(Exponential::with_mean(0.6)), 3.0),
     ];
-    let mut d = Digest::new();
+    let mut words = Vec::new();
     for (seed, order) in [[1, 0], [0, 1]].iter().enumerate() {
         let mut rng = ChaCha8Rng::seed_from_u64(40 + seed as u64);
         let res = simulate_mmm_priority(&classes, 2, order, 3_000.0, 300.0, &mut rng);
-        d.f64s(&res.mean_number);
-        d.f64s(&[res.holding_cost_rate]);
+        words.extend(bits(&res.mean_number));
+        words.push(res.holding_cost_rate.to_bits());
     }
-    let (digest, words) = d.finish();
-    assert_eq!(
-        (digest, words),
-        (0x0670_016d_0ee4_8ad3, 6),
-        "parallel_servers bits drifted: digest {digest:#018x} over {words} words"
-    );
+    assert_digest("parallel_servers", &words, (0x0670_016d_0ee4_8ad3, 6));
 }

@@ -12,8 +12,7 @@
 //!   from a single master seed (ChaCha8, stream-split by replication index),
 //!   and [`rng::ExpStream`], which draws a stream's exponentials 32 at a
 //!   time with the bits of drawing them one by one;
-//! * [`stats`] — Welford online moments, confidence intervals,
-//!   time-weighted averages for queue-length processes, and the
+//! * [`stats`] — Welford online moments, confidence intervals and the
 //!   deterministic quantile sketch;
 //! * [`replication`] — serial and parallel replication runners that return
 //!   summary statistics with confidence intervals;
@@ -37,4 +36,4 @@ pub mod stats;
 pub use events::EventQueue;
 pub use replication::{run_replications, run_replications_parallel, ReplicationSummary};
 pub use rng::RngStreams;
-pub use stats::{OnlineStats, TimeWeighted};
+pub use stats::OnlineStats;

@@ -1,5 +1,5 @@
-//! Output-analysis statistics: online moments, confidence intervals,
-//! time-weighted averages and the deterministic quantile sketch.
+//! Output-analysis statistics: online moments, confidence intervals and
+//! the deterministic quantile sketch.
 
 use std::sync::LazyLock;
 
@@ -367,78 +367,6 @@ impl QuantileSketch {
     }
 }
 
-/// Time-weighted average of a piecewise-constant process (queue lengths,
-/// number-in-system, busy servers).
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_time: f64,
-    last_value: f64,
-    area: f64,
-    start_time: f64,
-    max_value: f64,
-}
-
-impl TimeWeighted {
-    /// Start observing at `time` with initial value `value`.
-    pub fn new(time: f64, value: f64) -> Self {
-        Self {
-            last_time: time,
-            last_value: value,
-            area: 0.0,
-            start_time: time,
-            max_value: value,
-        }
-    }
-
-    /// Record that the process changed to `value` at `time`.
-    pub fn update(&mut self, time: f64, value: f64) {
-        assert!(
-            time + 1e-12 >= self.last_time,
-            "time went backwards: {} -> {}",
-            self.last_time,
-            time
-        );
-        self.area += self.last_value * (time - self.last_time).max(0.0);
-        self.last_time = time;
-        self.last_value = value;
-        self.max_value = self.max_value.max(value);
-    }
-
-    /// Time-average of the process over `[start, time]`, closing the last
-    /// segment at `time`.
-    pub fn time_average(&self, time: f64) -> f64 {
-        let span = time - self.start_time;
-        if span <= 0.0 {
-            return self.last_value;
-        }
-        (self.area + self.last_value * (time - self.last_time).max(0.0)) / span
-    }
-
-    /// Accumulated area under the curve up to the last update.
-    pub fn area(&self) -> f64 {
-        self.area
-    }
-
-    /// Largest value observed.
-    pub fn max_value(&self) -> f64 {
-        self.max_value
-    }
-
-    /// Current value of the process.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Discard history and restart the integration at `time` keeping the
-    /// current value (used to delete a warm-up period).
-    pub fn reset(&mut self, time: f64) {
-        self.area = 0.0;
-        self.start_time = time;
-        self.last_time = time;
-        self.max_value = self.last_value;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,29 +461,6 @@ mod tests {
             s.push(x);
         }
         assert!(s.ci_half_width_t(0.99) > s.ci_half_width(0.99));
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut tw = TimeWeighted::new(0.0, 0.0);
-        tw.update(1.0, 2.0); // value 0 on [0,1)
-        tw.update(3.0, 1.0); // value 2 on [1,3)
-                             // value 1 on [3,5]
-        let avg = tw.time_average(5.0);
-        // (0*1 + 2*2 + 1*2) / 5 = 6/5
-        assert!((avg - 1.2).abs() < 1e-12);
-        assert_eq!(tw.max_value(), 2.0);
-        assert_eq!(tw.current(), 1.0);
-    }
-
-    #[test]
-    fn time_weighted_reset_discards_warmup() {
-        let mut tw = TimeWeighted::new(0.0, 10.0);
-        tw.update(5.0, 1.0);
-        tw.reset(5.0);
-        tw.update(10.0, 1.0);
-        let avg = tw.time_average(10.0);
-        assert!((avg - 1.0).abs() < 1e-12);
     }
 
     #[test]
