@@ -198,7 +198,8 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(9);
         let inst = gen.generate(50, &mut rng);
         for j in inst.jobs() {
-            assert!(j.mean_processing() >= 0.5 - 1e-9 && j.mean_processing() <= 3.0 + 1e-9);
+            let mean = j.mean_processing();
+            assert!((MEANS.start - 1e-9..=MEANS.end + 1e-9).contains(&mean));
             assert!(WEIGHTS.contains(&j.weight));
             assert_eq!(j.dist.kind(), ss_distributions::DistKind::Exponential);
         }

@@ -53,12 +53,12 @@ pub fn reg_lower_gamma(a: f64, x: f64) -> f64 {
 ///
 /// Each lane takes the series when `0 < x < a + 1` and Lentz's continued
 /// fraction for the upper function `Q = 1 − P` otherwise (NaN included);
-/// `x <= 0` gives 0 and `x = +∞` gives 1 without iterating. A lane that has converged keeps its state
-/// while the others iterate, and every lane stops at its branch's cap (500
-/// series terms, 499 fraction terms). So each lane runs the same
-/// operations on the same operands as a one-lane call and returns the same
-/// bits: the lanes only interleave independent division chains, which the
-/// core overlaps.
+/// `x <= 0` gives 0 and `x = +∞` gives 1 without iterating. A lane that
+/// has converged keeps its state while the others iterate, and every lane
+/// stops at its branch's cap (500 series terms, 499 fraction terms). So
+/// each lane runs the same operations on the same operands as a one-lane
+/// call and returns the same bits: the lanes only interleave independent
+/// division chains, which the core overlaps.
 pub(crate) fn reg_lower_gamma_lanes<const L: usize>(
     a: f64,
     ln_gamma_a: f64,
@@ -301,11 +301,11 @@ mod tests {
 
     /// `reg_lower_gamma`'s bits over shapes 1..=16, against a digest
     /// recorded from the scalar implementation that preceded the lane
-    /// kernel, with the 16 values at +∞ then NaN and since 1 (every other
-    /// value keeps its bits). The abscissae straddle the switch from the series to the
-    /// continued fraction at `a + 1` (one ulp either side), cover the edges
-    /// (negative, ±0, subnormal, tiny, large, +∞, NaN) and spread across
-    /// both branches.
+    /// kernel and re-recorded when the 16 values at +∞ went from NaN to 1
+    /// (every other value kept its bits). The abscissae straddle the switch
+    /// from the series to the continued fraction at `a + 1` (one ulp either
+    /// side), cover the edges (negative, ±0, subnormal, tiny, large, +∞,
+    /// NaN) and spread across both branches.
     #[test]
     fn reg_lower_gamma_bits_match_the_recorded_digest() {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;

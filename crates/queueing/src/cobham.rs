@@ -12,6 +12,7 @@
 //! verifies the cµ-rule's optimality and calibrates the simulator in
 //! [`crate::mg1`].
 
+use crate::population::holding_cost_rate;
 use ss_core::job::JobClass;
 
 /// Traffic intensity of a set of classes.
@@ -73,11 +74,8 @@ pub fn mg1_nonpreemptive_priority(
         .enumerate()
         .map(|(k, c)| c.arrival_rate * (wait[k] + c.mean_service()))
         .collect();
-    let holding_cost_rate = classes
-        .iter()
-        .enumerate()
-        .map(|(k, c)| c.holding_cost * number_in_system[k])
-        .sum();
+    let holding_cost_rate =
+        holding_cost_rate(classes.iter().map(|c| c.holding_cost), &number_in_system);
     PriorityQueueMeans {
         wait,
         number_in_system,
@@ -124,11 +122,8 @@ pub fn mg1_preemptive_priority(
         .enumerate()
         .map(|(k, c)| c.arrival_rate * time_in_system[k])
         .collect();
-    let holding_cost_rate = classes
-        .iter()
-        .enumerate()
-        .map(|(k, c)| c.holding_cost * number_in_system[k])
-        .sum();
+    let holding_cost_rate =
+        holding_cost_rate(classes.iter().map(|c| c.holding_cost), &number_in_system);
     PriorityQueueMeans {
         wait,
         number_in_system,

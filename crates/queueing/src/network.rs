@@ -9,7 +9,7 @@
 //! network is the one-station case
 //! ([`crate::klimov::KlimovNetwork::as_network`]).
 
-use crate::population::{holding_cost_rate, Arrivals, Population};
+use crate::population::{earliest, holding_cost_rate, Arrivals, Population};
 use rand::RngCore;
 use ss_distributions::DynDist;
 
@@ -171,12 +171,7 @@ pub fn simulate_network(
 
     loop {
         let (arr_class, arr_time) = arrivals.earliest();
-        let (comp_station, comp_time) = completion
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap();
+        let (comp_station, comp_time) = earliest(&completion);
         let clock = arr_time.min(comp_time);
         if clock > horizon {
             break;

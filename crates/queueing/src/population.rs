@@ -22,6 +22,17 @@ pub(crate) fn ranks(order: &[usize]) -> Vec<usize> {
     rank
 }
 
+/// The index and value of the earliest of `times`; the lowest index on
+/// ties.
+pub(crate) fn earliest(times: &[f64]) -> (usize, f64) {
+    times
+        .iter()
+        .cloned()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
+        .unwrap()
+}
+
 /// The holding-cost rate `Σ_j c_j L_j`, summed in class order.
 pub(crate) fn holding_cost_rate(costs: impl IntoIterator<Item = f64>, mean_number: &[f64]) -> f64 {
     costs.into_iter().zip(mean_number).map(|(c, l)| c * l).sum()
@@ -54,12 +65,7 @@ impl Arrivals {
     /// The class whose arrival comes first and its time; the lowest class
     /// on ties.
     pub(crate) fn earliest(&self) -> (usize, f64) {
-        self.next
-            .iter()
-            .cloned()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-            .unwrap()
+        earliest(&self.next)
     }
 
     /// Draw `class`'s next arrival after the one it had at `clock`.
