@@ -29,8 +29,8 @@ pub(crate) fn earliest(times: &[f64]) -> (usize, f64) {
         .iter()
         .cloned()
         .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-        .unwrap()
+        .min_by(|a, b| a.1.partial_cmp(&b.1).expect("event times are not NaN"))
+        .expect("at least one clock")
 }
 
 /// The holding-cost rate `Σ_j c_j L_j`, summed in class order.
