@@ -134,11 +134,15 @@ pub enum LbPolicy {
     Weighted(Vec<f64>),
     /// No per-server queues at all: the tier keeps one shared queue and
     /// any server that frees up pulls the next request per the tier's
-    /// discipline.  With FIFO and exponential service this is *exactly*
-    /// the M/M/c central queue — the configuration the Erlang-C oracle
-    /// pair cross-validates.  `queue_capacity` bounds the shared queue,
-    /// and requests keep queueing while every server is down (they wait
-    /// at the balancer rather than being dropped).
+    /// discipline.  An arrival that finds a server up and idle goes
+    /// straight into service on the lowest-id such server; only the
+    /// others take a place in the shared queue.  With FIFO and
+    /// exponential service this is *exactly* the M/M/c central queue — the
+    /// configuration the Erlang-C oracle pair cross-validates.
+    /// `queue_capacity` bounds the shared queue (`Some(0)` makes the tier
+    /// the M/M/c/c loss system), and requests keep queueing while every
+    /// server is down (they wait at the balancer rather than being
+    /// dropped).
     CentralQueue,
 }
 
@@ -182,8 +186,12 @@ pub struct TierConfig {
     pub servers: usize,
     /// Queue bound in waiting requests, excluding those in service
     /// (per server, or tier-wide under [`LbPolicy::CentralQueue`]);
-    /// `None` = unbounded.  An arrival to a full queue is dropped (and
-    /// the client may retry).
+    /// `None` = unbounded.  A request takes a queue place only when it
+    /// must wait: one whose target server is up and idle starts service
+    /// at once, whatever the bound.  An arrival that must wait at a full
+    /// queue is dropped (and the client may retry), so `Some(0)` makes the
+    /// tier a loss system that serves only arrivals finding their server
+    /// idle.
     pub queue_capacity: Option<usize>,
     /// Service-time distribution per class (indexed by class id).
     pub service: Vec<DynDist>,

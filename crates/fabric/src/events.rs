@@ -1,8 +1,9 @@
 //! Event taxonomy of the service-fabric simulator.
 
 /// One client request attempt flowing through the fabric.  `Copy` on
-/// purpose: requests live inside calendar events, and the calendar is the
-/// only owner of in-flight state.
+/// purpose: a request is a plain record moved by value between the
+/// calendar's events, the tier queues and a server's in-service slot, and
+/// exactly one of them holds it at a time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Request class (index into the scenario's class list).
@@ -14,8 +15,9 @@ pub struct Request {
     pub born: f64,
     /// Attempt number: 0 for the first try, incremented per retry.
     pub attempt: u32,
-    /// Time the request joined its current tier queue (set on enqueue;
-    /// the tier wait is measured from here to service start).
+    /// Time the request was admitted to its current tier (the tier wait is
+    /// measured from here to service start, and is zero for a request that
+    /// found its server idle).
     pub enqueued: f64,
 }
 
@@ -29,8 +31,9 @@ pub enum FabricEvent {
     NextArrival { class: usize, epoch: u64 },
     /// The modulating phase of `class`'s MMPP advances.
     PhaseSwitch { class: usize },
-    /// `req` arrives at tier `tier` (forward path) and must be balanced
-    /// onto a server queue.  A backed-off client retry re-enters at tier 0.
+    /// `req` arrives at tier `tier` (forward path): once admitted, it
+    /// starts service on an idle server or waits in a queue of the tier.
+    /// A backed-off client retry re-enters at tier 0.
     ArriveAtTier { tier: usize, req: Request },
     /// The request in service at `(tier, server)` completes — unless
     /// `epoch` no longer matches the server's epoch, in which case the

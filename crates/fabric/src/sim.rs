@@ -415,10 +415,15 @@ impl<'a> FabricSim<'a> {
         }
     }
 
-    /// Load-balance `req` onto a server queue of `tier` (or the tier's
-    /// shared queue under [`LbPolicy::CentralQueue`]), or reject it — in
-    /// admission order: deadline renege, front-tier shedder, circuit
-    /// breaker, then the capacity/availability checks.
+    /// Admit `req` to `tier` or reject it — in admission order: deadline
+    /// renege, front-tier shedder, circuit breaker — then hand it to its
+    /// target server: the lowest-id idle up server under
+    /// [`LbPolicy::CentralQueue`], else the load balancer's pick.  An idle
+    /// target starts serving it at once; otherwise it waits in the target's
+    /// queue bank (the tier's shared bank under `CentralQueue`), or is
+    /// dropped when that bank is full or every server is down.  So a
+    /// request takes a queue place only when it must wait, and
+    /// `queue_capacity: Some(0)` makes the tier a loss system.
     fn enqueue_at_tier(&mut self, tier: usize, mut req: Request, now: f64) {
         // Client-side renege: an already-expired request never enters the
         // tier (and burns no shedder token).  Not the tier's fault — the
@@ -441,43 +446,64 @@ impl<'a> FabricSim<'a> {
                 return;
             }
         }
-        if matches!(self.cfg.tiers[tier].lb, LbPolicy::CentralQueue) {
-            if let Some(cap) = self.cfg.tiers[tier].queue_capacity {
-                if self.tiers[tier].shared_queued >= cap {
-                    self.drop_request(tier, req, now);
-                    return;
-                }
-            }
-            req.enqueued = now;
-            let t = &mut self.tiers[tier];
-            t.shared_queues[req.class].push_back(req);
-            t.shared_queued += 1;
-            // Hand the work to the lowest-id idle up server, if any.
-            let idle = t
-                .servers
-                .iter()
-                .position(|s| s.up && s.in_service.is_none());
-            if let Some(server) = idle {
-                self.try_start(tier, server, now);
-            }
-            return;
-        }
-        let Some(server) = self.pick_server(tier) else {
-            // Every server of the tier is down.
-            self.drop_request(tier, req, now);
-            return;
-        };
-        if let Some(cap) = self.cfg.tiers[tier].queue_capacity {
-            if self.tiers[tier].servers[server].queued >= cap {
+        let picked = if matches!(self.cfg.tiers[tier].lb, LbPolicy::CentralQueue) {
+            None
+        } else {
+            let Some(server) = self.pick_server(tier) else {
+                // Every server of the tier is down.
                 self.drop_request(tier, req, now);
                 return;
-            }
-        }
+            };
+            Some(server)
+        };
         req.enqueued = now;
-        let s = &mut self.tiers[tier].servers[server];
-        s.queues[req.class].push_back(req);
-        s.queued += 1;
-        self.try_start(tier, server, now);
+        let t = &mut self.tiers[tier];
+        let (idle, queues, queued) = match picked {
+            None => (
+                t.servers
+                    .iter()
+                    .position(|s| s.up && s.in_service.is_none()),
+                &mut t.shared_queues,
+                &mut t.shared_queued,
+            ),
+            // `pick_server` returns only up servers.
+            Some(server) => {
+                let s = &mut t.servers[server];
+                (
+                    s.in_service.is_none().then_some(server),
+                    &mut s.queues,
+                    &mut s.queued,
+                )
+            }
+        };
+        if let Some(server) = idle {
+            // Release-mode check: a request joins a bank only when no server
+            // of that bank is up and idle, and after each completion and
+            // repair `try_start` serves from the bank until the server is
+            // busy or the bank is empty.  So the bank is empty here, and the
+            // arrival is the only request `select_class` could have picked;
+            // one left waiting would be overtaken.
+            assert!(
+                *queued == 0,
+                "tier {tier}: server {server} is up and idle while {} {queued} waiting requests",
+                if picked.is_some() {
+                    "its own queues hold"
+                } else {
+                    "the tier's shared queue holds"
+                }
+            );
+            self.start_service(tier, server, req, now);
+            return;
+        }
+        if self.cfg.tiers[tier]
+            .queue_capacity
+            .is_some_and(|cap| *queued >= cap)
+        {
+            self.drop_request(tier, req, now);
+            return;
+        }
+        queues[req.class].push_back(req);
+        *queued += 1;
     }
 
     /// The load-balancer decision: an up server of `tier`, or `None` when
@@ -532,7 +558,9 @@ impl<'a> FabricSim<'a> {
     /// the server's own queues, or from the tier's shared queue under
     /// [`LbPolicy::CentralQueue`].  Under reneging, expired requests are
     /// discarded for free here (timeout, pick again) instead of wasting a
-    /// service.
+    /// service.  Runs when a server frees up (`Complete`) or comes back
+    /// (`Recover`); an arrival that finds its server idle never queues, so
+    /// it goes to [`Self::start_service`] directly.
     fn try_start(&mut self, tier: usize, server: usize, now: f64) {
         let central = matches!(self.cfg.tiers[tier].lb, LbPolicy::CentralQueue);
         let renege = self.cfg.deadlines.as_ref().is_some_and(|d| d.renege);
@@ -541,28 +569,19 @@ impl<'a> FabricSim<'a> {
             if !t.servers[server].up || t.servers[server].in_service.is_some() {
                 return;
             }
-            let (class, req) = if central {
-                let Some(class) = select_class(t.discipline.as_ref(), &t.shared_queues) else {
-                    return;
-                };
-                t.shared_queued -= 1;
-                let req = t.shared_queues[class]
-                    .pop_front()
-                    .expect("chosen queue is nonempty");
-                (class, req)
+            let (queues, queued) = if central {
+                (&mut t.shared_queues, &mut t.shared_queued)
             } else {
-                if t.servers[server].queued == 0 {
-                    return;
-                }
-                let class = select_class(t.discipline.as_ref(), &t.servers[server].queues)
-                    .expect("queued > 0 implies a nonempty class queue");
                 let s = &mut t.servers[server];
-                s.queued -= 1;
-                let req = s.queues[class]
-                    .pop_front()
-                    .expect("chosen queue is nonempty");
-                (class, req)
+                (&mut s.queues, &mut s.queued)
             };
+            if *queued == 0 {
+                return;
+            }
+            let class = select_class(t.discipline.as_ref(), queues)
+                .expect("a nonzero count implies a nonempty class queue");
+            *queued -= 1;
+            let req = queues[class].pop_front().expect("chosen queue is nonempty");
             if renege && self.expired(&req, now) {
                 // It waited past its deadline in this tier's queue: the
                 // client is gone.  Charge the tier's breaker and look for
@@ -570,35 +589,47 @@ impl<'a> FabricSim<'a> {
                 self.time_out_request(Some(tier), req, now);
                 continue;
             }
-            let after_warmup = self.row(now) > 0;
-            let t = &mut self.tiers[tier];
-            if after_warmup {
-                t.served += 1;
-                t.wait_sum += now - req.enqueued;
-            }
-            let degraded = t.degraded;
-            let s = &mut t.servers[server];
-            let mut service = s.rng_service.sample(&self.cfg.tiers[tier].service, class);
-            if degraded {
-                let m = self.cfg.tiers[tier]
-                    .slowdown
-                    .expect("degraded tier has a slowdown config")
-                    .rate_multiplier;
-                service /= m;
-            }
-            s.in_service = Some(req);
-            s.service_start = now;
-            let epoch = s.epoch;
-            self.queue.schedule(
-                now + service,
-                FabricEvent::Complete {
-                    tier,
-                    server,
-                    epoch,
-                },
-            );
+            self.start_service(tier, server, req, now);
             return;
         }
+    }
+
+    /// Start serving `req` on the up, idle `(tier, server)` at `now`: count
+    /// its wait in the tier (zero for a request that never queued), draw its
+    /// service time from the server's stream, stretched while the tier is
+    /// degraded, and schedule its `Complete`.  Every service starts here,
+    /// from [`Self::try_start`] or from an arrival's hand-off in
+    /// [`Self::enqueue_at_tier`].
+    fn start_service(&mut self, tier: usize, server: usize, req: Request, now: f64) {
+        let after_warmup = self.row(now) > 0;
+        let t = &mut self.tiers[tier];
+        if after_warmup {
+            t.served += 1;
+            t.wait_sum += now - req.enqueued;
+        }
+        let degraded = t.degraded;
+        let s = &mut t.servers[server];
+        let mut service = s
+            .rng_service
+            .sample(&self.cfg.tiers[tier].service, req.class);
+        if degraded {
+            let m = self.cfg.tiers[tier]
+                .slowdown
+                .expect("degraded tier has a slowdown config")
+                .rate_multiplier;
+            service /= m;
+        }
+        s.in_service = Some(req);
+        s.service_start = now;
+        let epoch = s.epoch;
+        self.queue.schedule(
+            now + service,
+            FabricEvent::Complete {
+                tier,
+                server,
+                epoch,
+            },
+        );
     }
 
     /// Common client reaction to any rejection: schedule a backed-off
