@@ -22,6 +22,7 @@
 //! requirement otherwise.
 
 use crate::restless::RestlessProject;
+use ss_core::exhaustive::k_subsets;
 use ss_core::linalg::solve_dense;
 use ss_mdp::average::relative_value_iteration;
 use ss_mdp::mdp::MdpBuilder;
@@ -154,25 +155,6 @@ pub fn whittle_policy_gain(projects: &[RestlessProject], m: usize, indices: &[Ve
     pi.iter().zip(&rewards).map(|(p, r)| p * r).sum()
 }
 
-/// All `m`-subsets of `0..n`, in lexicographic order.
-fn m_subsets(n: usize, m: usize) -> Vec<Vec<usize>> {
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(m);
-    fn rec(n: usize, m: usize, start: usize, current: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
-        if current.len() == m {
-            out.push(current.clone());
-            return;
-        }
-        for i in start..n {
-            current.push(i);
-            rec(n, m, i + 1, current, out);
-            current.pop();
-        }
-    }
-    rec(n, m, 0, &mut current, &mut out);
-    out
-}
-
 /// Optimal long-run average reward per period over all policies that
 /// activate exactly `m` of the `N` projects each period, by relative value
 /// iteration on the joint MDP (one action per `m`-subset).  Requires the
@@ -180,7 +162,7 @@ fn m_subsets(n: usize, m: usize) -> Vec<Vec<usize>> {
 pub fn restless_optimal_gain(projects: &[RestlessProject], m: usize) -> f64 {
     assert!(m >= 1 && m <= projects.len());
     let n = joint_state_count(projects);
-    let subsets = m_subsets(projects.len(), m);
+    let subsets = k_subsets(&(0..projects.len()).collect::<Vec<_>>(), m);
     let mut builder = MdpBuilder::new(n);
     for joint in 0..n {
         let states = decode(projects, joint);
@@ -211,14 +193,6 @@ mod tests {
         (0..n)
             .map(|_| random_restless_project(states, &mut rng))
             .collect()
-    }
-
-    #[test]
-    fn m_subset_enumeration() {
-        let subsets = m_subsets(4, 2);
-        assert_eq!(subsets.len(), 6);
-        assert!(subsets.contains(&vec![0, 3]));
-        assert!(subsets.iter().all(|s| s.len() == 2));
     }
 
     #[test]

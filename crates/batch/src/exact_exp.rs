@@ -19,6 +19,8 @@
 //! makespan (Bruno–Downey–Frederickson 1981) for exponential jobs, and they
 //! quantify how much worse the opposite rule is.
 
+use ss_core::exhaustive::k_subsets;
+
 /// An instance of exponential jobs described by their completion rates and
 /// (optional) holding-cost weights.
 #[derive(Debug, Clone)]
@@ -78,40 +80,64 @@ fn served_by_list(mask: u32, order: &[usize], machines: usize) -> Vec<usize> {
     served
 }
 
+/// The recursion behind all four values below.  In state `R` (the set of
+/// uncompleted jobs, a bit mask) with served set `A` and
+/// `Λ = Σ_{j∈A} λ_j`, the next completion comes after `E[Δ] = 1/Λ` and is
+/// job `j` with probability `λ_j/Λ`, so
+/// `V(R) = h(R)/Λ + Σ_{j∈A} (λ_j/Λ) V(R \ {j})`, where `h(R)` is the
+/// rate paid until then: the weight of `R` for the flowtime (every
+/// uncompleted job accrues holding cost), 1 for the makespan.  `A` is the
+/// priority list's served set, or (`list = None`) the `min(m, |R|)`-subset
+/// that minimises `V(R)`.
+fn subset_dp(
+    instance: &ExpParallelInstance,
+    list: Option<&[usize]>,
+    machines: usize,
+    flowtime: bool,
+) -> f64 {
+    instance.check_size();
+    let n = instance.len();
+    if let Some(order) = list {
+        assert_eq!(order.len(), n);
+    }
+    let full: u32 = (1u32 << n) - 1;
+    let mut value = vec![0.0f64; (full as usize) + 1];
+    // Any mask's successors (mask without one bit) are numerically
+    // smaller, so a plain ascending loop is a valid topological order.
+    for mask in 1..=full {
+        let present: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+        let rate = if flowtime {
+            present.iter().map(|&i| instance.weights[i]).sum()
+        } else {
+            1.0
+        };
+        let v = |served: &[usize]| {
+            let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
+            let mut v = rate / lambda_total;
+            for &j in served {
+                v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
+            }
+            v
+        };
+        let best = match list {
+            Some(order) => v(&served_by_list(mask, order, machines)),
+            None => k_subsets(&present, present.len().min(machines))
+                .iter()
+                .fold(f64::INFINITY, |best, served| best.min(v(served))),
+        };
+        value[mask as usize] = best;
+    }
+    value[full as usize]
+}
+
 /// Expected *weighted flowtime* of the priority-list policy `order` on
 /// `machines` identical machines.
-///
-/// Recursion: in state `R` (set of uncompleted jobs) with served set `A`,
-/// all uncompleted jobs accrue holding cost until the next completion
-/// (`E[Δ] = 1/Λ`), so
-/// `F(R) = (Σ_{i∈R} w_i)/Λ + Σ_{j∈A} (λ_j/Λ) F(R \ {j})`.
 pub fn list_policy_flowtime(
     instance: &ExpParallelInstance,
     order: &[usize],
     machines: usize,
 ) -> f64 {
-    instance.check_size();
-    assert_eq!(order.len(), instance.len());
-    let n = instance.len();
-    let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mut value = vec![0.0f64; (full as usize) + 1];
-    // Iterate masks in increasing popcount order implicitly: any mask's
-    // successors (mask without one bit) are numerically smaller, so a plain
-    // ascending loop is a valid topological order.
-    for mask in 1..=full {
-        let served = served_by_list(mask, order, machines);
-        let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
-        let weight_total: f64 = (0..n)
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| instance.weights[i])
-            .sum();
-        let mut v = weight_total / lambda_total;
-        for &j in &served {
-            v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
-        }
-        value[mask as usize] = v;
-    }
-    value[full as usize]
+    subset_dp(instance, Some(order), machines, true)
 }
 
 /// Expected makespan of the priority-list policy `order`.
@@ -120,99 +146,18 @@ pub fn list_policy_makespan(
     order: &[usize],
     machines: usize,
 ) -> f64 {
-    instance.check_size();
-    assert_eq!(order.len(), instance.len());
-    let n = instance.len();
-    let full: u32 = (1u32 << n) - 1;
-    let mut value = vec![0.0f64; (full as usize) + 1];
-    for mask in 1..=full {
-        let served = served_by_list(mask, order, machines);
-        let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
-        let mut v = 1.0 / lambda_total;
-        for &j in &served {
-            v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
-        }
-        value[mask as usize] = v;
-    }
-    value[full as usize]
-}
-
-/// Enumerate all subsets of the set bits of `mask` with exactly `k`
-/// elements.
-fn k_subsets_of(mask: u32, k: usize) -> Vec<Vec<usize>> {
-    let bits: Vec<usize> = (0..32).filter(|&i| mask & (1 << i) != 0).collect();
-    let mut out = Vec::new();
-    let mut current = Vec::with_capacity(k);
-    fn rec(
-        bits: &[usize],
-        k: usize,
-        start: usize,
-        current: &mut Vec<usize>,
-        out: &mut Vec<Vec<usize>>,
-    ) {
-        if current.len() == k {
-            out.push(current.clone());
-            return;
-        }
-        for i in start..bits.len() {
-            current.push(bits[i]);
-            rec(bits, k, i + 1, current, out);
-            current.pop();
-        }
-    }
-    rec(&bits, k, 0, &mut current, &mut out);
-    out
+    subset_dp(instance, Some(order), machines, false)
 }
 
 /// Optimal expected weighted flowtime over all non-idling Markov policies
 /// (the DP minimises over the served subset in every state).
 pub fn optimal_flowtime(instance: &ExpParallelInstance, machines: usize) -> f64 {
-    instance.check_size();
-    let n = instance.len();
-    let full: u32 = (1u32 << n) - 1;
-    let mut value = vec![0.0f64; (full as usize) + 1];
-    for mask in 1..=full {
-        let present = mask.count_ones() as usize;
-        let k = present.min(machines);
-        let weight_total: f64 = (0..n)
-            .filter(|&i| mask & (1 << i) != 0)
-            .map(|i| instance.weights[i])
-            .sum();
-        let mut best = f64::INFINITY;
-        for served in k_subsets_of(mask, k) {
-            let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
-            let mut v = weight_total / lambda_total;
-            for &j in &served {
-                v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
-            }
-            best = best.min(v);
-        }
-        value[mask as usize] = best;
-    }
-    value[full as usize]
+    subset_dp(instance, None, machines, true)
 }
 
 /// Optimal expected makespan over all non-idling Markov policies.
 pub fn optimal_makespan(instance: &ExpParallelInstance, machines: usize) -> f64 {
-    instance.check_size();
-    let n = instance.len();
-    let full: u32 = (1u32 << n) - 1;
-    let mut value = vec![0.0f64; (full as usize) + 1];
-    for mask in 1..=full {
-        let present = mask.count_ones() as usize;
-        let k = present.min(machines);
-        let mut best = f64::INFINITY;
-        for served in k_subsets_of(mask, k) {
-            let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
-            let mut v = 1.0 / lambda_total;
-            for &j in &served {
-                v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
-            }
-            best = best.min(v);
-        }
-        value[mask as usize] = best;
-    }
-    value[full as usize]
+    subset_dp(instance, None, machines, false)
 }
 
 /// The [`ss_core::instance::BatchInstance`] with the same exponential jobs
@@ -317,15 +262,6 @@ mod tests {
         let wsept = list_policy_flowtime(&inst, &[2, 1, 0], 1);
         let opt = optimal_flowtime(&inst, 1);
         assert!((wsept - opt).abs() < 1e-9, "WSEPT {wsept} vs opt {opt}");
-    }
-
-    #[test]
-    fn k_subset_enumeration() {
-        let subsets = k_subsets_of(0b1011, 2);
-        assert_eq!(subsets.len(), 3);
-        assert!(subsets.contains(&vec![0, 1]));
-        assert!(subsets.contains(&vec![0, 3]));
-        assert!(subsets.contains(&vec![1, 3]));
     }
 
     #[test]

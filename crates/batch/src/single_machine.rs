@@ -15,6 +15,7 @@
 //! used by the property-based tests.  A realisation of a list is
 //! [`crate::parallel::simulate_list_schedule`] on one machine.
 
+use ss_core::exhaustive::best_order;
 use ss_core::instance::BatchInstance;
 
 /// Exact expected weighted flowtime of a static list on one machine.
@@ -31,36 +32,11 @@ pub fn expected_weighted_flowtime(instance: &BatchInstance, order: &[usize]) -> 
 }
 
 /// Exhaustive search over all `n!` static lists; returns `(best_order,
-/// best_value)`.  Intended for `n <= 10`.
+/// best_value)`.  Limited to `n <= 11`.
 pub fn exhaustive_optimal_order(instance: &BatchInstance) -> (Vec<usize>, f64) {
     let n = instance.len();
     assert!(n <= 11, "exhaustive search is limited to n <= 11 (got {n})");
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best_order = perm.clone();
-    let mut best_value = expected_weighted_flowtime(instance, &perm);
-    // Heap's algorithm, iterative.
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let value = expected_weighted_flowtime(instance, &perm);
-            if value < best_value {
-                best_value = value;
-                best_order = perm.clone();
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (best_order, best_value)
+    best_order(n, |order| expected_weighted_flowtime(instance, order))
 }
 
 /// The change in expected weighted flowtime from swapping the jobs at

@@ -10,6 +10,7 @@
 //! list — the survey's point that the optimality of simple policies "fails
 //! to extend to models that violate the required assumptions".
 
+use ss_core::exhaustive::best_order;
 use ss_distributions::TwoPoint;
 
 /// A batch of two-point jobs.
@@ -109,7 +110,7 @@ pub fn exact_list_performance(
 
 /// Search all `n!` static lists for the one minimising the chosen objective
 /// (0 = total flowtime, 1 = weighted flowtime, 2 = makespan); returns
-/// `(best_order, best_value)`.  Intended for `n <= 8`.
+/// `(best_order, best_value)`.  Limited to `n <= 9`.
 pub fn best_static_list(
     instance: &TwoPointInstance,
     machines: usize,
@@ -118,36 +119,14 @@ pub fn best_static_list(
     let n = instance.len();
     assert!(n <= 9, "exhaustive list search limited to 9 jobs");
     assert!(objective <= 2);
-    let mut perm: Vec<usize> = (0..n).collect();
-    let pick = |triple: (f64, f64, f64)| match objective {
-        0 => triple.0,
-        1 => triple.1,
-        _ => triple.2,
-    };
-    let mut best_order = perm.clone();
-    let mut best_value = pick(exact_list_performance(instance, &perm, machines));
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let value = pick(exact_list_performance(instance, &perm, machines));
-            if value < best_value {
-                best_value = value;
-                best_order = perm.clone();
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
+    best_order(n, |order| {
+        let (total, weighted, makespan) = exact_list_performance(instance, order, machines);
+        match objective {
+            0 => total,
+            1 => weighted,
+            _ => makespan,
         }
-    }
-    (best_order, best_value)
+    })
 }
 
 /// SEPT list (nondecreasing mean) for a two-point instance.

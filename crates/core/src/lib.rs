@@ -9,6 +9,8 @@
 //! * [`adaptive_greedy`](mod@adaptive_greedy) — the adaptive-greedy index algorithm of the
 //!   conservation-law / extended-polymatroid framework, shared by the
 //!   cµ/Klimov/branching-bandit index computations;
+//! * [`exhaustive`] — the exact solvers' enumerations: the best of all
+//!   `n!` orders (Heap's algorithm) and the `k`-subsets of a set;
 //! * [`job`] — stochastic jobs (weight + processing-time distribution) and
 //!   job classes;
 //! * [`instance`] — batch-scheduling problem instances, builders and random
@@ -19,6 +21,7 @@
 
 pub mod adaptive_greedy;
 pub mod discipline;
+pub mod exhaustive;
 pub mod index;
 pub mod instance;
 pub mod job;

@@ -13,6 +13,7 @@
 //! [`crate::mg1`].
 
 use crate::population::holding_cost_rate;
+use ss_core::exhaustive::best_order;
 use ss_core::job::JobClass;
 
 /// Traffic intensity of a set of classes.
@@ -133,35 +134,15 @@ pub fn mg1_preemptive_priority(
 
 /// Evaluate every static priority order exactly and return
 /// `(best_order, best_cost)` for the nonpreemptive model.
-/// Intended for up to ~7 classes.
+/// Limited to 8 classes.
 pub fn best_nonpreemptive_order(classes: &[JobClass]) -> (Vec<usize>, f64) {
-    let n = classes.len();
-    assert!(n <= 8, "exhaustive order search limited to 8 classes");
-    let mut perm: Vec<usize> = (0..n).collect();
-    let mut best_order = perm.clone();
-    let mut best_cost = mg1_nonpreemptive_priority(classes, &perm).holding_cost_rate;
-    let mut c = vec![0usize; n];
-    let mut i = 0;
-    while i < n {
-        if c[i] < i {
-            if i % 2 == 0 {
-                perm.swap(0, i);
-            } else {
-                perm.swap(c[i], i);
-            }
-            let cost = mg1_nonpreemptive_priority(classes, &perm).holding_cost_rate;
-            if cost < best_cost {
-                best_cost = cost;
-                best_order = perm.clone();
-            }
-            c[i] += 1;
-            i = 0;
-        } else {
-            c[i] = 0;
-            i += 1;
-        }
-    }
-    (best_order, best_cost)
+    assert!(
+        classes.len() <= 8,
+        "exhaustive order search limited to 8 classes"
+    );
+    best_order(classes.len(), |order| {
+        mg1_nonpreemptive_priority(classes, order).holding_cost_rate
+    })
 }
 
 #[cfg(test)]
