@@ -38,17 +38,12 @@ pub fn relative_value_iteration(
     // self-loop of weight (1 - tau) to guarantee convergence on periodic
     // chains without changing the optimal policy or gain.
     let tau = 0.9;
+    let q = |h: &[f64], s: usize, a: usize| {
+        mdp.reward(s, a) + tau * mdp.expected_next_value(s, a, h) + (1.0 - tau) * h[s]
+    };
     while iterations < max_iterations {
         for s in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            for a in 0..mdp.num_actions(s) {
-                let q =
-                    mdp.reward(s, a) + tau * mdp.expected_next_value(s, a, &h) + (1.0 - tau) * h[s];
-                if q > best {
-                    best = q;
-                }
-            }
-            next[s] = best;
+            next[s] = mdp.best_action(s, |a| q(&h, s, a)).1;
         }
         let diffs: Vec<f64> = (0..n).map(|s| next[s] - h[s]).collect();
         let max_d = diffs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -64,19 +59,9 @@ pub fn relative_value_iteration(
         }
     }
     // Greedy policy w.r.t. the bias.
-    let mut policy = vec![0usize; n];
-    for s in 0..n {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_a = 0;
-        for a in 0..mdp.num_actions(s) {
-            let q = mdp.reward(s, a) + tau * mdp.expected_next_value(s, a, &h) + (1.0 - tau) * h[s];
-            if q > best {
-                best = q;
-                best_a = a;
-            }
-        }
-        policy[s] = best_a;
-    }
+    let policy = (0..n)
+        .map(|s| mdp.best_action(s, |a| q(&h, s, a)).0)
+        .collect();
     AverageSolution {
         gain,
         bias: h,

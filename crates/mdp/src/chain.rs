@@ -1,12 +1,10 @@
-//! Markov-chain utilities: stationary distributions, absorption analysis,
-//! expected discounted occupancy.
-//!
-//! Klimov's algorithm and the exact bandit evaluations need the fundamental
-//! matrix `(I - Q)^{-1}` of substochastic matrices and stationary
-//! distributions of irreducible chains; both are computed by dense Gaussian
-//! elimination, which is ample for the instance sizes in this workspace.
+//! Markov chains: the stationary distribution of an irreducible chain, by
+//! dense Gaussian elimination, which is ample for the instance sizes in
+//! this workspace.  The marginal-productivity-index algorithm and
+//! [`crate::average::average_reward_of_policy`] evaluate fixed policies
+//! with it.
 
-use crate::mdp::solve_dense;
+use ss_core::linalg::solve_dense;
 
 /// A finite discrete-time Markov chain given by a dense transition matrix.
 #[derive(Debug, Clone)]

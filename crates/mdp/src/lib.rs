@@ -14,9 +14,10 @@
 //!   restless-bandit subsidy problems behind the Whittle index (E10);
 //! * optimal stopping ([`stopping`]) — the retirement formulation used by
 //!   the calibration method for the Gittins index (E8);
-//! * Markov-chain utilities ([`chain`]) — stationary distributions,
-//!   absorption probabilities and expected occupancy, used by Klimov's
-//!   algorithm and the exact parallel-machine recursions.
+//! * Markov chains ([`chain`]) — the stationary distribution of an
+//!   irreducible chain, used to evaluate fixed policies by the
+//!   marginal-productivity-index algorithm and by
+//!   [`average_reward_of_policy`](average::average_reward_of_policy).
 //!
 //! The MDP representation is deliberately simple (dense per-action rows of
 //! `(next_state, probability)` pairs): every exact model in this workspace

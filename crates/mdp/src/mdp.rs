@@ -1,5 +1,7 @@
 //! Finite MDP representation.
 
+use ss_core::linalg::solve_dense;
+
 /// A single transition `(next_state, probability)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Transition {
@@ -58,6 +60,21 @@ impl Mdp {
         self.reward(s, a) + beta * self.expected_next_value(s, a, values)
     }
 
+    /// The action maximising `q` in state `s` and its value; the
+    /// lowest-numbered action wins ties.
+    pub(crate) fn best_action(&self, s: usize, q: impl Fn(usize) -> f64) -> (usize, f64) {
+        let mut best_a = 0;
+        let mut best = f64::NEG_INFINITY;
+        for a in 0..self.num_actions(s) {
+            let value = q(a);
+            if value > best {
+                best = value;
+                best_a = a;
+            }
+        }
+        (best_a, best)
+    }
+
     /// Evaluate a stationary deterministic policy exactly (discounted) by
     /// solving `(I - beta P_pi) v = r_pi` with Gaussian elimination.
     pub fn evaluate_policy_discounted(&self, policy: &[usize], beta: f64) -> Vec<f64> {
@@ -77,43 +94,6 @@ impl Mdp {
         }
         solve_dense(a, b)
     }
-}
-
-/// Gaussian elimination with partial pivoting; panics on singular systems.
-pub(crate) fn solve_dense(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Vec<f64> {
-    let n = b.len();
-    for col in 0..n {
-        // Pivot.
-        let mut piv = col;
-        for r in col + 1..n {
-            if a[r][col].abs() > a[piv][col].abs() {
-                piv = r;
-            }
-        }
-        assert!(a[piv][col].abs() > 1e-12, "singular linear system");
-        a.swap(col, piv);
-        b.swap(col, piv);
-        // Eliminate below.
-        for r in col + 1..n {
-            let f = a[r][col] / a[col][col];
-            if f != 0.0 {
-                for c in col..n {
-                    a[r][c] -= f * a[col][c];
-                }
-                b[r] -= f * b[col];
-            }
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0; n];
-    for r in (0..n).rev() {
-        let mut acc = b[r];
-        for c in r + 1..n {
-            acc -= a[r][c] * x[c];
-        }
-        x[r] = acc / a[r][r];
-    }
-    x
 }
 
 /// Incremental builder validating transition probabilities.
@@ -227,15 +207,5 @@ mod tests {
     fn bad_probabilities_rejected() {
         let mut b = MdpBuilder::new(1);
         b.add_action(0, 0.0, vec![(0, 0.5)]);
-    }
-
-    #[test]
-    fn dense_solver() {
-        // 2x + y = 5, x + 3y = 10 -> x = 1, y = 3.
-        let a = vec![vec![2.0, 1.0], vec![1.0, 3.0]];
-        let b = vec![5.0, 10.0];
-        let x = solve_dense(a, b);
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 3.0).abs() < 1e-12);
     }
 }

@@ -48,14 +48,7 @@ pub fn value_iteration(mdp: &Mdp, opts: &ValueIterationOptions) -> DiscountedSol
     while iterations < opts.max_iterations {
         residual = 0.0f64;
         for s in 0..n {
-            let mut best = f64::NEG_INFINITY;
-            for a in 0..mdp.num_actions(s) {
-                let q = mdp.q_value(s, a, &values, beta);
-                if q > best {
-                    best = q;
-                }
-            }
-            next[s] = best;
+            next[s] = mdp.best_action(s, |a| mdp.q_value(s, a, &values, beta)).1;
             residual = residual.max((next[s] - values[s]).abs());
         }
         std::mem::swap(&mut values, &mut next);
@@ -66,19 +59,9 @@ pub fn value_iteration(mdp: &Mdp, opts: &ValueIterationOptions) -> DiscountedSol
         }
     }
     // Greedy policy extraction.
-    let mut policy = vec![0usize; n];
-    for s in 0..n {
-        let mut best = f64::NEG_INFINITY;
-        let mut best_a = 0;
-        for a in 0..mdp.num_actions(s) {
-            let q = mdp.q_value(s, a, &values, beta);
-            if q > best {
-                best = q;
-                best_a = a;
-            }
-        }
-        policy[s] = best_a;
-    }
+    let policy = (0..n)
+        .map(|s| mdp.best_action(s, |a| mdp.q_value(s, a, &values, beta)).0)
+        .collect();
     DiscountedSolution {
         values,
         policy,
