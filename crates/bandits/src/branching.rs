@@ -30,7 +30,7 @@
 
 use crate::branching::offspring::OffspringDist;
 use rand::Rng;
-use ss_core::adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, WorkMeasure};
+use ss_core::adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, TransferWorkMeasure};
 use ss_core::linalg::solve_dense;
 use ss_distributions::DynDist;
 
@@ -219,7 +219,13 @@ impl BranchingBandit {
     /// adaptive-greedy algorithm and this model's sub-busy-period work
     /// measure.
     pub fn indices(&self) -> AdaptiveGreedyResult {
-        let oracle = BranchingWorkMeasure { bandit: self };
+        let oracle = TransferWorkMeasure::new(
+            (0..self.num_classes())
+                .map(|i| self.mean_service(i))
+                .collect(),
+            self.mean_offspring_matrix(),
+            self.holding_costs.clone(),
+        );
         adaptive_greedy(&self.holding_costs, &oracle)
     }
 
@@ -227,61 +233,6 @@ impl BranchingBandit {
     /// (highest index first).
     pub fn index_order(&self) -> Vec<usize> {
         self.indices().order
-    }
-}
-
-/// The branching bandit's work measure for the adaptive-greedy algorithm.
-struct BranchingWorkMeasure<'a> {
-    bandit: &'a BranchingBandit,
-}
-
-impl BranchingWorkMeasure<'_> {
-    /// Solve `v_a = rhs_a + Σ_{b∈S} M[a][b] v_b` for the members of `S`.
-    fn solve_restricted(&self, continuation: &[bool], rhs: impl Fn(usize) -> f64) -> Vec<f64> {
-        let n = self.bandit.num_classes();
-        let m = self.bandit.mean_offspring_matrix();
-        let members: Vec<usize> = (0..n).filter(|&j| continuation[j]).collect();
-        let k = members.len();
-        let pos = |class: usize| members.iter().position(|&x| x == class).unwrap();
-        let mut a = vec![vec![0.0; k]; k];
-        let mut b = vec![0.0; k];
-        for (row, &cls) in members.iter().enumerate() {
-            a[row][row] = 1.0;
-            for &other in &members {
-                a[row][pos(other)] -= m[cls][other];
-            }
-            b[row] = rhs(cls);
-        }
-        solve_dense(a, b)
-    }
-}
-
-impl WorkMeasure for BranchingWorkMeasure<'_> {
-    fn num_classes(&self) -> usize {
-        self.bandit.num_classes()
-    }
-
-    fn work(&self, class: usize, continuation: &[bool]) -> f64 {
-        assert!(continuation[class]);
-        let members: Vec<usize> = (0..self.bandit.num_classes())
-            .filter(|&j| continuation[j])
-            .collect();
-        let t = self.solve_restricted(continuation, |cls| self.bandit.mean_service(cls));
-        t[members.iter().position(|&x| x == class).unwrap()]
-    }
-
-    fn exit_cost(&self, class: usize, continuation: &[bool]) -> f64 {
-        assert!(continuation[class]);
-        let n = self.bandit.num_classes();
-        let m = self.bandit.mean_offspring_matrix();
-        let members: Vec<usize> = (0..n).filter(|&j| continuation[j]).collect();
-        let e = self.solve_restricted(continuation, |cls| {
-            (0..n)
-                .filter(|&j| !continuation[j])
-                .map(|j| m[cls][j] * self.bandit.holding_costs[j])
-                .sum()
-        });
-        e[members.iter().position(|&x| x == class).unwrap()]
     }
 }
 

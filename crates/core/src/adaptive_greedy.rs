@@ -31,11 +31,12 @@
 //! | Klimov network (Bernoulli feedback) | restricted busy period from the routing matrix | cost rate at first exit from `S` | Klimov's indices |
 //! | Branching bandits (Weiss 1988) | restricted busy period from the expected-offspring matrix | cost rate of first offspring outside `S` | branching-bandit index |
 //!
-//! The oracle is supplied through the [`WorkMeasure`] trait so that each
-//! domain crate can plug in its own sub-busy-period computation without
-//! this crate depending on any of them.
+//! All three differ only in the matrix of jobs a served job turns into, so
+//! one [`TransferWorkMeasure`] serves them; the algorithm itself takes any
+//! [`WorkMeasure`].
 
 use crate::index::argsort_decreasing;
+use crate::linalg::solve_dense;
 
 /// Work/exit-cost oracle of one scheduling model, evaluated against a
 /// continuation set of classes.
@@ -145,35 +146,94 @@ pub fn adaptive_greedy(costs: &[f64], oracle: &dyn WorkMeasure) -> AdaptiveGreed
     }
 }
 
-/// The trivial work measure of the multiclass M/G/1 queue *without*
-/// feedback: serving a class-`j` job occupies the server for `E[S_j]` and
-/// the job then leaves, so the adaptive greedy reduces to the cµ-rule.
+/// The restricted-busy-period work measure of the cµ, Klimov and
+/// branching-bandit models.
+///
+/// Serving a class-`i` job occupies the server for `mean_work[i]` in
+/// expectation and then turns it into `transfer[i][k]` class-`k` jobs in
+/// expectation: zero for isolated jobs (the cµ-rule), routing
+/// probabilities for a Klimov network, expected offspring for a branching
+/// bandit.  Against a continuation set `S`, both `T_i(S)` and `E_i(S)`
+/// solve `v_i = r_i + Σ_{k∈S} transfer[i][k] v_k` over `i ∈ S`, with
+/// `r_i = mean_work[i]` for the work and
+/// `r_i = Σ_{k∉S} transfer[i][k] costs[k]` for the exit cost.
 #[derive(Debug, Clone)]
-pub struct IsolatedJobs {
-    /// Mean service time per class.
-    pub mean_service: Vec<f64>,
+pub struct TransferWorkMeasure {
+    mean_work: Vec<f64>,
+    transfer: Vec<Vec<f64>>,
+    costs: Vec<f64>,
 }
 
-impl IsolatedJobs {
-    /// Create the oracle from per-class mean service times (all positive).
-    pub fn new(mean_service: Vec<f64>) -> Self {
-        assert!(!mean_service.is_empty());
-        assert!(mean_service.iter().all(|m| m.is_finite() && *m > 0.0));
-        Self { mean_service }
+impl TransferWorkMeasure {
+    /// Create the measure from the mean service time per class, the
+    /// expected number `transfer[i][k]` of class-`k` jobs a served class-`i`
+    /// job becomes, and the holding-cost rate per class.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `transfer` is square and `costs` has one entry per
+    /// class.
+    pub fn new(mean_work: Vec<f64>, transfer: Vec<Vec<f64>>, costs: Vec<f64>) -> Self {
+        let n = mean_work.len();
+        assert!(
+            transfer.len() == n && transfer.iter().all(|row| row.len() == n),
+            "transfer matrix must be {n} x {n}"
+        );
+        assert_eq!(costs.len(), n, "need one holding cost per class");
+        Self {
+            mean_work,
+            transfer,
+            costs,
+        }
+    }
+
+    /// Jobs that leave after one service, so the adaptive greedy reduces
+    /// to the cµ-rule.
+    pub fn isolated(mean_work: Vec<f64>) -> Self {
+        let n = mean_work.len();
+        Self::new(mean_work, vec![vec![0.0; n]; n], vec![0.0; n])
+    }
+
+    /// Component `class` of the solution of `v_i = r(i) + Σ_{k∈S}
+    /// transfer[i][k] v_k` over the members `i` of `S = continuation`.
+    fn restricted(&self, class: usize, continuation: &[bool], r: impl Fn(usize) -> f64) -> f64 {
+        assert!(
+            continuation[class],
+            "candidate must belong to its continuation set"
+        );
+        let members: Vec<usize> = (0..self.num_classes())
+            .filter(|&k| continuation[k])
+            .collect();
+        let m = members.len();
+        let mut a = vec![vec![0.0; m]; m];
+        let mut b = vec![0.0; m];
+        for (row, &i) in members.iter().enumerate() {
+            a[row][row] = 1.0;
+            for (col, &k) in members.iter().enumerate() {
+                a[row][col] -= self.transfer[i][k];
+            }
+            b[row] = r(i);
+        }
+        solve_dense(a, b)[members.iter().position(|&i| i == class).unwrap()]
     }
 }
 
-impl WorkMeasure for IsolatedJobs {
+impl WorkMeasure for TransferWorkMeasure {
     fn num_classes(&self) -> usize {
-        self.mean_service.len()
+        self.mean_work.len()
     }
 
-    fn work(&self, class: usize, _continuation: &[bool]) -> f64 {
-        self.mean_service[class]
+    fn work(&self, class: usize, continuation: &[bool]) -> f64 {
+        self.restricted(class, continuation, |i| self.mean_work[i])
     }
 
-    fn exit_cost(&self, _class: usize, _continuation: &[bool]) -> f64 {
-        0.0
+    fn exit_cost(&self, class: usize, continuation: &[bool]) -> f64 {
+        self.restricted(class, continuation, |i| {
+            (0..self.num_classes())
+                .filter(|&k| !continuation[k])
+                .map(|k| self.transfer[i][k] * self.costs[k])
+                .sum()
+        })
     }
 }
 
@@ -185,7 +245,7 @@ mod tests {
     fn isolated_jobs_recover_the_cmu_rule() {
         // Three classes with mean services 1.0, 0.5, 2.0 and costs 1, 3, 2:
         // cµ indices 1, 6, 1 -> order [1, 0-or-2, ...] with ties by id.
-        let oracle = IsolatedJobs::new(vec![1.0, 0.5, 2.0]);
+        let oracle = TransferWorkMeasure::isolated(vec![1.0, 0.5, 2.0]);
         let result = adaptive_greedy(&[1.0, 3.0, 2.0], &oracle);
         assert!((result.indices[0] - 1.0).abs() < 1e-12);
         assert!((result.indices[1] - 6.0).abs() < 1e-12);
@@ -196,7 +256,7 @@ mod tests {
 
     #[test]
     fn single_class_index_is_cost_over_work() {
-        let oracle = IsolatedJobs::new(vec![0.25]);
+        let oracle = TransferWorkMeasure::isolated(vec![0.25]);
         let result = adaptive_greedy(&[2.0], &oracle);
         assert!((result.indices[0] - 8.0).abs() < 1e-12);
         assert_eq!(result.order, vec![0]);
@@ -205,7 +265,7 @@ mod tests {
 
     #[test]
     fn zero_cost_classes_sink_to_the_bottom() {
-        let oracle = IsolatedJobs::new(vec![1.0, 1.0, 1.0]);
+        let oracle = TransferWorkMeasure::isolated(vec![1.0, 1.0, 1.0]);
         let result = adaptive_greedy(&[0.0, 5.0, 1.0], &oracle);
         assert_eq!(result.order, vec![1, 2, 0]);
         assert!((result.indices[0] - 0.0).abs() < 1e-12);
@@ -214,15 +274,22 @@ mod tests {
     #[test]
     #[should_panic]
     fn cost_length_mismatch_panics() {
-        let oracle = IsolatedJobs::new(vec![1.0, 2.0]);
+        let oracle = TransferWorkMeasure::isolated(vec![1.0, 2.0]);
         let _ = adaptive_greedy(&[1.0], &oracle);
     }
 
     #[test]
     #[should_panic]
     fn negative_costs_are_rejected() {
-        let oracle = IsolatedJobs::new(vec![1.0]);
+        let oracle = TransferWorkMeasure::isolated(vec![1.0]);
         let _ = adaptive_greedy(&[-1.0], &oracle);
+    }
+
+    #[test]
+    #[should_panic(expected = "transfer matrix must be 2 x 2")]
+    fn ragged_transfer_matrices_are_rejected() {
+        let _ =
+            TransferWorkMeasure::new(vec![1.0, 2.0], vec![vec![0.0; 2], vec![0.0]], vec![0.0; 2]);
     }
 
     /// A contrived oracle whose work measure shrinks as the continuation

@@ -1,12 +1,11 @@
 //! Small dense linear algebra shared across the workspace.
 //!
-//! The index algorithms (`ss-bandits::gittins`, `ss-bandits::branching`,
-//! `ss-queueing::klimov`), the traffic-equation solvers and the exact
-//! joint-chain analyses all need the same primitive: solve a small dense
-//! system by Gaussian elimination with partial pivoting.  One shared copy
-//! means a pivoting or tolerance fix lands everywhere at once.  (`ss-mdp`
-//! keeps its own crate-private copy to stay free of workspace
-//! dependencies.)
+//! The index algorithms (`ss-bandits::gittins`, the adaptive greedy's
+//! work measure, `ss-queueing::klimov`), the traffic-equation solvers, the
+//! exact joint-chain analyses and `ss-mdp`'s policy evaluation all need the
+//! same primitive: solve a small dense system by Gaussian elimination with
+//! partial pivoting.  One shared copy means a pivoting or tolerance fix
+//! lands everywhere at once.
 
 /// Solve the dense linear system `A x = b` by Gaussian elimination with
 /// partial pivoting; panics on (numerically) singular systems.  Intended

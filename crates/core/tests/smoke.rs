@@ -2,13 +2,13 @@
 //! adaptive-greedy index algorithm reduced to isolated jobs, where the
 //! indices must be exactly the cµ ratios `c_j / E[S_j]`.
 
-use ss_core::adaptive_greedy::{adaptive_greedy, IsolatedJobs};
+use ss_core::adaptive_greedy::{adaptive_greedy, TransferWorkMeasure};
 
 #[test]
 fn adaptive_greedy_smoke() {
     let costs = [3.0, 1.0, 4.0, 1.5];
     let means = [1.0, 0.5, 2.0, 0.25];
-    let oracle = IsolatedJobs::new(means.to_vec());
+    let oracle = TransferWorkMeasure::isolated(means.to_vec());
     let result = adaptive_greedy(&costs, &oracle);
     for j in 0..costs.len() {
         let expected = costs[j] / means[j];

@@ -19,8 +19,9 @@
 //!   achievable-region proof of the cµ-rule the survey describes;
 //! * with Bernoulli feedback the region becomes an *extended* polymatroid
 //!   and the optimising vertex is produced by the adaptive-greedy index
-//!   algorithm; [`KlimovWorkMeasure`] plugs the Klimov network's restricted
-//!   busy periods into
+//!   algorithm; [`klimov_via_adaptive_greedy`] plugs the Klimov network's
+//!   restricted busy periods, a [`TransferWorkMeasure`] over the routing
+//!   matrix, into
 //!   [`ss_core::adaptive_greedy`](fn@ss_core::adaptive_greedy), recovering
 //!   Klimov's indices from the conservation-law framework.
 //!
@@ -31,9 +32,8 @@
 use crate::cobham::total_load;
 use crate::conservation::{conserved_work, subset_lower_bound};
 use crate::klimov::KlimovNetwork;
-use ss_core::adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, IsolatedJobs, WorkMeasure};
+use ss_core::adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, TransferWorkMeasure};
 use ss_core::job::JobClass;
-use ss_core::linalg::solve_dense;
 use ss_lp::{LinearProgram, Relation};
 
 /// The polymatroid vertex induced by a static priority order: the vector
@@ -123,7 +123,7 @@ pub fn region_lp(classes: &[JobClass]) -> RegionLpResult {
 /// adaptive-greedy algorithm with the trivial (no-feedback) work measure.
 /// The produced indices are exactly `c_j µ_j`.
 pub fn cmu_via_adaptive_greedy(classes: &[JobClass]) -> AdaptiveGreedyResult {
-    let oracle = IsolatedJobs::new(classes.iter().map(|c| c.mean_service()).collect());
+    let oracle = TransferWorkMeasure::isolated(classes.iter().map(|c| c.mean_service()).collect());
     let costs: Vec<f64> = classes.iter().map(|c| c.holding_cost).collect();
     adaptive_greedy(&costs, &oracle)
 }
@@ -132,81 +132,19 @@ pub fn cmu_via_adaptive_greedy(classes: &[JobClass]) -> AdaptiveGreedyResult {
 /// a class-`j` customer accumulates while its class stays inside `S`
 /// (its restricted busy period), and `E_j(S)` is the expected holding-cost
 /// rate of the first class it becomes outside `S` (zero if it leaves).
-/// Plugging this oracle into the adaptive-greedy algorithm reproduces
-/// Klimov's indices — the extended-polymatroid account of Klimov's theorem.
-#[derive(Debug, Clone)]
-pub struct KlimovWorkMeasure<'a> {
-    network: &'a KlimovNetwork,
-}
-
-impl<'a> KlimovWorkMeasure<'a> {
-    /// Wrap a Klimov network.
-    pub fn new(network: &'a KlimovNetwork) -> Self {
-        Self { network }
-    }
-
-    /// Solve the restricted linear system for the members of `continuation`
-    /// and return the per-member solution of `v = rhs + P_S v`.
-    fn solve_restricted(&self, continuation: &[bool], rhs: impl Fn(usize) -> f64) -> Vec<f64> {
-        let n = self.network.num_classes();
-        let members: Vec<usize> = (0..n).filter(|&j| continuation[j]).collect();
-        let m = members.len();
-        let pos = |class: usize| members.iter().position(|&x| x == class).unwrap();
-        let mut a = vec![vec![0.0; m]; m];
-        let mut b = vec![0.0; m];
-        for (row, &cls) in members.iter().enumerate() {
-            a[row][row] = 1.0;
-            for &other in &members {
-                a[row][pos(other)] -= self.network.routing[cls][other];
-            }
-            b[row] = rhs(cls);
-        }
-        solve_dense(a, b)
-    }
-}
-
-impl WorkMeasure for KlimovWorkMeasure<'_> {
-    fn num_classes(&self) -> usize {
-        self.network.num_classes()
-    }
-
-    fn work(&self, class: usize, continuation: &[bool]) -> f64 {
-        assert!(
-            continuation[class],
-            "candidate must belong to its continuation set"
-        );
-        let members: Vec<usize> = (0..self.network.num_classes())
-            .filter(|&j| continuation[j])
-            .collect();
-        let t = self.solve_restricted(continuation, |cls| self.network.services[cls].mean());
-        let pos = members.iter().position(|&x| x == class).unwrap();
-        t[pos]
-    }
-
-    fn exit_cost(&self, class: usize, continuation: &[bool]) -> f64 {
-        assert!(
-            continuation[class],
-            "candidate must belong to its continuation set"
-        );
-        let n = self.network.num_classes();
-        let members: Vec<usize> = (0..n).filter(|&j| continuation[j]).collect();
-        let e = self.solve_restricted(continuation, |cls| {
-            (0..n)
-                .filter(|&j| !continuation[j])
-                .map(|j| self.network.routing[cls][j] * self.network.holding_costs[j])
-                .sum()
-        });
-        let pos = members.iter().position(|&x| x == class).unwrap();
-        e[pos]
-    }
+fn klimov_work_measure(network: &KlimovNetwork) -> TransferWorkMeasure {
+    TransferWorkMeasure::new(
+        network.services.iter().map(|s| s.mean()).collect(),
+        network.routing.clone(),
+        network.holding_costs.clone(),
+    )
 }
 
 /// Klimov's indices recomputed through the generic adaptive-greedy
 /// algorithm (rather than the dedicated implementation in
 /// [`crate::klimov::klimov_indices`]); the two must agree.
 pub fn klimov_via_adaptive_greedy(network: &KlimovNetwork) -> AdaptiveGreedyResult {
-    let oracle = KlimovWorkMeasure::new(network);
-    adaptive_greedy(&network.holding_costs, &oracle)
+    adaptive_greedy(&network.holding_costs, &klimov_work_measure(network))
 }
 
 #[cfg(test)]
@@ -215,6 +153,7 @@ mod tests {
     use crate::cmu::cmu_order;
     use crate::cobham::{best_nonpreemptive_order, mg1_nonpreemptive_priority};
     use crate::klimov::{klimov_indices, klimov_order};
+    use ss_core::adaptive_greedy::WorkMeasure;
     use ss_distributions::{dyn_dist, Erlang, Exponential, HyperExponential};
 
     fn classes_3() -> Vec<JobClass> {
@@ -366,7 +305,7 @@ mod tests {
             vec![1.0, 2.0],
             vec![vec![0.0; 2]; 2],
         );
-        let oracle = KlimovWorkMeasure::new(&net);
+        let oracle = klimov_work_measure(&net);
         assert!((oracle.work(0, &[true, false]) - 1.5).abs() < 1e-12);
         assert!((oracle.work(1, &[true, true]) - 0.5).abs() < 1e-12);
         assert!((oracle.exit_cost(0, &[true, false]) - 0.0).abs() < 1e-12);

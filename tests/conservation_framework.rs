@@ -19,7 +19,7 @@ use stochastic_scheduling::bandits::mpi::marginal_productivity_indices;
 use stochastic_scheduling::bandits::restless::{
     simulate_restless, whittle_indices, RestlessPolicy,
 };
-use stochastic_scheduling::core::adaptive_greedy::{adaptive_greedy, IsolatedJobs};
+use stochastic_scheduling::core::adaptive_greedy::{adaptive_greedy, TransferWorkMeasure};
 use stochastic_scheduling::core::job::JobClass;
 use stochastic_scheduling::distributions::Deterministic;
 use stochastic_scheduling::distributions::{dyn_dist, Erlang, Exponential};
@@ -69,7 +69,7 @@ proptest! {
         let n = costs.len().min(means.len());
         let costs = &costs[..n];
         let means = &means[..n];
-        let oracle = IsolatedJobs::new(means.to_vec());
+        let oracle = TransferWorkMeasure::isolated(means.to_vec());
         let result = adaptive_greedy(costs, &oracle);
         for j in 0..n {
             prop_assert!((result.indices[j] - costs[j] / means[j]).abs() < 1e-12);
