@@ -40,7 +40,10 @@ use std::collections::VecDeque;
 use crate::config::assert_positive_finite;
 
 /// Per-class request deadlines measured from first birth (`Request::born`),
-/// shared across retry attempts: a retry does not reset the budget.
+/// shared across retry attempts: a retry does not reset the budget.  A
+/// timed-out request takes the client retry path like every other
+/// rejection, so it is re-submitted while the scenario's
+/// [`RetryPolicy`](crate::config::RetryPolicy) attempt budget lasts.
 #[derive(Debug, Clone)]
 pub struct DeadlineConfig {
     /// Deadline per class id; a request older than its deadline is
@@ -50,10 +53,6 @@ pub struct DeadlineConfig {
     /// and at service start, instead of occupying a server only to have
     /// the completion discarded at the client.
     pub renege: bool,
-    /// Whether the client re-submits a timed-out request (subject to the
-    /// scenario's [`RetryPolicy`](crate::config::RetryPolicy) attempt
-    /// budget).  This is the "retry storm" ingredient.
-    pub retry_on_timeout: bool,
 }
 
 impl DeadlineConfig {

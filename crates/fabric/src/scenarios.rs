@@ -114,7 +114,6 @@ pub fn retry_storm_config(protected: bool, budget: &Budget) -> FabricConfig {
         deadlines: Some(DeadlineConfig {
             deadline: vec![6.0],
             renege: protected,
-            retry_on_timeout: true,
         }),
         shedder: protected.then_some(ShedderConfig {
             rate: 3.8,

@@ -634,8 +634,8 @@ impl<'a> FabricSim<'a> {
 
     /// Common client reaction to any rejection: schedule a backed-off
     /// retry while the attempt budget lasts, else give the request up.
-    fn retry_or_lose(&mut self, req: Request, now: f64, allow_retry: bool) {
-        if allow_retry && req.attempt < self.cfg.retry.max_retries {
+    fn retry_or_lose(&mut self, req: Request, now: f64) {
+        if req.attempt < self.cfg.retry.max_retries {
             let attempt = req.attempt + 1;
             let jitter = 0.5 + self.classes[req.class].rng_retry.gen::<f64>();
             let backoff = self.cfg.retry.backoff(attempt, jitter);
@@ -657,19 +657,19 @@ impl<'a> FabricSim<'a> {
     fn drop_request(&mut self, tier: usize, req: Request, now: f64) {
         self.counts(now).dropped[tier] += 1;
         self.breaker_outcome(tier, true, now);
-        self.retry_or_lose(req, now, true);
+        self.retry_or_lose(req, now);
     }
 
     /// The breaker at `tier` rejected the arrival without touching a queue.
     fn fast_fail(&mut self, tier: usize, req: Request, now: f64) {
         self.counts(now).fast_failed[tier] += 1;
-        self.retry_or_lose(req, now, true);
+        self.retry_or_lose(req, now);
     }
 
     /// The front-tier token bucket rejected the arrival.
     fn shed_request(&mut self, req: Request, now: f64) {
         self.counts(now).shed += 1;
-        self.retry_or_lose(req, now, true);
+        self.retry_or_lose(req, now);
     }
 
     /// `req` outlived its deadline.  `breaker_tier` charges the tier whose
@@ -681,12 +681,7 @@ impl<'a> FabricSim<'a> {
         if let Some(tier) = breaker_tier {
             self.breaker_outcome(tier, true, now);
         }
-        let allow = self
-            .cfg
-            .deadlines
-            .as_ref()
-            .is_some_and(|d| d.retry_on_timeout);
-        self.retry_or_lose(req, now, allow);
+        self.retry_or_lose(req, now);
     }
 
     /// Feed one request outcome to `tier`'s breaker (if any); on a trip,

@@ -96,7 +96,6 @@ fn stressed(lb: &LbPolicy, queue_capacity: Option<usize>) -> FabricConfig {
         deadlines: Some(DeadlineConfig {
             deadline: vec![4.0, 6.0],
             renege: true,
-            retry_on_timeout: true,
         }),
         shedder: None,
         sla_window: None,
