@@ -105,9 +105,9 @@ fn subset_dp(
     // Any mask's successors (mask without one bit) are numerically
     // smaller, so a plain ascending loop is a valid topological order.
     for mask in 1..=full {
-        let present: Vec<usize> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
+        let present = (0..n).filter(|&i| mask & (1 << i) != 0);
         let rate = if flowtime {
-            present.iter().map(|&i| instance.weights[i]).sum()
+            present.clone().map(|i| instance.weights[i]).sum()
         } else {
             1.0
         };
@@ -121,9 +121,12 @@ fn subset_dp(
         };
         let best = match list {
             Some(order) => v(&served_by_list(mask, order, machines)),
-            None => k_subsets(&present, present.len().min(machines))
-                .iter()
-                .fold(f64::INFINITY, |best, served| best.min(v(served))),
+            None => {
+                let present: Vec<usize> = present.collect();
+                k_subsets(&present, present.len().min(machines))
+                    .iter()
+                    .fold(f64::INFINITY, |best, served| best.min(v(served)))
+            }
         };
         value[mask as usize] = best;
     }

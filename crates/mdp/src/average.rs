@@ -38,7 +38,7 @@ pub fn relative_value_iteration(
     // self-loop of weight (1 - tau) to guarantee convergence on periodic
     // chains without changing the optimal policy or gain.
     let tau = 0.9;
-    let q = |h: &[f64], s: usize, a: usize| {
+    let q = move |h: &[f64], s: usize, a: usize| {
         mdp.reward(s, a) + tau * mdp.expected_next_value(s, a, h) + (1.0 - tau) * h[s]
     };
     while iterations < max_iterations {

@@ -61,7 +61,9 @@ impl Mdp {
     }
 
     /// The action maximising `q` in state `s` and its value; the
-    /// lowest-numbered action wins ties.
+    /// lowest-numbered action wins ties.  Inlined, so that the solvers'
+    /// sweeps keep the loop over actions in their own code.
+    #[inline]
     pub(crate) fn best_action(&self, s: usize, q: impl Fn(usize) -> f64) -> (usize, f64) {
         let mut best_a = 0;
         let mut best = f64::NEG_INFINITY;
