@@ -214,7 +214,8 @@ impl TransferWorkMeasure {
             }
             b[row] = r(i);
         }
-        solve_dense(a, b)[members.iter().position(|&i| i == class).unwrap()]
+        let pos = members.iter().position(|&i| i == class);
+        solve_dense(a, b)[pos.expect("the candidate is a member, asserted above")]
     }
 }
 
