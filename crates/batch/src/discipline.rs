@@ -45,8 +45,13 @@ pub fn gittins_discipline(classes: &[JobClass]) -> StaticIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use ss_core::discipline::Discipline;
-    use ss_distributions::{dyn_dist, Exponential, HyperExponential};
+    use ss_distributions::{
+        dyn_dist, DistKind, Erlang, Exponential, HyperExponential, ServiceDistribution,
+    };
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn exponential_service_recovers_the_cmu_order() {
@@ -77,5 +82,91 @@ mod tests {
             d.class_index(0, 77).to_bits()
         );
         assert!(d.class_index(0, 1).is_finite());
+    }
+
+    /// A law that counts the abscissae passed through its `sf` and
+    /// `sf_batch`, those of the default `completion_rate` included.
+    #[derive(Debug)]
+    struct Counted<D> {
+        law: D,
+        abscissae: AtomicUsize,
+    }
+
+    impl<D> Counted<D> {
+        fn new(law: D) -> Arc<Self> {
+            Arc::new(Self {
+                law,
+                abscissae: AtomicUsize::new(0),
+            })
+        }
+
+        fn abscissae(&self) -> usize {
+            self.abscissae.load(Ordering::Relaxed)
+        }
+    }
+
+    impl<D: ServiceDistribution> ServiceDistribution for Counted<D> {
+        fn kind(&self) -> DistKind {
+            self.law.kind()
+        }
+
+        fn mean(&self) -> f64 {
+            self.law.mean()
+        }
+
+        fn variance(&self) -> f64 {
+            self.law.variance()
+        }
+
+        fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+            self.law.sample(rng)
+        }
+
+        fn cdf(&self, x: f64) -> f64 {
+            self.law.cdf(x)
+        }
+
+        fn pdf(&self, x: f64) -> f64 {
+            self.law.pdf(x)
+        }
+
+        fn sf(&self, x: f64) -> f64 {
+            self.abscissae.fetch_add(1, Ordering::Relaxed);
+            self.law.sf(x)
+        }
+
+        fn sf_batch(&self, xs: &[f64], out: &mut [f64]) {
+            self.abscissae.fetch_add(xs.len(), Ordering::Relaxed);
+            self.law.sf_batch(xs, out);
+        }
+    }
+
+    /// The work of `gittins-mixed-scv`'s table, counted in abscissae: the
+    /// early exit stops most grid points' trapezoids. Summing every point
+    /// in full took 13,201 per law: 32 abscissae at each of 400 points,
+    /// one per point in `completion_rate` and one at the attained service.
+    /// The hyperexponential's ratio is within a hair of the maximum at
+    /// every small quantum, so most of its points run in full.
+    #[test]
+    fn gittins_mixed_scv_table_evaluates_the_recorded_abscissae() {
+        let h2 = Counted::new(HyperExponential::with_mean_scv(1.0, 4.0));
+        let erlang = Counted::new(Erlang::with_mean(4, 1.0));
+        let classes = vec![
+            JobClass::new(0, 0.7, h2.clone(), 1.0),
+            JobClass::new(1, 0.7, erlang.clone(), 1.0),
+        ];
+        let counted = gittins_discipline(&classes);
+        assert_eq!([h2.abscissae(), erlang.abscissae()], [10_093, 4_205]);
+        assert!(2 * erlang.abscissae() <= 13_201);
+        let plain = gittins_discipline(&[
+            JobClass::new(0, 0.7, dyn_dist(h2.law.clone()), 1.0),
+            JobClass::new(1, 0.7, dyn_dist(erlang.law), 1.0),
+        ]);
+        for class in 0..2 {
+            assert_eq!(
+                counted.class_index(class, 1).to_bits(),
+                plain.class_index(class, 1).to_bits()
+            );
+        }
     }
 }

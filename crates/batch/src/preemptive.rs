@@ -25,11 +25,46 @@ use rand::RngCore;
 use ss_core::instance::BatchInstance;
 use ss_distributions::ServiceDistribution;
 
+/// Trapezoid abscissae per grid point.
+const STEPS: usize = 32;
+/// Abscissae evaluated between two early-exit checks: Erlang's lane width.
+const CHUNK: usize = 4;
+/// Every `PROBE_STRIDE`-th grid point is visited before the rest.
+const PROBE_STRIDE: usize = 16;
+
 /// Numerically evaluate the Gittins/Sevcik index of a job with weight
 /// `weight`, processing-time distribution `dist` and attained service `a`.
 ///
-/// The supremum over the stopping quantum `s` is approximated over a
-/// geometric grid spanning `[min_quantum, horizon]`.
+/// The supremum over the stopping quantum `s` is approximated over the
+/// geometric grid `s_0 = min_quantum`, `s_{g+1} = s_g · ratio` of
+/// `grid_points` points spanning `[min_quantum, horizon]`. At each point
+/// the ratio is `P(done by a + s | survived a)` over `E[min(residual, s) |
+/// survived a]`, the latter a 32-point trapezoid over the conditional
+/// survival function summed in abscissa order.
+///
+/// Most points cannot reach the supremum, and the trapezoid stops early
+/// at those. Every 16th point is visited first, which finds a large ratio
+/// early, and then the rest in ascending order. Each point's abscissae go
+/// through [`ServiceDistribution::sf_batch`] four at a time, and before
+/// each batch the point is abandoned once `p / partial` falls below the
+/// best ratio so far. That leaves the result's bits unchanged:
+///
+/// * every trapezoid term is nonnegative, because `sf` is (see its
+///   contract), so the rounded full sum is at least any rounded partial
+///   sum, and by monotone rounded division the point's final ratio is at
+///   most `p / partial`: an abandoned point could not raise the maximum;
+/// * the maximum of the visited ratios does not depend on the visiting
+///   order: a NaN ratio never reaches it, as `f64::max` drops it and the
+///   comparisons with it are false. The one order-sensitive case, the
+///   sign of a zero maximum, needs a completion probability of `-0`,
+///   which none of the workspace's laws returns: a job that cannot finish
+///   inside the grid has index `+0`.
+///
+/// # Panics
+///
+/// If `min_quantum` is not positive, `horizon` is not finite or not above
+/// `min_quantum`, `grid_points` is below 2, or `attained` is not finite
+/// and nonnegative: each of these returns a meaningless index otherwise.
 pub fn gittins_service_index(
     dist: &dyn ServiceDistribution,
     weight: f64,
@@ -38,7 +73,22 @@ pub fn gittins_service_index(
     horizon: f64,
     grid_points: usize,
 ) -> f64 {
-    assert!(min_quantum > 0.0 && horizon > min_quantum && grid_points >= 2);
+    assert!(
+        min_quantum > 0.0,
+        "gittins_service_index: min_quantum must be positive, got {min_quantum}"
+    );
+    assert!(
+        horizon.is_finite() && horizon > min_quantum,
+        "gittins_service_index: horizon must be finite and above min_quantum {min_quantum}, got {horizon}"
+    );
+    assert!(
+        grid_points >= 2,
+        "gittins_service_index: grid_points must be at least 2, got {grid_points}"
+    );
+    assert!(
+        attained.is_finite() && attained >= 0.0,
+        "gittins_service_index: attained must be finite and nonnegative, got {attained}"
+    );
     let sa = dist.sf(attained);
     if sa <= 1e-12 {
         // The job is (numerically) sure to be complete; give it top priority
@@ -46,32 +96,40 @@ pub fn gittins_service_index(
         return f64::INFINITY;
     }
     let ratio = (horizon / min_quantum).powf(1.0 / (grid_points - 1) as f64);
+    let grid: Vec<f64> = std::iter::successors(Some(min_quantum), |s| Some(s * ratio))
+        .take(grid_points)
+        .collect();
+    let probes = (0..grid_points).step_by(PROBE_STRIDE);
+    let rest = (0..grid_points).filter(|g| g % PROBE_STRIDE != 0);
     let mut best = 0.0f64;
-    let mut s = min_quantum;
-    // The trapezoid's abscissae a + kh, k = 1..=STEPS, and their survival.
-    const STEPS: usize = 32;
-    let mut xs = [0.0; STEPS];
-    let mut sfs = [0.0; STEPS];
-    for _ in 0..grid_points {
+    // One batch of the trapezoid's abscissae a + kh, k = 1..=STEPS, and
+    // their survival.
+    let mut xs = [0.0; CHUNK];
+    let mut sfs = [0.0; CHUNK];
+    'points: for s in probes.chain(rest).map(|g| grid[g]) {
         let p_complete = dist.completion_rate(attained, s);
-        // E[min(residual, s) | survive a] by trapezoidal integration of the
-        // conditional survival function, summed in k order.
         let h = s / STEPS as f64;
-        for (k, x) in (1..=STEPS).zip(&mut xs) {
-            *x = attained + k as f64 * h;
-        }
-        dist.sf_batch(&xs, &mut sfs);
         let mut integral = 0.0;
         let mut prev = 1.0; // S(a + 0)/S(a)
-        for &sf in &sfs {
-            let cur = sf / sa;
-            integral += 0.5 * (prev + cur) * h;
-            prev = cur;
+        for first in (1..=STEPS).step_by(CHUNK) {
+            // `integral` only grows, so the point cannot beat `best`. At
+            // the first batch `p_complete / 0` is +∞ or NaN: no exit.
+            if p_complete / integral < best {
+                continue 'points;
+            }
+            for (k, x) in (first..).zip(&mut xs) {
+                *x = attained + k as f64 * h;
+            }
+            dist.sf_batch(&xs, &mut sfs);
+            for &sf in &sfs {
+                let cur = sf / sa;
+                integral += 0.5 * (prev + cur) * h;
+                prev = cur;
+            }
         }
         if integral > 1e-12 {
             best = best.max(p_complete / integral);
         }
-        s *= ratio;
     }
     weight * best
 }
@@ -136,12 +194,32 @@ impl<'a> GittinsIndexTable<'a> {
     /// # Panics
     ///
     /// If `config.review_period` is not positive and finite: service would
-    /// never accrue, and the simulation would never end.
+    /// never accrue, and the simulation would never end. If the index grid
+    /// is one [`gittins_service_index`] rejects: `min_quantum` not
+    /// positive, `index_horizon` not finite or not above `min_quantum`, or
+    /// `grid_points` below 2. A bad configuration so fails here, not at
+    /// the first index a simulation looks up.
     pub fn new(instance: &'a BatchInstance, config: &PreemptiveConfig) -> Self {
         assert!(
             config.review_period > 0.0 && config.review_period.is_finite(),
             "PreemptiveConfig::review_period must be positive and finite, got {}",
             config.review_period
+        );
+        assert!(
+            config.min_quantum > 0.0,
+            "PreemptiveConfig::min_quantum must be positive, got {}",
+            config.min_quantum
+        );
+        assert!(
+            config.index_horizon.is_finite() && config.index_horizon > config.min_quantum,
+            "PreemptiveConfig::index_horizon must be finite and above min_quantum {}, got {}",
+            config.min_quantum,
+            config.index_horizon
+        );
+        assert!(
+            config.grid_points >= 2,
+            "PreemptiveConfig::grid_points must be at least 2, got {}",
+            config.grid_points
         );
         Self {
             instance,
@@ -374,15 +452,18 @@ mod tests {
         }
     }
 
-    fn table_with_review_period(review_period: f64) {
+    fn table_with(config: PreemptiveConfig) {
         let inst = BatchInstance::builder()
             .job(1.0, dyn_dist(Exponential::new(1.0)))
             .build();
-        let config = PreemptiveConfig {
+        GittinsIndexTable::new(&inst, &config);
+    }
+
+    fn table_with_review_period(review_period: f64) {
+        table_with(PreemptiveConfig {
             review_period,
             ..PreemptiveConfig::default()
-        };
-        GittinsIndexTable::new(&inst, &config);
+        });
     }
 
     #[test]
@@ -401,6 +482,80 @@ mod tests {
     #[should_panic(expected = "review_period must be positive and finite")]
     fn nan_review_period_is_rejected() {
         table_with_review_period(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "PreemptiveConfig::min_quantum must be positive, got 0")]
+    fn zero_min_quantum_is_rejected_by_the_table() {
+        table_with(PreemptiveConfig {
+            min_quantum: 0.0,
+            ..PreemptiveConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "PreemptiveConfig::index_horizon must be finite and above")]
+    fn infinite_index_horizon_is_rejected_by_the_table() {
+        table_with(PreemptiveConfig {
+            index_horizon: f64::INFINITY,
+            ..PreemptiveConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "PreemptiveConfig::grid_points must be at least 2, got 1")]
+    fn one_grid_point_is_rejected_by_the_table() {
+        table_with(PreemptiveConfig {
+            grid_points: 1,
+            ..PreemptiveConfig::default()
+        });
+    }
+
+    /// The Erlang-4's index on the fabric's grid at `attained`, with
+    /// `horizon` in place of the grid's 60.
+    fn erlang_index(attained: f64, horizon: f64) -> f64 {
+        gittins_service_index(&Erlang::new(4, 4.0), 1.0, attained, 1e-3, horizon, 400)
+    }
+
+    /// An infinite horizon made every grid point past the first infinite,
+    /// so the index was the first point's ratio alone (1.06e-8 against
+    /// 1.0315 for the Erlang-4).
+    #[test]
+    #[should_panic(expected = "horizon must be finite and above min_quantum 0.001, got inf")]
+    fn infinite_horizon_is_rejected() {
+        erlang_index(0.0, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon must be finite and above min_quantum 0.001, got 0.001")]
+    fn horizon_at_min_quantum_is_rejected() {
+        erlang_index(0.0, 1e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "min_quantum must be positive, got NaN")]
+    fn nan_min_quantum_is_rejected() {
+        gittins_service_index(&Erlang::new(4, 4.0), 1.0, 0.0, f64::NAN, 60.0, 400);
+    }
+
+    #[test]
+    #[should_panic(expected = "grid_points must be at least 2, got 1")]
+    fn one_grid_point_is_rejected() {
+        gittins_service_index(&Erlang::new(4, 4.0), 1.0, 0.0, 1e-3, 60.0, 1);
+    }
+
+    /// A NaN attained service gave the index +∞, top priority.
+    #[test]
+    #[should_panic(expected = "attained must be finite and nonnegative, got NaN")]
+    fn nan_attained_is_rejected() {
+        erlang_index(f64::NAN, 60.0);
+    }
+
+    /// A negative attained service gave the Erlang-4 the index 0.17.
+    #[test]
+    #[should_panic(expected = "attained must be finite and nonnegative, got -5")]
+    fn negative_attained_is_rejected() {
+        erlang_index(-5.0, 60.0);
     }
 
     #[test]

@@ -73,18 +73,25 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
     /// [`ServiceDistribution::completion_rate`] instead.
     fn pdf(&self, x: f64) -> f64;
 
-    /// Survival function `P(X > x)`.
+    /// Survival function `P(X > x)`, in `[0, 1]`.
+    ///
+    /// The default clamps `1 - cdf(x)` at 0, so a rounding error in `cdf`
+    /// never makes it negative. An override must stay nonnegative too: the
+    /// Gittins service index (`ss_batch::preemptive::gittins_service_index`)
+    /// stops a trapezoid early on the grounds that its terms, built from
+    /// these values, only add.
     fn sf(&self, x: f64) -> f64 {
         (1.0 - self.cdf(x)).max(0.0)
     }
 
     /// The survival function at every abscissa of `xs`, written to `out`:
-    /// `out[i]` has the bits of `self.sf(xs[i])`.
+    /// `out[i]` has the bits of `self.sf(xs[i])`, so it lies in `[0, 1]`
+    /// and is never negative.
     ///
     /// The default loops over [`ServiceDistribution::sf`] inside the law's
     /// own code, so a batch through a `dyn` handle makes one dynamic call,
     /// not one per point. A law may override it with a faster evaluation
-    /// of the same bits.
+    /// of the same bits; Erlang's clamps at 0 as `sf` does.
     ///
     /// # Panics
     ///
