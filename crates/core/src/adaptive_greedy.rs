@@ -333,4 +333,38 @@ mod tests {
         assert!((result.assignment_rates[1] - 10.0).abs() < 1e-12);
         assert!(!result.rates_non_increasing(1e-9));
     }
+
+    /// Two classes whose rates tie alone; once the other class is in the
+    /// continuation set, class 1's work halves and class 0's quarters. So
+    /// the class picked first at the tie decides both indices.
+    struct TiedWork;
+
+    impl WorkMeasure for TiedWork {
+        fn num_classes(&self) -> usize {
+            2
+        }
+
+        fn work(&self, class: usize, continuation: &[bool]) -> f64 {
+            match (class, continuation.iter().filter(|&&b| b).count()) {
+                (_, 1) => 1.0,
+                (0, _) => 0.25,
+                _ => 0.5,
+            }
+        }
+
+        fn exit_cost(&self, _class: usize, _continuation: &[bool]) -> f64 {
+            0.0
+        }
+    }
+
+    /// A tie goes to the lowest class: class 0 takes the first rate, 1, and
+    /// class 1 then rates 1 / 0.5. Picking class 1 first would give the
+    /// indices `[4, 1]` and the order `[0, 1]`.
+    #[test]
+    fn a_tie_goes_to_the_lowest_class() {
+        let result = adaptive_greedy(&[1.0, 1.0], &TiedWork);
+        assert_eq!(result.indices, vec![1.0, 2.0]);
+        assert_eq!(result.assignment_rates, vec![1.0, 2.0]);
+        assert_eq!(result.order, vec![1, 0]);
+    }
 }
