@@ -197,7 +197,7 @@ impl<'a> GittinsIndexTable<'a> {
     /// never accrue, and the simulation would never end. If the index grid
     /// is one [`gittins_service_index`] rejects: `min_quantum` not
     /// positive, `index_horizon` not finite or not above `min_quantum`, or
-    /// `grid_points` below 2. A bad configuration so fails here, not at
+    /// `grid_points` below 2. So a bad configuration fails here, not at
     /// the first index a simulation looks up.
     pub fn new(instance: &'a BatchInstance, config: &PreemptiveConfig) -> Self {
         assert!(

@@ -85,8 +85,7 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
     }
 
     /// The survival function at every abscissa of `xs`, written to `out`:
-    /// `out[i]` has the bits of `self.sf(xs[i])`, so it lies in `[0, 1]`
-    /// and is never negative.
+    /// `out[i]` has the bits of `self.sf(xs[i])`, so it lies in `[0, 1]`.
     ///
     /// The default loops over [`ServiceDistribution::sf`] inside the law's
     /// own code, so a batch through a `dyn` handle makes one dynamic call,
