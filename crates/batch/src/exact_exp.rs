@@ -6,64 +6,27 @@
 //! the next completion arrives after an `Exp(Λ)` time with
 //! `Λ = Σ_{j∈A} λ_j`, and it is job `j` with probability `λ_j / Λ`
 //! (memorylessness means no attained-service bookkeeping is needed).  This
-//! yields closed recursions over the `2^n` subsets for
+//! yields closed recursions over the `2^n` subsets for the expected total
+//! flowtime, weighted flowtime or makespan ([`ParallelMetric`]) of
 //!
-//! * the expected total (or weighted) flowtime of any *priority list*
-//!   policy,
-//! * the expected makespan of any priority list policy,
-//! * the optimal value over **all** non-idling Markov policies (minimising
-//!   over the choice of served subset at every state).
+//! * any *priority list* policy ([`list_policy_value`]),
+//! * the optimal non-idling Markov policy, minimising over the choice of
+//!   served subset at every state ([`optimal_value`]).
+//!
+//! The instance is a [`BatchInstance`] whose every job is exponential: the
+//! DP reads each job's rate from
+//! [`ServiceDistribution::exponential_rate`](ss_distributions::ServiceDistribution::exponential_rate)
+//! and its weight from [`Job::weight`](ss_core::job::Job::weight), and the
+//! SEPT, LEPT and WSEPT lists come from [`crate::policies`].
 //!
 //! These are the ground truths for experiments E3 and E4: they verify that
 //! SEPT attains the optimal flowtime (Glazebrook 1979) and LEPT the optimal
 //! makespan (Bruno–Downey–Frederickson 1981) for exponential jobs, and they
 //! quantify how much worse the opposite rule is.
 
+use crate::parallel::ParallelMetric;
 use ss_core::exhaustive::k_subsets;
-
-/// An instance of exponential jobs described by their completion rates and
-/// (optional) holding-cost weights.
-#[derive(Debug, Clone)]
-pub struct ExpParallelInstance {
-    /// Completion rate `λ_i` of each job (mean processing time `1/λ_i`).
-    pub rates: Vec<f64>,
-    /// Holding-cost weight of each job (use 1.0 for unweighted flowtime).
-    pub weights: Vec<f64>,
-}
-
-impl ExpParallelInstance {
-    /// Create an unweighted instance from rates.
-    pub fn unweighted(rates: Vec<f64>) -> Self {
-        assert!(!rates.is_empty() && rates.iter().all(|&r| r > 0.0));
-        let n = rates.len();
-        Self {
-            rates,
-            weights: vec![1.0; n],
-        }
-    }
-
-    /// Create a weighted instance.
-    pub fn weighted(rates: Vec<f64>, weights: Vec<f64>) -> Self {
-        assert_eq!(rates.len(), weights.len());
-        assert!(!rates.is_empty() && rates.iter().all(|&r| r > 0.0));
-        assert!(weights.iter().all(|&w| w >= 0.0));
-        Self { rates, weights }
-    }
-
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.rates.len()
-    }
-
-    /// True if there are no jobs (never after construction).
-    pub fn is_empty(&self) -> bool {
-        self.rates.is_empty()
-    }
-
-    fn check_size(&self) {
-        assert!(self.len() <= 20, "exact DP limited to 20 jobs (2^n states)");
-    }
-}
+use ss_core::instance::BatchInstance;
 
 /// Which jobs a priority list serves in state `mask`: the first
 /// `min(m, |mask|)` list entries that are still present.
@@ -80,42 +43,53 @@ fn served_by_list(mask: u32, order: &[usize], machines: usize) -> Vec<usize> {
     served
 }
 
-/// The recursion behind all four values below.  In state `R` (the set of
+/// The recursion behind both values below.  In state `R` (the set of
 /// uncompleted jobs, a bit mask) with served set `A` and
 /// `Λ = Σ_{j∈A} λ_j`, the next completion comes after `E[Δ] = 1/Λ` and is
 /// job `j` with probability `λ_j/Λ`, so
 /// `V(R) = h(R)/Λ + Σ_{j∈A} (λ_j/Λ) V(R \ {j})`, where `h(R)` is the
-/// rate paid until then: the weight of `R` for the flowtime (every
-/// uncompleted job accrues holding cost), 1 for the makespan.  `A` is the
-/// priority list's served set, or (`list = None`) the `min(m, |R|)`-subset
-/// that minimises `V(R)`.
+/// rate paid until then: for the flowtimes every uncompleted job pays its
+/// holding cost (1, or its weight), for the makespan the rate is 1.  `A` is
+/// the priority list's served set, or (`list = None`) the
+/// `min(m, |R|)`-subset that minimises `V(R)`.
 fn subset_dp(
-    instance: &ExpParallelInstance,
+    instance: &BatchInstance,
     list: Option<&[usize]>,
     machines: usize,
-    flowtime: bool,
+    objective: ParallelMetric,
 ) -> f64 {
-    instance.check_size();
     let n = instance.len();
+    assert!(n <= 20, "exact DP limited to 20 jobs (2^n states)");
+    assert!(machines >= 1, "the exact DP needs at least one machine");
     if let Some(order) = list {
         assert_eq!(order.len(), n);
     }
+    let jobs = instance.jobs();
+    let rates: Vec<f64> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            job.dist.exponential_rate().unwrap_or_else(|| {
+                panic!("job {i} is not exponential, so the exact DP has no rate for it")
+            })
+        })
+        .collect();
     let full: u32 = (1u32 << n) - 1;
     let mut value = vec![0.0f64; (full as usize) + 1];
     // Any mask's successors (mask without one bit) are numerically
     // smaller, so a plain ascending loop is a valid topological order.
     for mask in 1..=full {
         let present = (0..n).filter(|&i| mask & (1 << i) != 0);
-        let rate = if flowtime {
-            present.clone().map(|i| instance.weights[i]).sum()
-        } else {
-            1.0
+        let rate = match objective {
+            ParallelMetric::TotalFlowtime => present.clone().count() as f64,
+            ParallelMetric::WeightedFlowtime => present.clone().map(|i| jobs[i].weight).sum(),
+            ParallelMetric::Makespan => 1.0,
         };
         let v = |served: &[usize]| {
-            let lambda_total: f64 = served.iter().map(|&j| instance.rates[j]).sum();
+            let lambda_total: f64 = served.iter().map(|&j| rates[j]).sum();
             let mut v = rate / lambda_total;
             for &j in served {
-                v += instance.rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
+                v += rates[j] / lambda_total * value[(mask & !(1 << j)) as usize];
             }
             v
         };
@@ -133,84 +107,58 @@ fn subset_dp(
     value[full as usize]
 }
 
-/// Expected *weighted flowtime* of the priority-list policy `order` on
-/// `machines` identical machines.
-pub fn list_policy_flowtime(
-    instance: &ExpParallelInstance,
+/// Expected `objective` of the priority-list policy `order` on `machines`
+/// identical machines.
+pub fn list_policy_value(
+    instance: &BatchInstance,
     order: &[usize],
     machines: usize,
+    objective: ParallelMetric,
 ) -> f64 {
-    subset_dp(instance, Some(order), machines, true)
+    subset_dp(instance, Some(order), machines, objective)
 }
 
-/// Expected makespan of the priority-list policy `order`.
-pub fn list_policy_makespan(
-    instance: &ExpParallelInstance,
-    order: &[usize],
-    machines: usize,
-) -> f64 {
-    subset_dp(instance, Some(order), machines, false)
-}
-
-/// Optimal expected weighted flowtime over all non-idling Markov policies
-/// (the DP minimises over the served subset in every state).
-pub fn optimal_flowtime(instance: &ExpParallelInstance, machines: usize) -> f64 {
-    subset_dp(instance, None, machines, true)
-}
-
-/// Optimal expected makespan over all non-idling Markov policies.
-pub fn optimal_makespan(instance: &ExpParallelInstance, machines: usize) -> f64 {
-    subset_dp(instance, None, machines, false)
-}
-
-/// The [`ss_core::instance::BatchInstance`] with the same exponential jobs
-/// (rates and weights) as this exact instance — the bridge for driving the
-/// [`crate::parallel`] Monte-Carlo list-schedule simulator against the DP
-/// oracles above ([`list_policy_flowtime`], [`list_policy_makespan`]).
-pub fn exp_batch_instance(instance: &ExpParallelInstance) -> ss_core::instance::BatchInstance {
-    let mut builder = ss_core::instance::BatchInstance::builder();
-    for (&rate, &weight) in instance.rates.iter().zip(&instance.weights) {
-        builder = builder.job(
-            weight,
-            ss_distributions::dyn_dist(ss_distributions::Exponential::new(rate)),
-        );
-    }
-    builder.build()
-}
-
-/// SEPT order for an exponential instance (largest rate = shortest mean first).
-pub fn sept_order_exp(instance: &ExpParallelInstance) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..instance.len()).collect();
-    order.sort_by(|&a, &b| instance.rates[b].partial_cmp(&instance.rates[a]).unwrap());
-    order
-}
-
-/// LEPT order for an exponential instance (smallest rate first).
-pub fn lept_order_exp(instance: &ExpParallelInstance) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..instance.len()).collect();
-    order.sort_by(|&a, &b| instance.rates[a].partial_cmp(&instance.rates[b]).unwrap());
-    order
+/// Optimal expected `objective` over all non-idling Markov policies (the
+/// DP minimises over the served subset in every state).
+pub fn optimal_value(instance: &BatchInstance, machines: usize, objective: ParallelMetric) -> f64 {
+    subset_dp(instance, None, machines, objective)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policies::{lept_order, sept_order};
+    use ss_distributions::{dyn_dist, Exponential, TwoPoint};
+    use ParallelMetric::{Makespan, TotalFlowtime, WeightedFlowtime};
+
+    /// Exponential jobs with these rates and weights.
+    fn exponential(rates: &[f64], weights: &[f64]) -> BatchInstance {
+        let mut builder = BatchInstance::builder();
+        for (&rate, &weight) in rates.iter().zip(weights) {
+            builder = builder.job(weight, dyn_dist(Exponential::new(rate)));
+        }
+        builder.build()
+    }
+
+    fn unweighted(rates: &[f64]) -> BatchInstance {
+        exponential(rates, &vec![1.0; rates.len()])
+    }
 
     #[test]
     fn single_machine_single_job() {
-        let inst = ExpParallelInstance::unweighted(vec![2.0]);
-        assert!((list_policy_flowtime(&inst, &[0], 1) - 0.5).abs() < 1e-12);
-        assert!((list_policy_makespan(&inst, &[0], 1) - 0.5).abs() < 1e-12);
+        let inst = unweighted(&[2.0]);
+        assert!((list_policy_value(&inst, &[0], 1, TotalFlowtime) - 0.5).abs() < 1e-12);
+        assert!((list_policy_value(&inst, &[0], 1, Makespan) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn single_machine_flowtime_matches_closed_form() {
-        // One machine: E[sum C] for order [0,1] = 1/l0 * 2? No:
-        // E[C_first] = 1/l_first, E[C_second] = 1/l_first + 1/l_second.
-        let inst = ExpParallelInstance::unweighted(vec![1.0, 0.5]);
-        let v = list_policy_flowtime(&inst, &[0, 1], 1);
+        // One machine: E[C_first] = 1/l_first, E[C_second] = 1/l_first +
+        // 1/l_second.
+        let inst = unweighted(&[1.0, 0.5]);
+        let v = list_policy_value(&inst, &[0, 1], 1, TotalFlowtime);
         assert!((v - (1.0 + 1.0 + 2.0)).abs() < 1e-12);
-        let v2 = list_policy_flowtime(&inst, &[1, 0], 1);
+        let v2 = list_policy_value(&inst, &[1, 0], 1, TotalFlowtime);
         assert!((v2 - (2.0 + 2.0 + 1.0)).abs() < 1e-12);
     }
 
@@ -218,8 +166,8 @@ mod tests {
     fn two_machine_makespan_two_jobs() {
         // Both jobs start immediately; makespan = E[max(X1, X2)] =
         // 1/l1 + 1/l2 - 1/(l1+l2).
-        let inst = ExpParallelInstance::unweighted(vec![1.0, 2.0]);
-        let v = list_policy_makespan(&inst, &[0, 1], 2);
+        let inst = unweighted(&[1.0, 2.0]);
+        let v = list_policy_value(&inst, &[0, 1], 2, Makespan);
         let expected = 1.0 + 0.5 - 1.0 / 3.0;
         assert!((v - expected).abs() < 1e-12);
     }
@@ -227,15 +175,15 @@ mod tests {
     #[test]
     fn sept_is_optimal_for_flowtime() {
         // E3: SEPT equals the optimal non-idling Markov policy value.
-        let inst = ExpParallelInstance::unweighted(vec![0.4, 2.5, 1.0, 3.0, 0.7, 1.8]);
+        let inst = unweighted(&[0.4, 2.5, 1.0, 3.0, 0.7, 1.8]);
         for machines in [2usize, 3] {
-            let sept = list_policy_flowtime(&inst, &sept_order_exp(&inst), machines);
-            let opt = optimal_flowtime(&inst, machines);
+            let sept = list_policy_value(&inst, &sept_order(&inst), machines, TotalFlowtime);
+            let opt = optimal_value(&inst, machines, TotalFlowtime);
             assert!(
                 (sept - opt).abs() < 1e-9,
                 "m={machines}: SEPT {sept} vs optimal {opt}"
             );
-            let lept = list_policy_flowtime(&inst, &lept_order_exp(&inst), machines);
+            let lept = list_policy_value(&inst, &lept_order(&inst), machines, TotalFlowtime);
             assert!(lept >= opt - 1e-9);
             assert!(lept > opt + 1e-6, "LEPT should be strictly worse here");
         }
@@ -244,15 +192,15 @@ mod tests {
     #[test]
     fn lept_is_optimal_for_makespan() {
         // E4: LEPT equals the optimal non-idling Markov policy value.
-        let inst = ExpParallelInstance::unweighted(vec![0.4, 2.5, 1.0, 3.0, 0.7, 1.8]);
+        let inst = unweighted(&[0.4, 2.5, 1.0, 3.0, 0.7, 1.8]);
         for machines in [2usize, 3] {
-            let lept = list_policy_makespan(&inst, &lept_order_exp(&inst), machines);
-            let opt = optimal_makespan(&inst, machines);
+            let lept = list_policy_value(&inst, &lept_order(&inst), machines, Makespan);
+            let opt = optimal_value(&inst, machines, Makespan);
             assert!(
                 (lept - opt).abs() < 1e-9,
                 "m={machines}: LEPT {lept} vs optimal {opt}"
             );
-            let sept = list_policy_makespan(&inst, &sept_order_exp(&inst), machines);
+            let sept = list_policy_value(&inst, &sept_order(&inst), machines, Makespan);
             assert!(sept >= opt - 1e-9);
         }
     }
@@ -260,32 +208,58 @@ mod tests {
     #[test]
     fn weighted_flowtime_single_machine_is_wsept() {
         // On one machine the optimal DP value must equal the WSEPT closed form.
-        let inst = ExpParallelInstance::weighted(vec![1.0, 0.5, 2.0], vec![1.0, 3.0, 2.0]);
+        let inst = exponential(&[1.0, 0.5, 2.0], &[1.0, 3.0, 2.0]);
         // WSEPT order: index w*lambda = [1.0, 1.5, 4.0] -> order [2, 1, 0].
-        let wsept = list_policy_flowtime(&inst, &[2, 1, 0], 1);
-        let opt = optimal_flowtime(&inst, 1);
+        let wsept = list_policy_value(&inst, &[2, 1, 0], 1, WeightedFlowtime);
+        let opt = optimal_value(&inst, 1, WeightedFlowtime);
         assert!((wsept - opt).abs() < 1e-9, "WSEPT {wsept} vs opt {opt}");
+    }
+
+    #[test]
+    fn total_flowtime_ignores_the_weights() {
+        let weighted = exponential(&[1.0, 0.5, 2.0], &[1.0, 3.0, 2.0]);
+        let plain = unweighted(&[1.0, 0.5, 2.0]);
+        for machines in [1usize, 2] {
+            assert_eq!(
+                list_policy_value(&weighted, &[2, 1, 0], machines, TotalFlowtime).to_bits(),
+                list_policy_value(&plain, &[2, 1, 0], machines, WeightedFlowtime).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one machine")]
+    fn list_policy_rejects_zero_machines() {
+        list_policy_value(&unweighted(&[1.0, 2.0, 0.5]), &[0, 1, 2], 0, TotalFlowtime);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one machine")]
+    fn optimum_rejects_zero_machines() {
+        optimal_value(&unweighted(&[1.0, 2.0, 0.5]), 0, Makespan);
+    }
+
+    #[test]
+    #[should_panic(expected = "job 1 is not exponential")]
+    fn a_job_without_a_rate_is_rejected() {
+        let inst = BatchInstance::builder()
+            .unweighted_job(dyn_dist(Exponential::new(1.0)))
+            .unweighted_job(dyn_dist(TwoPoint::new(0.5, 1.0, 2.0)))
+            .build();
+        optimal_value(&inst, 2, TotalFlowtime);
     }
 
     #[test]
     fn monte_carlo_agrees_with_exact_dp() {
         use rand::SeedableRng;
-        use ss_distributions::{dyn_dist, Exponential};
-        let rates = [1.0, 2.0, 0.5, 1.5];
-        let inst = ExpParallelInstance::unweighted(rates.to_vec());
-        let order = sept_order_exp(&inst);
-        let exact = list_policy_flowtime(&inst, &order, 2);
-
-        let mut builder = ss_core::instance::BatchInstance::builder();
-        for &r in &rates {
-            builder = builder.unweighted_job(dyn_dist(Exponential::new(r)));
-        }
-        let batch = builder.build();
+        let inst = unweighted(&[1.0, 2.0, 0.5, 1.5]);
+        let order = sept_order(&inst);
+        let exact = list_policy_value(&inst, &order, 2, TotalFlowtime);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(123);
         let reps = 60_000;
         let mc: f64 = (0..reps)
             .map(|_| {
-                crate::parallel::simulate_list_schedule(&batch, &order, 2, &mut rng).total_flowtime
+                crate::parallel::simulate_list_schedule(&inst, &order, 2, &mut rng).total_flowtime
             })
             .sum::<f64>()
             / reps as f64;

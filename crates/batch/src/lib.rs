@@ -9,11 +9,19 @@
 //! |---|---|
 //! | WSEPT (Smith's rule on means) is optimal for `E[Σ w C]` on one machine, nonpreemptive (Rothkopf 1966) | [`single_machine`], [`policies`] |
 //! | The preemptive optimum is a Gittins-type index in attained service (Sevcik 1974) | [`preemptive`] |
-//! | SEPT minimises `E[Σ C]` on identical parallel machines for exponential / common-IHR / stochastically ordered jobs | [`parallel`], [`exact_exp`] |
-//! | LEPT minimises `E[max C]` for exponential / common-DHR jobs | [`parallel`], [`exact_exp`] |
+//! | SEPT minimises `E[Σ C]` on identical parallel machines for exponential / common-IHR / stochastically ordered jobs | [`policies`], [`parallel`], [`exact_exp`] |
+//! | LEPT minimises `E[max C]` for exponential / common-DHR jobs | [`policies`], [`parallel`], [`exact_exp`] |
 //! | Two-point jobs on two machines break the simple index rules (Coffman–Hofri–Weiss 1989) | [`two_point_exact`] |
 //! | Uniform (speed-scaled) machines: when jobs commit to a machine, a very slow machine should be used only while enough jobs remain (threshold structure, Agrawala et al. 1984) | [`uniform_machines`] |
 //! | WSEPT is asymptotically optimal on parallel machines: additive gap `O(1)`, relative gap `→ 0` (Weiss 1992) | [`turnpike`] |
+//!
+//! The list-scheduling models share one vocabulary: a batch is a
+//! [`BatchInstance`](ss_core::instance::BatchInstance) (the exact DP of
+//! [`exact_exp`] takes one whose jobs are all exponential), the SEPT, LEPT
+//! and WSEPT lists come from [`policies`], one routine in [`parallel`]
+//! schedules a list on identical machines for both the simulator and the
+//! two-point enumeration, and [`parallel::ParallelMetric`] names the
+//! objective everywhere.
 //!
 //! The experiment harness (`ss-bench`, experiments E1–E6) drives these
 //! modules to regenerate the tables in `EXPERIMENTS.md`.

@@ -1,17 +1,20 @@
-//! Identical parallel machines: list scheduling and Monte-Carlo evaluation.
+//! Identical parallel machines: list scheduling, its objectives, and
+//! Monte-Carlo evaluation.
 //!
 //! A static list policy on `m` identical machines starts the next unstarted
 //! job of the list whenever a machine becomes free (non-idling,
 //! nonpreemptive).  SEPT and LEPT are list policies; the exact dynamic
 //! programs in [`crate::exact_exp`] verify their optimality for exponential
-//! jobs, while this module evaluates arbitrary lists on arbitrary
-//! distributions by simulation.
+//! jobs, and [`crate::two_point_exact`] evaluates lists of two-point jobs
+//! by enumerating realisations, while this module evaluates arbitrary lists
+//! on arbitrary distributions by simulation.  All three schedule a list
+//! through one routine and name the objective with [`ParallelMetric`].
 
 use rand::RngCore;
 use ss_core::instance::BatchInstance;
 use ss_sim::replication::{run_replications_parallel, ReplicationSummary};
 
-/// Realised performance of one simulated schedule.
+/// Performance of one schedule: realised, or expected over realisations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduleOutcome {
     /// `Σ_i C_i`.
@@ -22,35 +25,55 @@ pub struct ScheduleOutcome {
     pub makespan: f64,
 }
 
-/// Simulate one realisation of list scheduling `order` on `machines`
-/// identical machines.
-pub fn simulate_list_schedule(
-    instance: &BatchInstance,
+impl ScheduleOutcome {
+    /// The statistic `metric` names.
+    pub fn get(&self, metric: ParallelMetric) -> f64 {
+        match metric {
+            ParallelMetric::TotalFlowtime => self.total_flowtime,
+            ParallelMetric::WeightedFlowtime => self.weighted_flowtime,
+            ParallelMetric::Makespan => self.makespan,
+        }
+    }
+}
+
+/// The objective of a batch on identical machines: the statistic of a
+/// schedule that a simulation aggregates, an exact method computes or a
+/// search minimises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParallelMetric {
+    /// Expected total flowtime `E[Σ C]`.
+    TotalFlowtime,
+    /// Expected weighted flowtime `E[Σ w C]`.
+    WeightedFlowtime,
+    /// Expected makespan `E[max C]`.
+    Makespan,
+}
+
+/// List-schedule `order` on `machines` identical machines: each job in
+/// turn starts on the machine that frees earliest (the first such machine
+/// on a tie) and runs for `duration(job)`, which is asked once per job, in
+/// list order.
+pub(crate) fn schedule_list(
     order: &[usize],
     machines: usize,
-    rng: &mut dyn RngCore,
+    weight: impl Fn(usize) -> f64,
+    mut duration: impl FnMut(usize) -> f64,
 ) -> ScheduleOutcome {
-    assert!(machines >= 1, "need at least one machine");
-    assert_eq!(order.len(), instance.len(), "order must cover all jobs");
-    let jobs = instance.jobs();
-    // Machine free times; the next job in the list goes to the machine that
-    // frees earliest.
+    assert!(machines >= 1, "list scheduling needs at least one machine");
     let mut free_at = vec![0.0f64; machines];
     let mut total_flowtime = 0.0;
     let mut weighted_flowtime = 0.0;
     let mut makespan: f64 = 0.0;
     for &idx in order {
-        // Earliest-free machine.
         let (m_idx, &start) = free_at
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
             .unwrap();
-        let duration = jobs[idx].dist.sample(rng);
-        let completion = start + duration;
+        let completion = start + duration(idx);
         free_at[m_idx] = completion;
         total_flowtime += completion;
-        weighted_flowtime += jobs[idx].weight * completion;
+        weighted_flowtime += weight(idx) * completion;
         makespan = makespan.max(completion);
     }
     ScheduleOutcome {
@@ -60,15 +83,22 @@ pub fn simulate_list_schedule(
     }
 }
 
-/// Which statistic of the schedule to aggregate over replications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelMetric {
-    /// Expected total flowtime `E[Σ C]`.
-    TotalFlowtime,
-    /// Expected weighted flowtime `E[Σ w C]`.
-    WeightedFlowtime,
-    /// Expected makespan `E[max C]`.
-    Makespan,
+/// Simulate one realisation of list scheduling `order` on `machines`
+/// identical machines, drawing each job's processing time as it starts.
+pub fn simulate_list_schedule(
+    instance: &BatchInstance,
+    order: &[usize],
+    machines: usize,
+    rng: &mut dyn RngCore,
+) -> ScheduleOutcome {
+    assert_eq!(order.len(), instance.len(), "order must cover all jobs");
+    let jobs = instance.jobs();
+    schedule_list(
+        order,
+        machines,
+        |j| jobs[j].weight,
+        |j| jobs[j].dist.sample(rng),
+    )
 }
 
 /// Estimate the chosen metric of a static list by independent replications
@@ -83,12 +113,7 @@ pub fn evaluate_list_policy(
     seed: u64,
 ) -> ReplicationSummary {
     run_replications_parallel(replications, seed, |_rep, rng| {
-        let out = simulate_list_schedule(instance, order, machines, rng);
-        match metric {
-            ParallelMetric::TotalFlowtime => out.total_flowtime,
-            ParallelMetric::WeightedFlowtime => out.weighted_flowtime,
-            ParallelMetric::Makespan => out.makespan,
-        }
+        simulate_list_schedule(instance, order, machines, rng).get(metric)
     })
 }
 
@@ -197,6 +222,13 @@ mod tests {
             lept.mean,
             sept.mean
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one machine")]
+    fn zero_machines_are_rejected() {
+        let mut rng = ChaCha8Rng::seed_from_u64(3);
+        simulate_list_schedule(&det_instance(), &[0, 1, 2], 0, &mut rng);
     }
 
     #[test]

@@ -6,12 +6,15 @@
 //! the performance of every list can therefore be evaluated *exactly* by
 //! enumerating realisations, and the best static list found by exhaustive
 //! search over permutations.  Experiment E5 uses this to exhibit parameter
-//! regions where the SEPT and LEPT lists are strictly worse than the best
-//! list — the survey's point that the optimality of simple policies "fails
-//! to extend to models that violate the required assumptions".
+//! regions where the SEPT and LEPT lists ([`crate::policies`], on
+//! [`TwoPointInstance::to_batch`]) are strictly worse than the best list —
+//! the survey's point that the optimality of simple policies "fails to
+//! extend to models that violate the required assumptions".
 
+use crate::parallel::{schedule_list, ParallelMetric, ScheduleOutcome};
 use ss_core::exhaustive::best_order;
-use ss_distributions::TwoPoint;
+use ss_core::instance::BatchInstance;
+use ss_distributions::{dyn_dist, TwoPoint};
 
 /// A batch of two-point jobs.
 #[derive(Debug, Clone)]
@@ -25,8 +28,8 @@ pub struct TwoPointInstance {
 impl TwoPointInstance {
     /// Create an unweighted instance.
     pub fn unweighted(jobs: Vec<TwoPoint>) -> Self {
+        assert!(!jobs.is_empty(), "instance needs at least one job");
         let n = jobs.len();
-        assert!(n > 0 && n <= 16, "exact enumeration limited to 16 jobs");
         Self {
             jobs,
             weights: vec![1.0; n],
@@ -42,49 +45,35 @@ impl TwoPointInstance {
     pub fn is_empty(&self) -> bool {
         self.jobs.is_empty()
     }
-}
 
-/// Deterministic list schedule of realised durations on `machines`
-/// machines; returns `(total_flowtime, weighted_flowtime, makespan)`.
-fn schedule_realisation(
-    durations: &[f64],
-    weights: &[f64],
-    order: &[usize],
-    machines: usize,
-) -> (f64, f64, f64) {
-    let mut free_at = vec![0.0f64; machines];
-    let mut total = 0.0;
-    let mut weighted = 0.0;
-    let mut makespan: f64 = 0.0;
-    for &idx in order {
-        let m = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
-        let completion = free_at[m] + durations[idx];
-        free_at[m] = completion;
-        total += completion;
-        weighted += weights[idx] * completion;
-        makespan = makespan.max(completion);
+    /// The same jobs as a [`BatchInstance`], for the list rules of
+    /// [`crate::policies`] and the simulator of [`crate::parallel`].
+    pub fn to_batch(&self) -> BatchInstance {
+        let mut builder = BatchInstance::builder();
+        for (tp, &weight) in self.jobs.iter().zip(&self.weights) {
+            builder = builder.job(weight, dyn_dist(*tp));
+        }
+        builder.build()
     }
-    (total, weighted, makespan)
 }
 
-/// Exact expected `(total flowtime, weighted flowtime, makespan)` of a
+/// Exact expected total flowtime, weighted flowtime and makespan of a
 /// static list on `machines` machines, by enumerating all `2^n`
-/// realisations.
+/// realisations (at most 16 jobs).
 pub fn exact_list_performance(
     instance: &TwoPointInstance,
     order: &[usize],
     machines: usize,
-) -> (f64, f64, f64) {
+) -> ScheduleOutcome {
     let n = instance.len();
+    assert!(n <= 16, "exact enumeration limited to 16 jobs");
+    assert_eq!(instance.weights.len(), n, "need one weight per job");
     assert_eq!(order.len(), n);
-    let mut e_total = 0.0;
-    let mut e_weighted = 0.0;
-    let mut e_makespan = 0.0;
+    let mut expected = ScheduleOutcome {
+        total_flowtime: 0.0,
+        weighted_flowtime: 0.0,
+        makespan: 0.0,
+    };
     let mut durations = vec![0.0f64; n];
     for mask in 0..(1u32 << n) {
         let mut prob = 1.0;
@@ -100,69 +89,41 @@ pub fn exact_list_performance(
         if prob == 0.0 {
             continue;
         }
-        let (t, w, m) = schedule_realisation(&durations, &instance.weights, order, machines);
-        e_total += prob * t;
-        e_weighted += prob * w;
-        e_makespan += prob * m;
+        let out = schedule_list(order, machines, |j| instance.weights[j], |j| durations[j]);
+        expected.total_flowtime += prob * out.total_flowtime;
+        expected.weighted_flowtime += prob * out.weighted_flowtime;
+        expected.makespan += prob * out.makespan;
     }
-    (e_total, e_weighted, e_makespan)
+    expected
 }
 
-/// Search all `n!` static lists for the one minimising the chosen objective
-/// (0 = total flowtime, 1 = weighted flowtime, 2 = makespan); returns
-/// `(best_order, best_value)`.  Limited to `n <= 9`.
+/// Search all `n!` static lists for the one minimising `objective`;
+/// returns `(best_order, best_value)`.  Limited to `n <= 9`.
 pub fn best_static_list(
     instance: &TwoPointInstance,
     machines: usize,
-    objective: usize,
+    objective: ParallelMetric,
 ) -> (Vec<usize>, f64) {
     let n = instance.len();
     assert!(n <= 9, "exhaustive list search limited to 9 jobs");
-    assert!(objective <= 2);
     best_order(n, |order| {
-        let (total, weighted, makespan) = exact_list_performance(instance, order, machines);
-        match objective {
-            0 => total,
-            1 => weighted,
-            _ => makespan,
-        }
+        exact_list_performance(instance, order, machines).get(objective)
     })
-}
-
-/// SEPT list (nondecreasing mean) for a two-point instance.
-pub fn sept_list(instance: &TwoPointInstance) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..instance.len()).collect();
-    order.sort_by(|&a, &b| {
-        use ss_distributions::ServiceDistribution;
-        instance.jobs[a]
-            .mean()
-            .partial_cmp(&instance.jobs[b].mean())
-            .unwrap()
-    });
-    order
-}
-
-/// LEPT list (nonincreasing mean) for a two-point instance.
-pub fn lept_list(instance: &TwoPointInstance) -> Vec<usize> {
-    let mut order = sept_list(instance);
-    order.reverse();
-    order
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ss_core::instance::BatchInstance;
-    use ss_distributions::{dyn_dist, ServiceDistribution};
+    use crate::policies::{lept_order, sept_order};
 
     #[test]
     fn exact_enumeration_matches_hand_case() {
         // One job taking 1 w.p. 0.5 or 3 w.p. 0.5 on one machine.
         let inst = TwoPointInstance::unweighted(vec![TwoPoint::new(0.5, 1.0, 3.0)]);
-        let (total, weighted, makespan) = exact_list_performance(&inst, &[0], 1);
-        assert!((total - 2.0).abs() < 1e-12);
-        assert!((weighted - 2.0).abs() < 1e-12);
-        assert!((makespan - 2.0).abs() < 1e-12);
+        let out = exact_list_performance(&inst, &[0], 1);
+        assert!((out.total_flowtime - 2.0).abs() < 1e-12);
+        assert!((out.weighted_flowtime - 2.0).abs() < 1e-12);
+        assert!((out.makespan - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -173,7 +134,7 @@ mod tests {
             TwoPoint::new(1.0, 2.0, 5.0),
             TwoPoint::new(1.0, 1.0, 9.0),
         ]);
-        let (_, _, makespan) = exact_list_performance(&inst, &[0, 1], 2);
+        let makespan = exact_list_performance(&inst, &[0, 1], 2).makespan;
         assert!((makespan - 2.0).abs() < 1e-12);
     }
 
@@ -186,12 +147,8 @@ mod tests {
             TwoPoint::new(0.9, 0.2, 8.0),
         ]);
         let order = [0usize, 1, 2];
-        let (exact_total, _, exact_mk) = exact_list_performance(&inst, &order, 2);
-        let mut b = BatchInstance::builder();
-        for (tp, w) in inst.jobs.iter().zip(&inst.weights) {
-            b = b.job(*w, dyn_dist(*tp));
-        }
-        let batch = b.build();
+        let exact = exact_list_performance(&inst, &order, 2);
+        let batch = inst.to_batch();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
         let reps = 60_000;
         let mut total = 0.0;
@@ -203,8 +160,8 @@ mod tests {
         }
         total /= reps as f64;
         mk /= reps as f64;
-        assert!((total - exact_total).abs() / exact_total < 0.02);
-        assert!((mk - exact_mk).abs() / exact_mk < 0.02);
+        assert!((total - exact.total_flowtime).abs() / exact.total_flowtime < 0.02);
+        assert!((mk - exact.makespan).abs() / exact.makespan < 0.02);
     }
 
     #[test]
@@ -218,22 +175,37 @@ mod tests {
             TwoPoint::new(0.8, 0.3, 7.0),
             TwoPoint::new(0.6, 0.8, 2.2),
         ]);
-        let (_, best_mk) = best_static_list(&inst, 2, 2);
-        let (_, _, sept_mk) = exact_list_performance(&inst, &sept_list(&inst), 2);
-        let (_, _, lept_mk) = exact_list_performance(&inst, &lept_list(&inst), 2);
+        let (_, best_mk) = best_static_list(&inst, 2, ParallelMetric::Makespan);
+        let batch = inst.to_batch();
+        let sept_mk = exact_list_performance(&inst, &sept_order(&batch), 2).makespan;
+        let lept_mk = exact_list_performance(&inst, &lept_order(&batch), 2).makespan;
         assert!(best_mk <= sept_mk + 1e-12);
         assert!(best_mk <= lept_mk + 1e-12);
     }
 
+    fn literal(jobs: usize, weights: usize) -> TwoPointInstance {
+        TwoPointInstance {
+            jobs: vec![TwoPoint::new(0.5, 1.0, 2.0); jobs],
+            weights: vec![1.0; weights],
+        }
+    }
+
     #[test]
-    fn sept_and_lept_lists_are_mean_ordered() {
-        let inst = TwoPointInstance::unweighted(vec![
-            TwoPoint::new(0.5, 1.0, 3.0), // mean 2.0
-            TwoPoint::new(0.5, 0.2, 1.0), // mean 0.6
-            TwoPoint::new(0.5, 2.0, 6.0), // mean 4.0
-        ]);
-        assert_eq!(sept_list(&inst), vec![1, 0, 2]);
-        assert_eq!(lept_list(&inst), vec![2, 0, 1]);
-        assert!(inst.jobs[1].mean() < inst.jobs[0].mean());
+    #[should_panic(expected = "limited to 16 jobs")]
+    fn enumeration_rejects_more_than_16_jobs() {
+        let order: Vec<usize> = (0..32).collect();
+        exact_list_performance(&literal(32, 32), &order, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "one weight per job")]
+    fn enumeration_rejects_a_missing_weight() {
+        exact_list_performance(&literal(3, 2), &[0, 1, 2], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one machine")]
+    fn enumeration_rejects_zero_machines() {
+        exact_list_performance(&literal(3, 3), &[0, 1, 2], 0);
     }
 }

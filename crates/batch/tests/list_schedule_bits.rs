@@ -111,8 +111,10 @@ fn list_schedule_bits_match_the_recorded_digest() {
     let identity: Vec<usize> = (0..exact.len()).collect();
     for list in [sept_order(e5), lept_order(e5), identity] {
         for machines in 1..=3 {
-            let (total, weighted, makespan) = exact_list_performance(&exact, &list, machines);
-            words.extend([total, weighted, makespan].map(f64::to_bits));
+            let out = exact_list_performance(&exact, &list, machines);
+            words.extend(
+                [out.total_flowtime, out.weighted_flowtime, out.makespan].map(f64::to_bits),
+            );
         }
     }
 

@@ -4,26 +4,34 @@
 //! replications that are bit-identical for any thread count — the same
 //! contract the `ss-verify` pair `sept-lept-vs-dp` gates in CI.
 
-use ss_batch::exact_exp::{
-    exp_batch_instance, lept_order_exp, list_policy_flowtime, list_policy_makespan, sept_order_exp,
-    ExpParallelInstance,
-};
+use ss_batch::exact_exp::list_policy_value;
 use ss_batch::parallel::{evaluate_list_policy, ParallelMetric};
+use ss_batch::policies::{lept_order, sept_order, wsept_order};
+use ss_core::instance::BatchInstance;
+use ss_distributions::{dyn_dist, Exponential};
 use ss_sim::pool;
 
-fn instance() -> ExpParallelInstance {
-    ExpParallelInstance::unweighted(vec![0.5, 1.0, 2.0, 1.5, 0.8, 2.5])
+/// Exponential jobs with these rates and weights.
+fn exponential(rates: &[f64], weights: &[f64]) -> BatchInstance {
+    let mut builder = BatchInstance::builder();
+    for (&rate, &weight) in rates.iter().zip(weights) {
+        builder = builder.job(weight, dyn_dist(Exponential::new(rate)));
+    }
+    builder.build()
+}
+
+fn instance() -> BatchInstance {
+    exponential(&[0.5, 1.0, 2.0, 1.5, 0.8, 2.5], &[1.0; 6])
 }
 
 #[test]
 fn sept_flowtime_simulation_matches_the_exact_dp() {
     let inst = instance();
-    let batch = exp_batch_instance(&inst);
-    let order = sept_order_exp(&inst);
+    let order = sept_order(&inst);
     for machines in [1usize, 2, 3] {
-        let exact = list_policy_flowtime(&inst, &order, machines);
+        let exact = list_policy_value(&inst, &order, machines, ParallelMetric::TotalFlowtime);
         let summary = evaluate_list_policy(
-            &batch,
+            &inst,
             &order,
             machines,
             ParallelMetric::TotalFlowtime,
@@ -42,12 +50,11 @@ fn sept_flowtime_simulation_matches_the_exact_dp() {
 #[test]
 fn lept_makespan_simulation_matches_the_exact_dp() {
     let inst = instance();
-    let batch = exp_batch_instance(&inst);
-    let order = lept_order_exp(&inst);
+    let order = lept_order(&inst);
     for machines in [2usize, 3] {
-        let exact = list_policy_makespan(&inst, &order, machines);
+        let exact = list_policy_value(&inst, &order, machines, ParallelMetric::Makespan);
         let summary = evaluate_list_policy(
-            &batch,
+            &inst,
             &order,
             machines,
             ParallelMetric::Makespan,
@@ -65,18 +72,11 @@ fn lept_makespan_simulation_matches_the_exact_dp() {
 
 #[test]
 fn weighted_flowtime_simulation_matches_the_exact_dp() {
-    let inst = ExpParallelInstance::weighted(vec![1.0, 0.5, 2.0, 1.2], vec![1.0, 3.0, 2.0, 0.5]);
-    let batch = exp_batch_instance(&inst);
-    // WSEPT order: decreasing w * lambda.
-    let mut order: Vec<usize> = (0..inst.len()).collect();
-    order.sort_by(|&a, &b| {
-        (inst.weights[b] * inst.rates[b])
-            .partial_cmp(&(inst.weights[a] * inst.rates[a]))
-            .unwrap()
-    });
-    let exact = list_policy_flowtime(&inst, &order, 2);
+    let inst = exponential(&[1.0, 0.5, 2.0, 1.2], &[1.0, 3.0, 2.0, 0.5]);
+    let order = wsept_order(&inst);
+    let exact = list_policy_value(&inst, &order, 2, ParallelMetric::WeightedFlowtime);
     let summary = evaluate_list_policy(
-        &batch,
+        &inst,
         &order,
         2,
         ParallelMetric::WeightedFlowtime,
@@ -94,11 +94,10 @@ fn weighted_flowtime_simulation_matches_the_exact_dp() {
 #[test]
 fn list_schedule_replications_are_thread_count_invariant_and_seed_pure() {
     let inst = instance();
-    let batch = exp_batch_instance(&inst);
-    let order = sept_order_exp(&inst);
+    let order = sept_order(&inst);
     let run = |threads: usize, seed: u64| {
         pool::with_threads(threads, || {
-            evaluate_list_policy(&batch, &order, 2, ParallelMetric::TotalFlowtime, 500, seed)
+            evaluate_list_policy(&inst, &order, 2, ParallelMetric::TotalFlowtime, 500, seed)
         })
     };
     let serial = run(1, 9);

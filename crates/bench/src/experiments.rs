@@ -16,22 +16,18 @@ use ss_bandits::restless::{
     RestlessPolicy,
 };
 use ss_bandits::switching::SwitchingBandit;
-use ss_batch::exact_exp::{
-    lept_order_exp, list_policy_flowtime, list_policy_makespan, optimal_flowtime, optimal_makespan,
-    sept_order_exp, ExpParallelInstance,
-};
+use ss_batch::exact_exp::{list_policy_value, optimal_value};
+use ss_batch::parallel::ParallelMetric::{Makespan, TotalFlowtime};
 use ss_batch::policies::{lept_order, random_order, sept_order, weight_only_order, wsept_order};
 use ss_batch::preemptive::{
     simulate_gittins_preemptive, simulate_wsept_nonpreemptive, GittinsIndexTable, PreemptiveConfig,
 };
 use ss_batch::single_machine::{exhaustive_optimal_order, expected_weighted_flowtime};
 use ss_batch::turnpike::turnpike_sweep;
-use ss_batch::two_point_exact::{
-    best_static_list, exact_list_performance, lept_list, sept_list, TwoPointInstance,
-};
-use ss_core::instance::{InstanceFamily, InstanceGenerator};
+use ss_batch::two_point_exact::{best_static_list, exact_list_performance, TwoPointInstance};
+use ss_core::instance::{BatchInstance, InstanceFamily, InstanceGenerator};
 use ss_core::result::ComparisonTable;
-use ss_distributions::{dyn_dist, HyperExponential, TwoPoint};
+use ss_distributions::{dyn_dist, Exponential, HyperExponential, TwoPoint};
 use ss_queueing::achievable_region::{
     cmu_via_adaptive_greedy, klimov_via_adaptive_greedy, region_lp, vertex_performance,
 };
@@ -443,12 +439,17 @@ fn e2_preemptive_gittins() -> String {
 
 // ---------------------------------------------------------------- E3/E4 --
 
-fn exp_instance_for_parallel() -> ExpParallelInstance {
-    ExpParallelInstance::unweighted(vec![0.4, 2.5, 1.0, 3.0, 0.7, 1.8, 1.3, 0.9])
+fn exp_instance_for_parallel() -> BatchInstance {
+    let mut builder = BatchInstance::builder();
+    for rate in [0.4, 2.5, 1.0, 3.0, 0.7, 1.8, 1.3, 0.9] {
+        builder = builder.unweighted_job(dyn_dist(Exponential::new(rate)));
+    }
+    builder.build()
 }
 
 fn e3_sept_parallel_flowtime() -> String {
     let inst = exp_instance_for_parallel();
+    let identity: Vec<usize> = (0..inst.len()).collect();
     let mut out = String::new();
     for machines in [2usize, 3] {
         let mut table = ComparisonTable::new(
@@ -457,25 +458,25 @@ fn e3_sept_parallel_flowtime() -> String {
         );
         table.add(
             "optimal (non-idling DP)",
-            optimal_flowtime(&inst, machines),
+            optimal_value(&inst, machines, TotalFlowtime),
             None,
             "exact",
         );
         table.add(
             "SEPT",
-            list_policy_flowtime(&inst, &sept_order_exp(&inst), machines),
+            list_policy_value(&inst, &sept_order(&inst), machines, TotalFlowtime),
             None,
             "optimal (Weber)",
         );
         table.add(
             "LEPT",
-            list_policy_flowtime(&inst, &lept_order_exp(&inst), machines),
+            list_policy_value(&inst, &lept_order(&inst), machines, TotalFlowtime),
             None,
             "",
         );
         table.add(
             "index order 0..n",
-            list_policy_flowtime(&inst, &(0..inst.len()).collect::<Vec<_>>(), machines),
+            list_policy_value(&inst, &identity, machines, TotalFlowtime),
             None,
             "arbitrary",
         );
@@ -495,19 +496,19 @@ fn e4_lept_parallel_makespan() -> String {
         );
         table.add(
             "optimal (non-idling DP)",
-            optimal_makespan(&inst, machines),
+            optimal_value(&inst, machines, Makespan),
             None,
             "exact",
         );
         table.add(
             "LEPT",
-            list_policy_makespan(&inst, &lept_order_exp(&inst), machines),
+            list_policy_value(&inst, &lept_order(&inst), machines, Makespan),
             None,
             "optimal (Bruno et al.)",
         );
         table.add(
             "SEPT",
-            list_policy_makespan(&inst, &sept_order_exp(&inst), machines),
+            list_policy_value(&inst, &sept_order(&inst), machines, Makespan),
             None,
             "",
         );
@@ -529,9 +530,10 @@ fn e5_two_point_counterexample() -> String {
         TwoPoint::new(0.7, 0.4, 3.5),
     ]);
     let machines = 2;
-    let (best_order, best_mk) = best_static_list(&inst, machines, 2);
-    let (_, _, sept_mk) = exact_list_performance(&inst, &sept_list(&inst), machines);
-    let (_, _, lept_mk) = exact_list_performance(&inst, &lept_list(&inst), machines);
+    let (best_order, best_mk) = best_static_list(&inst, machines, Makespan);
+    let batch = inst.to_batch();
+    let sept_mk = exact_list_performance(&inst, &sept_order(&batch), machines).makespan;
+    let lept_mk = exact_list_performance(&inst, &lept_order(&batch), machines).makespan;
     let mut table = ComparisonTable::new(
         "E5: two-point jobs on 2 machines, exact E[makespan] over all 2^n realisations",
         "E[max C]",

@@ -11,11 +11,14 @@
 //! the substream family split.  Diversity axes: service-distribution
 //! family x load level x priority structure x class/project count.
 
-use crate::scenario::{BatchMetric, QueueMode, Scenario, Spec};
+use crate::scenario::{QueueMode, Scenario, Spec};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 use ss_bandits::instances::{random_project, random_restless_project};
+use ss_batch::parallel::ParallelMetric::{Makespan, TotalFlowtime, WeightedFlowtime};
+use ss_batch::policies::{lept_order, sept_order, wsept_order};
+use ss_core::instance::BatchInstance;
 use ss_core::job::JobClass;
 use ss_distributions::{
     dyn_dist, Deterministic, DynDist, Erlang, Exponential, HyperExponential, LogNormal, TwoPoint,
@@ -412,35 +415,33 @@ pub fn generate_corpus(seed: u64) -> Corpus {
         let n_jobs = 5 + t % 4;
         let machines = 2 + t % 2;
         let rates: Vec<f64> = (0..n_jobs).map(|_| rng.gen_range(0.4..2.5)).collect();
-        let (metric, rule) = [
-            (BatchMetric::Flowtime, "sept"),
-            (BatchMetric::Makespan, "lept"),
-            (BatchMetric::Flowtime, "sept"),
-            (BatchMetric::WeightedFlowtime, "wsept"),
-            (BatchMetric::Makespan, "lept"),
+        let metric = [
+            TotalFlowtime,
+            Makespan,
+            TotalFlowtime,
+            WeightedFlowtime,
+            Makespan,
         ][t];
-        let weights: Vec<f64> = if metric == BatchMetric::WeightedFlowtime {
+        let weights: Vec<f64> = if metric == WeightedFlowtime {
             (0..n_jobs).map(|_| rng.gen_range(0.5..3.0)).collect()
         } else {
             vec![1.0; n_jobs]
         };
-        let mut order: Vec<usize> = (0..n_jobs).collect();
-        match rule {
-            // SEPT/WSEPT: decreasing w·λ (unit weights make this SEPT).
-            "sept" | "wsept" => order.sort_by(|&a, &b| {
-                (weights[b] * rates[b])
-                    .partial_cmp(&(weights[a] * rates[a]))
-                    .unwrap()
-            }),
-            // LEPT: increasing rate (longest expected processing first).
-            _ => order.sort_by(|&a, &b| rates[a].partial_cmp(&rates[b]).unwrap()),
+        let mut builder = BatchInstance::builder();
+        for (rate, weight) in rates.into_iter().zip(weights) {
+            builder = builder.job(weight, dyn_dist(Exponential::new(rate)));
         }
+        let instance = builder.build();
+        let (rule, order) = match metric {
+            TotalFlowtime => ("sept", sept_order(&instance)),
+            WeightedFlowtime => ("wsept", wsept_order(&instance)),
+            Makespan => ("lept", lept_order(&instance)),
+        };
         push(
             &mut scenarios,
             format!("list-schedule {rule} n={n_jobs} m={machines}"),
             Spec::ListSchedule {
-                rates,
-                weights,
+                instance,
                 machines,
                 order,
                 metric,

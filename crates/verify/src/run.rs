@@ -11,18 +11,18 @@
 
 use crate::corpus::Corpus;
 use crate::oracle::{check, OraclePair, Tolerance, Verdict};
-use crate::scenario::{pair_for_mode, BatchMetric, Budget, QueueMode, Scenario, Spec};
+use crate::scenario::{pair_for_mode, Budget, QueueMode, Scenario, Spec};
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use ss_bandits::exact::MultiArmedBandit;
 use ss_bandits::restless::{
     simulate_restless, whittle_indices, whittle_relaxation_bound, RestlessPolicy, RestlessProject,
 };
 use ss_bandits::restless_exact::{restless_optimal_gain, whittle_policy_gain};
 use ss_bandits::simulate::{rollout_discounted, GittinsRule};
-use ss_batch::exact_exp::{
-    exp_batch_instance, list_policy_flowtime, list_policy_makespan, ExpParallelInstance,
-};
-use ss_batch::parallel::simulate_list_schedule;
+use ss_batch::exact_exp::list_policy_value;
+use ss_batch::parallel::{simulate_list_schedule, ParallelMetric};
+use ss_core::instance::BatchInstance;
 use ss_core::job::JobClass;
 use ss_fabric::{
     run_fabric, ArrivalProcess, ClassConfig, DisciplineKind, FabricConfig, LbPolicy, RetryPolicy,
@@ -91,6 +91,30 @@ fn pooled_wait(res: &Mg1Result) -> f64 {
         / total as f64
 }
 
+/// The Monte-Carlo side of a pair: replication `rep` draws one value from
+/// `substream(scenario_id, rep)`, and the mean of `replications` of them
+/// is checked against `exact` with the CI half-width and the pair's
+/// tolerance.
+fn replicate(
+    pair: OraclePair,
+    exact: f64,
+    replications: usize,
+    scenario_id: usize,
+    streams: &RngStreams,
+    mut draw: impl FnMut(&mut ChaCha8Rng) -> f64,
+) -> Verdict {
+    let mut stats = OnlineStats::new();
+    for rep in 0..replications {
+        stats.push(draw(&mut streams.substream(scenario_id as u64, rep as u64)));
+    }
+    check(
+        stats.mean(),
+        exact,
+        stats.ci_half_width_t(CONFIDENCE),
+        tolerance_for(pair),
+    )
+}
+
 fn run_queue(
     scenario_id: usize,
     classes: &[JobClass],
@@ -112,10 +136,20 @@ fn run_queue(
         horizon: budget.horizon,
         warmup: budget.warmup,
     };
-    let values: Vec<f64> = (0..budget.queue_replications)
-        .map(|rep| {
-            let mut rng = streams.substream(scenario_id as u64, rep as u64);
-            let res = simulate_mg1(&config, &mut rng);
+    let exact = match mode {
+        QueueMode::Fifo => pollaczek_khinchine_wait(classes),
+        QueueMode::Nonpreemptive => mg1_nonpreemptive_priority(classes, order).holding_cost_rate,
+        QueueMode::Preemptive => mg1_preemptive_priority(classes, order).holding_cost_rate,
+        QueueMode::Conservation => conserved_work(classes),
+    };
+    replicate(
+        pair_for_mode(mode),
+        exact,
+        budget.queue_replications,
+        scenario_id,
+        streams,
+        |rng| {
+            let res = simulate_mg1(&config, rng);
             match mode {
                 QueueMode::Fifo => pooled_wait(&res),
                 QueueMode::Nonpreemptive | QueueMode::Preemptive => res.holding_cost_rate,
@@ -125,21 +159,7 @@ fn run_queue(
                     .map(|(j, c)| c.load() * res.mean_wait[j])
                     .sum(),
             }
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
-    let exact = match mode {
-        QueueMode::Fifo => pollaczek_khinchine_wait(classes),
-        QueueMode::Nonpreemptive => mg1_nonpreemptive_priority(classes, order).holding_cost_rate,
-        QueueMode::Preemptive => mg1_preemptive_priority(classes, order).holding_cost_rate,
-        QueueMode::Conservation => conserved_work(classes),
-    };
-    let pair = pair_for_mode(mode);
-    check(
-        stats.mean(),
-        exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(pair),
+        },
     )
 }
 
@@ -165,18 +185,13 @@ fn run_bandit(
         return check(policy_value, exact, 0.0, exact_tol);
     }
     let policy = GittinsRule::new(&mab);
-    let values: Vec<f64> = (0..budget.bandit_replications)
-        .map(|rep| {
-            let mut rng = streams.substream(scenario_id as u64, rep as u64);
-            rollout_discounted(&mab, &policy, &init, &mut rng)
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
-    check(
-        stats.mean(),
+    replicate(
+        OraclePair::GittinsRolloutVsDp,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::GittinsRolloutVsDp),
+        budget.bandit_replications,
+        scenario_id,
+        streams,
+        |rng| rollout_discounted(&mab, &policy, &init, rng),
     )
 }
 
@@ -226,19 +241,6 @@ fn run_klimov(
     budget: &Budget,
     streams: &RngStreams,
 ) -> Verdict {
-    let values: Vec<f64> = (0..budget.queue_replications)
-        .map(|rep| {
-            let mut rng = streams.substream(scenario_id as u64, rep as u64);
-            let res =
-                simulate_klimov_policy(network, order, budget.horizon, budget.warmup, &mut rng);
-            if feedback {
-                res.mean_workload
-            } else {
-                res.holding_cost_rate
-            }
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
     let exact = if feedback {
         exact_mean_workload(network)
     } else {
@@ -254,11 +256,20 @@ fn run_klimov(
             .collect();
         mg1_nonpreemptive_priority(&classes, order).holding_cost_rate
     };
-    check(
-        stats.mean(),
+    replicate(
+        OraclePair::KlimovVsExact,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::KlimovVsExact),
+        budget.queue_replications,
+        scenario_id,
+        streams,
+        |rng| {
+            let res = simulate_klimov_policy(network, order, budget.horizon, budget.warmup, rng);
+            if feedback {
+                res.mean_workload
+            } else {
+                res.holding_cost_rate
+            }
+        },
     )
 }
 
@@ -289,18 +300,13 @@ fn run_restless(
         return check(optimal, bound, 0.0, gate);
     }
     let policy = RestlessPolicy::WhittleIndex(indices);
-    let values: Vec<f64> = (0..budget.restless_replications)
-        .map(|rep| {
-            let mut rng = streams.substream(scenario_id as u64, rep as u64);
-            simulate_restless(projects, m, &policy, budget.restless_horizon, &mut rng)
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
-    check(
-        stats.mean(),
+    replicate(
+        OraclePair::WhittleVsDp,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::WhittleVsDp),
+        budget.restless_replications,
+        scenario_id,
+        streams,
+        |rng| simulate_restless(projects, m, &policy, budget.restless_horizon, rng),
     )
 }
 
@@ -359,21 +365,14 @@ fn run_fabric_erlang(
     streams: &RngStreams,
 ) -> Verdict {
     let config = single_tier_fifo(servers, None, lambda, mu, budget);
-    let values: Vec<f64> = (0..budget.queue_replications)
-        .map(|rep| {
-            let seed = streams
-                .substream(scenario_id as u64, rep as u64)
-                .gen::<u64>();
-            run_fabric(&config, seed).tiers[0].mean_wait
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
     let exact = ss_queueing::parallel_servers::mmc_mean_wait(servers, lambda, mu);
-    check(
-        stats.mean(),
+    replicate(
+        OraclePair::FabricVsErlangC,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::FabricVsErlangC),
+        budget.queue_replications,
+        scenario_id,
+        streams,
+        |rng| run_fabric(&config, rng.gen::<u64>()).tiers[0].mean_wait,
     )
 }
 
@@ -396,73 +395,49 @@ fn run_fabric_mmck(
     streams: &RngStreams,
 ) -> Verdict {
     let config = single_tier_fifo(servers, Some(queue_cap), lambda, mu, budget);
-    let values: Vec<f64> = (0..budget.queue_replications)
-        .map(|rep| {
-            let seed = streams
-                .substream(scenario_id as u64, rep as u64)
-                .gen::<u64>();
-            let tier = &run_fabric(&config, seed).tiers[0];
-            let offered = tier.served + tier.dropped;
-            if offered == 0 {
-                0.0
-            } else {
-                tier.dropped as f64 / offered as f64
-            }
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
     let exact = ss_queueing::parallel_servers::mmck_blocking_probability(
         servers,
         servers + queue_cap,
         lambda,
         mu,
     );
-    check(
-        stats.mean(),
+    replicate(
+        OraclePair::FabricVsMmck,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::FabricVsMmck),
+        budget.queue_replications,
+        scenario_id,
+        streams,
+        |rng| {
+            let tier = &run_fabric(&config, rng.gen::<u64>()).tiers[0];
+            let offered = tier.served + tier.dropped;
+            if offered == 0 {
+                0.0
+            } else {
+                tier.dropped as f64 / offered as f64
+            }
+        },
     )
 }
 
 /// The SEPT/LEPT pair: Monte-Carlo list-schedule realisations vs the exact
-/// subset-DP value of the same list on the same machines.
-#[allow(clippy::too_many_arguments)]
+/// subset-DP value of the same list and objective on the same machines.
 fn run_list_schedule(
     scenario_id: usize,
-    rates: &[f64],
-    weights: &[f64],
+    instance: &BatchInstance,
     machines: usize,
     order: &[usize],
-    metric: BatchMetric,
+    metric: ParallelMetric,
     budget: &Budget,
     streams: &RngStreams,
 ) -> Verdict {
-    let instance = ExpParallelInstance::weighted(rates.to_vec(), weights.to_vec());
-    let batch = exp_batch_instance(&instance);
-    let exact = match metric {
-        BatchMetric::Flowtime | BatchMetric::WeightedFlowtime => {
-            list_policy_flowtime(&instance, order, machines)
-        }
-        BatchMetric::Makespan => list_policy_makespan(&instance, order, machines),
-    };
-    let values: Vec<f64> = (0..budget.list_replications)
-        .map(|rep| {
-            let mut rng = streams.substream(scenario_id as u64, rep as u64);
-            let out = simulate_list_schedule(&batch, order, machines, &mut rng);
-            match metric {
-                BatchMetric::Flowtime => out.total_flowtime,
-                BatchMetric::WeightedFlowtime => out.weighted_flowtime,
-                BatchMetric::Makespan => out.makespan,
-            }
-        })
-        .collect();
-    let stats = OnlineStats::from_slice(&values);
-    check(
-        stats.mean(),
+    let exact = list_policy_value(instance, order, machines, metric);
+    replicate(
+        OraclePair::SeptLeptVsDp,
         exact,
-        stats.ci_half_width_t(CONFIDENCE),
-        tolerance_for(OraclePair::SeptLeptVsDp),
+        budget.list_replications,
+        scenario_id,
+        streams,
+        |rng| simulate_list_schedule(instance, order, machines, rng).get(metric),
     )
 }
 
@@ -497,14 +472,11 @@ pub fn run_scenario(s: &Scenario, budget: &Budget, streams: &RngStreams) -> Scen
             mu,
         } => run_fabric_mmck(s.id, *servers, *queue_cap, *lambda, *mu, budget, streams),
         Spec::ListSchedule {
-            rates,
-            weights,
+            instance,
             machines,
             order,
             metric,
-        } => run_list_schedule(
-            s.id, rates, weights, *machines, order, *metric, budget, streams,
-        ),
+        } => run_list_schedule(s.id, instance, *machines, order, *metric, budget, streams),
     };
     ScenarioReport {
         id: s.id,

@@ -10,6 +10,8 @@
 use crate::oracle::OraclePair;
 use ss_bandits::project::BanditProject;
 use ss_bandits::restless::RestlessProject;
+use ss_batch::parallel::ParallelMetric;
+use ss_core::instance::BatchInstance;
 use ss_core::job::JobClass;
 use ss_lp::LinearProgram;
 use ss_queueing::klimov::KlimovNetwork;
@@ -37,18 +39,6 @@ pub fn pair_for_mode(mode: QueueMode) -> OraclePair {
         QueueMode::Preemptive => OraclePair::PreemptiveVsFormula,
         QueueMode::Conservation => OraclePair::ConservationIdentity,
     }
-}
-
-/// Which statistic a list-schedule scenario compares (the matching exact
-/// DP recursion is chosen in `crate::run`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchMetric {
-    /// `E[Σ C]` vs `ss_batch::exact_exp::list_policy_flowtime` (unit weights).
-    Flowtime,
-    /// `E[Σ w C]` vs the weighted flowtime recursion.
-    WeightedFlowtime,
-    /// `E[max C]` vs `ss_batch::exact_exp::list_policy_makespan`.
-    Makespan,
 }
 
 /// The model underlying one scenario.
@@ -130,20 +120,21 @@ pub enum Spec {
         /// Per-server exponential service rate `µ`.
         mu: f64,
     },
-    /// Exponential jobs list-scheduled on identical parallel machines,
-    /// checked against the exact subset-DP recursions of
-    /// `ss_batch::exact_exp`.
+    /// Exponential jobs list-scheduled on identical parallel machines:
+    /// `ss_batch::parallel::simulate_list_schedule` realisations checked
+    /// against the exact subset DP `ss_batch::exact_exp::list_policy_value`
+    /// of the same list and objective.
     ListSchedule {
-        /// Completion rate of each job.
-        rates: Vec<f64>,
-        /// Holding-cost weight of each job (all 1 unless weighted).
-        weights: Vec<f64>,
+        /// The jobs: every processing time exponential, weights all 1
+        /// unless the objective is the weighted flowtime.
+        instance: BatchInstance,
         /// Number of identical machines.
         machines: usize,
-        /// The static list evaluated on both sides of the pair.
+        /// The static list (SEPT, LEPT or WSEPT from `ss_batch::policies`)
+        /// evaluated on both sides of the pair.
         order: Vec<usize>,
         /// Which statistic is compared.
-        metric: BatchMetric,
+        metric: ParallelMetric,
     },
 }
 

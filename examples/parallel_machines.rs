@@ -13,53 +13,46 @@
 //! verifies this with the exact dynamic program and then checks a
 //! high-variability workload by simulation.
 
-use stochastic_scheduling::batch::exact_exp::{
-    lept_order_exp, list_policy_flowtime, list_policy_makespan, optimal_flowtime, optimal_makespan,
-    sept_order_exp, ExpParallelInstance,
-};
+use stochastic_scheduling::batch::exact_exp::{list_policy_value, optimal_value};
 use stochastic_scheduling::batch::parallel::{evaluate_list_policy, ParallelMetric};
 use stochastic_scheduling::batch::policies::{lept_order, sept_order};
 use stochastic_scheduling::core::instance::BatchInstance;
-use stochastic_scheduling::distributions::{dyn_dist, HyperExponential};
+use stochastic_scheduling::distributions::{dyn_dist, Exponential, HyperExponential};
 
 fn main() {
     // --- exact analysis for exponential jobs ---------------------------
     let mean_minutes = [12.0, 3.0, 8.0, 25.0, 5.0, 18.0, 9.0, 2.0];
-    let rates: Vec<f64> = mean_minutes.iter().map(|m| 1.0 / m).collect();
-    let instance = ExpParallelInstance::unweighted(rates);
+    let mut builder = BatchInstance::builder();
+    for &m in &mean_minutes {
+        builder = builder.unweighted_job(dyn_dist(Exponential::new(1.0 / m)));
+    }
+    let instance = builder.build();
     let machines = 3;
 
     println!("batch of {} exponential jobs on {machines} machines (means in minutes: {mean_minutes:?})\n", mean_minutes.len());
 
-    let sept = sept_order_exp(&instance);
-    let lept = lept_order_exp(&instance);
-    println!("objective: total flowtime  E[sum C]   (average turnaround)");
-    println!(
-        "  SEPT    : {:.2}",
-        list_policy_flowtime(&instance, &sept, machines)
-    );
-    println!(
-        "  LEPT    : {:.2}",
-        list_policy_flowtime(&instance, &lept, machines)
-    );
-    println!(
-        "  optimal : {:.2}   (SEPT attains it — Weber 1982)\n",
-        optimal_flowtime(&instance, machines)
-    );
-
-    println!("objective: makespan  E[max C]   (time until the whole batch is done)");
-    println!(
-        "  SEPT    : {:.2}",
-        list_policy_makespan(&instance, &sept, machines)
-    );
-    println!(
-        "  LEPT    : {:.2}",
-        list_policy_makespan(&instance, &lept, machines)
-    );
-    println!(
-        "  optimal : {:.2}   (LEPT attains it — Bruno/Downey/Frederickson 1981)\n",
-        optimal_makespan(&instance, machines)
-    );
+    let sept = sept_order(&instance);
+    let lept = lept_order(&instance);
+    for (heading, objective, attained_by) in [
+        (
+            "total flowtime  E[sum C]   (average turnaround)",
+            ParallelMetric::TotalFlowtime,
+            "SEPT attains it — Weber 1982",
+        ),
+        (
+            "makespan  E[max C]   (time until the whole batch is done)",
+            ParallelMetric::Makespan,
+            "LEPT attains it — Bruno/Downey/Frederickson 1981",
+        ),
+    ] {
+        println!("objective: {heading}");
+        for (name, list) in [("SEPT", &sept), ("LEPT", &lept)] {
+            let value = list_policy_value(&instance, list, machines, objective);
+            println!("  {name}    : {value:.2}");
+        }
+        let optimum = optimal_value(&instance, machines, objective);
+        println!("  optimal : {optimum:.2}   ({attained_by})\n");
+    }
 
     // --- a high-variability workload, by simulation ---------------------
     println!(

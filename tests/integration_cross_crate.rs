@@ -8,11 +8,9 @@ use stochastic_scheduling::bandits::gittins::gittins_indices_vwb;
 use stochastic_scheduling::bandits::instances::maintenance_project;
 use stochastic_scheduling::bandits::instances::random_project;
 use stochastic_scheduling::bandits::restless::{relaxation_bound_identical, whittle_indices};
-use stochastic_scheduling::batch::exact_exp::{
-    list_policy_flowtime, sept_order_exp, ExpParallelInstance,
-};
+use stochastic_scheduling::batch::exact_exp::list_policy_value;
 use stochastic_scheduling::batch::parallel::{evaluate_list_policy, ParallelMetric};
-use stochastic_scheduling::batch::policies::wsept_order;
+use stochastic_scheduling::batch::policies::{sept_order, wsept_order};
 use stochastic_scheduling::batch::single_machine::expected_weighted_flowtime;
 use stochastic_scheduling::core::instance::{BatchInstance, InstanceFamily, InstanceGenerator};
 use stochastic_scheduling::core::job::JobClass;
@@ -35,8 +33,7 @@ fn single_machine_values_agree_across_methods() {
     let order = wsept_order(&inst);
     let closed_form = expected_weighted_flowtime(&inst, &order);
 
-    let exp_inst = ExpParallelInstance::unweighted(rates.to_vec());
-    let dp = list_policy_flowtime(&exp_inst, &sept_order_exp(&exp_inst), 1);
+    let dp = list_policy_value(&inst, &sept_order(&inst), 1, ParallelMetric::TotalFlowtime);
     assert!(
         (closed_form - dp).abs() < 1e-9,
         "closed form {closed_form} vs DP {dp}"

@@ -14,10 +14,11 @@ use stochastic_scheduling::bandits::branching::offspring::OffspringDist;
 use stochastic_scheduling::bandits::branching::BranchingBandit;
 use stochastic_scheduling::bandits::instances::random_restless_project;
 use stochastic_scheduling::bandits::restless_exact::restless_optimal_gain;
-use stochastic_scheduling::batch::exact_exp::{
-    lept_order_exp, list_policy_flowtime, list_policy_makespan, optimal_flowtime, optimal_makespan,
-    sept_order_exp, ExpParallelInstance,
+use stochastic_scheduling::batch::exact_exp::{list_policy_value, optimal_value};
+use stochastic_scheduling::batch::parallel::ParallelMetric::{
+    Makespan, TotalFlowtime, WeightedFlowtime,
 };
+use stochastic_scheduling::batch::policies::{lept_order, sept_order};
 use stochastic_scheduling::batch::single_machine::exhaustive_optimal_order;
 use stochastic_scheduling::batch::two_point_exact::{best_static_list, TwoPointInstance};
 use stochastic_scheduling::core::adaptive_greedy::AdaptiveGreedyResult;
@@ -132,7 +133,7 @@ fn order_search_bits_match_the_recorded_digest() {
         ],
         weights: vec![1.0, 2.0, 0.5, 2.0, 1.5],
     };
-    for objective in 0..=2 {
+    for objective in [TotalFlowtime, WeightedFlowtime, Makespan] {
         push_search(&mut words, best_static_list(&two_point, 2, objective));
     }
     assert_digest("order search", &words, (0x8c2e_3635_7961_f277, 30));
@@ -141,22 +142,28 @@ fn order_search_bits_match_the_recorded_digest() {
 #[test]
 fn subset_dp_bits_match_the_recorded_digest() {
     let mut words = Vec::new();
-    let instance = ExpParallelInstance::weighted(
-        vec![0.4, 2.5, 1.0, 3.0, 0.7, 1.8, 1.0],
-        vec![1.0, 0.5, 2.0, 1.5, 3.0, 1.0, 2.0],
-    );
+    // Exponential jobs; the rates of jobs 2 and 6 tie.
+    let rates = [0.4, 2.5, 1.0, 3.0, 0.7, 1.8, 1.0];
+    let weights = [1.0, 0.5, 2.0, 1.5, 3.0, 1.0, 2.0];
+    let mut builder = BatchInstance::builder();
+    for (rate, weight) in rates.into_iter().zip(weights) {
+        builder = builder.job(weight, dyn_dist(Exponential::new(rate)));
+    }
+    let instance = builder.build();
     let lists = [
-        sept_order_exp(&instance),
-        lept_order_exp(&instance),
+        sept_order(&instance),
+        lept_order(&instance),
         vec![6, 0, 5, 1, 4, 2, 3],
     ];
     for machines in 1..=3 {
         for list in &lists {
-            words.push(list_policy_flowtime(&instance, list, machines).to_bits());
-            words.push(list_policy_makespan(&instance, list, machines).to_bits());
+            for objective in [WeightedFlowtime, Makespan] {
+                words.push(list_policy_value(&instance, list, machines, objective).to_bits());
+            }
         }
-        words.push(optimal_flowtime(&instance, machines).to_bits());
-        words.push(optimal_makespan(&instance, machines).to_bits());
+        for objective in [WeightedFlowtime, Makespan] {
+            words.push(optimal_value(&instance, machines, objective).to_bits());
+        }
     }
     assert_digest("subset DP", &words, (0xee80_0cf5_ba4d_9302, 24));
 }
