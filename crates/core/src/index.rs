@@ -1,57 +1,20 @@
-//! A total-ordering wrapper for floating-point priority indices.
-
-use std::cmp::Ordering;
-
-/// A priority index value.  Wraps `f64` with a total order (NaN is rejected
-/// at construction) so index policies can sort and compare without
-/// `partial_cmp().unwrap()` noise at every call site.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PriorityIndex(f64);
-
-impl PriorityIndex {
-    /// Wrap a finite (or infinite, but not NaN) index value.
-    pub fn new(value: f64) -> Self {
-        assert!(!value.is_nan(), "priority index cannot be NaN");
-        Self(value)
-    }
-
-    /// The raw value.
-    pub fn value(&self) -> f64 {
-        self.0
-    }
-}
-
-impl Eq for PriorityIndex {}
-
-impl PartialOrd for PriorityIndex {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PriorityIndex {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0
-            .partial_cmp(&other.0)
-            .expect("NaN rejected at construction")
-    }
-}
-
-impl From<f64> for PriorityIndex {
-    fn from(v: f64) -> Self {
-        Self::new(v)
-    }
-}
+//! The "serve highest index first" primitive of every priority-index rule.
 
 /// Return the indices of `values` sorted by decreasing value (ties broken by
 /// original position, i.e. a stable ordering).  This is the "serve highest
 /// index first" primitive shared by every priority-index rule in the
-/// workspace.
+/// workspace.  Infinite values order as usual; a NaN panics, even in a
+/// slice of one value, which is never compared.
 pub fn argsort_decreasing(values: &[f64]) -> Vec<usize> {
+    assert!(
+        !values.iter().any(|v| v.is_nan()),
+        "priority index cannot be NaN"
+    );
     let mut order: Vec<usize> = (0..values.len()).collect();
     order.sort_by(|&a, &b| {
-        PriorityIndex::new(values[b])
-            .cmp(&PriorityIndex::new(values[a]))
+        values[b]
+            .partial_cmp(&values[a])
+            .expect("NaN rejected above")
             .then(a.cmp(&b))
     });
     order
@@ -62,30 +25,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ordering_works() {
-        let a = PriorityIndex::new(1.0);
-        let b = PriorityIndex::new(2.0);
-        assert!(b > a);
-        assert_eq!(a.max(b).value(), 2.0);
-    }
-
-    #[test]
-    fn infinities_allowed() {
-        let hi = PriorityIndex::new(f64::INFINITY);
-        let lo = PriorityIndex::new(f64::NEG_INFINITY);
-        assert!(hi > lo);
-    }
-
-    #[test]
-    #[should_panic]
-    fn nan_rejected() {
-        let _ = PriorityIndex::new(f64::NAN);
-    }
-
-    #[test]
     fn argsort_is_decreasing_and_stable() {
         let values = [1.0, 3.0, 2.0, 3.0];
         let order = argsort_decreasing(&values);
         assert_eq!(order, vec![1, 3, 2, 0]);
+    }
+
+    #[test]
+    fn infinities_order_at_the_ends() {
+        let values = [0.0, f64::NEG_INFINITY, f64::INFINITY, 1.0, f64::INFINITY];
+        assert_eq!(argsort_decreasing(&values), vec![2, 4, 3, 0, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "priority index cannot be NaN")]
+    fn nan_is_rejected_even_alone() {
+        argsort_decreasing(&[f64::NAN]);
     }
 }

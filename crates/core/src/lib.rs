@@ -15,7 +15,8 @@
 //!   job classes;
 //! * [`instance`] — batch-scheduling problem instances, builders and random
 //!   generators with documented seeds;
-//! * [`index`] — a total-ordering wrapper for `f64` priority indices;
+//! * [`index`] — the "serve highest index first" sort of `f64` priority
+//!   indices;
 //! * [`result`] — comparison tables (policy → value ± CI) shared by the
 //!   experiment harness and the examples.
 
@@ -30,7 +31,6 @@ pub mod result;
 
 pub use adaptive_greedy::{adaptive_greedy, AdaptiveGreedyResult, WorkMeasure};
 pub use discipline::Discipline;
-pub use index::PriorityIndex;
 pub use instance::{BatchInstance, BatchInstanceBuilder};
 pub use job::{Job, JobClass};
 pub use result::{ComparisonRow, ComparisonTable};
