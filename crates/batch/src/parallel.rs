@@ -36,17 +36,22 @@ impl ScheduleOutcome {
     }
 }
 
-/// The objective of a batch on identical machines: the statistic of a
-/// schedule that a simulation aggregates, an exact method computes or a
-/// search minimises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ParallelMetric {
-    /// Expected total flowtime `E[Σ C]`.
-    TotalFlowtime,
-    /// Expected weighted flowtime `E[Σ w C]`.
-    WeightedFlowtime,
-    /// Expected makespan `E[max C]`.
-    Makespan,
+/// Simulate one realisation of list scheduling `order` on `machines`
+/// identical machines, drawing each job's processing time as it starts.
+pub fn simulate_list_schedule(
+    instance: &BatchInstance,
+    order: &[usize],
+    machines: usize,
+    rng: &mut dyn RngCore,
+) -> ScheduleOutcome {
+    assert_eq!(order.len(), instance.len(), "order must cover all jobs");
+    let jobs = instance.jobs();
+    schedule_list(
+        order,
+        machines,
+        |j| jobs[j].weight,
+        |j| jobs[j].dist.sample(rng),
+    )
 }
 
 /// List-schedule `order` on `machines` identical machines: each job in
@@ -83,22 +88,17 @@ pub(crate) fn schedule_list(
     }
 }
 
-/// Simulate one realisation of list scheduling `order` on `machines`
-/// identical machines, drawing each job's processing time as it starts.
-pub fn simulate_list_schedule(
-    instance: &BatchInstance,
-    order: &[usize],
-    machines: usize,
-    rng: &mut dyn RngCore,
-) -> ScheduleOutcome {
-    assert_eq!(order.len(), instance.len(), "order must cover all jobs");
-    let jobs = instance.jobs();
-    schedule_list(
-        order,
-        machines,
-        |j| jobs[j].weight,
-        |j| jobs[j].dist.sample(rng),
-    )
+/// The objective of a batch on identical machines: the statistic of a
+/// schedule that a simulation aggregates, an exact method computes or a
+/// search minimises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParallelMetric {
+    /// Expected total flowtime `E[Σ C]`.
+    TotalFlowtime,
+    /// Expected weighted flowtime `E[Σ w C]`.
+    WeightedFlowtime,
+    /// Expected makespan `E[max C]`.
+    Makespan,
 }
 
 /// Estimate the chosen metric of a static list by independent replications

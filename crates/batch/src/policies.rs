@@ -94,6 +94,17 @@ mod tests {
     }
 
     #[test]
+    fn sept_and_lept_keep_job_order_on_equal_means() {
+        let tied = BatchInstance::builder()
+            .unweighted_job(dyn_dist(Exponential::with_mean(2.0)))
+            .unweighted_job(dyn_dist(Exponential::with_mean(1.0)))
+            .unweighted_job(dyn_dist(Exponential::with_mean(2.0)))
+            .build();
+        assert_eq!(sept_order(&tied), vec![1, 0, 2]);
+        assert_eq!(lept_order(&tied), vec![0, 2, 1]);
+    }
+
+    #[test]
     fn random_order_is_permutation() {
         let inst = instance();
         let mut rng = rand::rngs::mock::StepRng::new(42, 13);
