@@ -27,16 +27,6 @@ impl OnlineStats {
         }
     }
 
-    /// Accumulate a whole sample at once (convenience for oracle checks
-    /// and tests that already hold their observations in a slice).
-    pub fn from_slice(xs: &[f64]) -> Self {
-        let mut s = Self::new();
-        for &x in xs {
-            s.push(x);
-        }
-        s
-    }
-
     /// Add one observation.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
@@ -383,19 +373,6 @@ mod tests {
         assert!((s.variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn from_slice_equals_pushes() {
-        let xs = [1.0, 2.5, -3.0, 4.25];
-        let s = OnlineStats::from_slice(&xs);
-        let mut t = OnlineStats::new();
-        for &x in &xs {
-            t.push(x);
-        }
-        assert_eq!(s.count(), t.count());
-        assert_eq!(s.mean().to_bits(), t.mean().to_bits());
-        assert_eq!(s.variance().to_bits(), t.variance().to_bits());
     }
 
     #[test]
