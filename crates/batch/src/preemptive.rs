@@ -25,46 +25,55 @@ use rand::RngCore;
 use ss_core::instance::BatchInstance;
 use ss_distributions::ServiceDistribution;
 
-/// Trapezoid abscissae per grid point.
+/// Trapezoid steps over the first quantum. Every later step at quantum `t`
+/// is at most `t / STEPS`.
 const STEPS: usize = 32;
-/// Abscissae evaluated between two early-exit checks: Erlang's lane width.
-const CHUNK: usize = 4;
-/// Every `PROBE_STRIDE`-th grid point is visited before the rest.
-const PROBE_STRIDE: usize = 16;
 
 /// Numerically evaluate the Gittins/Sevcik index of a job with weight
 /// `weight`, processing-time distribution `dist` and attained service `a`.
 ///
-/// The supremum over the stopping quantum `s` is approximated over the
-/// geometric grid `s_0 = min_quantum`, `s_{g+1} = s_g · ratio` of
-/// `grid_points` points spanning `[min_quantum, horizon]`. At each point
-/// the ratio is `P(done by a + s | survived a)` over `E[min(residual, s) |
-/// survived a]`, the latter a 32-point trapezoid over the conditional
-/// survival function summed in abscissa order.
+/// The supremum over the stopping quantum `s` is taken over the geometric
+/// grid `s_0 = min_quantum`, `s_{g+1} = s_g · ratio` of `grid_points` points
+/// spanning `[min_quantum, horizon]`, and over running to completion:
 ///
-/// Most points cannot reach the supremum, and the trapezoid stops early
-/// at those. Every 16th point is visited first, which finds a large ratio
-/// early, and then the rest in ascending order. Each point's abscissae go
-/// through [`ServiceDistribution::sf_batch`] four at a time, and before
-/// each batch the point is abandoned once `p / partial` falls below the
-/// best ratio so far. That leaves the result's bits unchanged:
+/// * **Along the grid**, one running trapezoid integrates the conditional
+///   survival `S(a + t) / S(a)`: 32 equal steps over the first quantum
+///   `[0, s_0]`, then `k = max(1, ⌈32 (ratio − 1)⌉)` equal steps over each
+///   interval `[s_{g−1}, s_g]`, the last of them ending exactly at `s_g`.
+///   So a step at quantum `t` is at most `max(t, s_0) / 32`. At each grid
+///   point the ratio is the completion probability `1 − S(a + s_g) / S(a)`
+///   over the integral so far. `k` is 1 on the fabric's grid
+///   `(1e-3, 60, 400)`, 12 on [`PreemptiveConfig::default`]'s and 24 on
+///   E2's; it grows with `ratio − 1`, so a coarse grid costs more. All
+///   `1 + 32 + (grid_points − 1)·k` survival values come from one
+///   [`ServiceDistribution::sf_batch`] call and the one `sf(a)`.
+/// * **Running to completion** has the ratio `S(a) / E[(S − a)⁺]`, with
+///   `E[(S − a)⁺] = E[S] − ∫_0^a S`: `1 / E[S]` at `a = 0`. For `a > 0` the
+///   integral is a right-endpoint sum over steps of at most
+///   `max(t, s_0) / 32`. For a nonincreasing `S` that sum never exceeds
+///   the integral, so this ratio never exceeds its exact value: a
+///   trapezoid there reads the Erlang-10 (mean 1) at `a = 2` 22% high.
 ///
-/// * every trapezoid term is nonnegative, because `sf` is (see its
-///   contract), so the rounded full sum is at least any rounded partial
-///   sum, and by monotone rounded division the point's final ratio is at
-///   most `p / partial`: an abandoned point could not raise the maximum;
-/// * the maximum of the visited ratios does not depend on the visiting
-///   order: a NaN ratio never reaches it, as `f64::max` drops it and the
-///   comparisons with it are false. The one order-sensitive case, the
-///   sign of a zero maximum, needs a completion probability of `-0`,
-///   which none of the workspace's laws returns: a job that cannot finish
-///   inside the grid has index `+0`.
+/// The index exceeds the exact one, `G`, by at most a factor
+/// `1 / (1 − (1 + s_0 G) / 64)`, since each trapezoid step errs by at most
+/// half its width times the fall of `S` across it. For an
+/// increasing-hazard law the supremum is at run to completion, so at
+/// `a = 0` the index reads at least `1 / E[S]`, the exact value. For a
+/// decreasing-hazard law the supremum is at `s → 0`, the hazard `h(a)`,
+/// and the index reads at least `h(a + s_0)`, up to the first quantum's
+/// trapezoid. A job whose support lies beyond the horizon reads
+/// `1 / E[S − a | S > a]`. Where the hazard is infinite, as for a Weibull
+/// of shape below 1 at `a = 0`, the index is the first quantum's ratio,
+/// finite on any grid: 31.8 for `Weibull(0.5, 1)` on the fabric's grid.
 ///
 /// # Panics
 ///
 /// If `min_quantum` is not positive, `horizon` is not finite or not above
 /// `min_quantum`, `grid_points` is below 2, or `attained` is not finite
 /// and nonnegative: each of these returns a meaningless index otherwise.
+/// Also if the step count overflows a `usize`, as it does when
+/// `horizon / min_quantum` overflows: the steps would never reach the
+/// horizon.
 pub fn gittins_service_index(
     dist: &dyn ServiceDistribution,
     weight: f64,
@@ -96,42 +105,80 @@ pub fn gittins_service_index(
         return f64::INFINITY;
     }
     let ratio = (horizon / min_quantum).powf(1.0 / (grid_points - 1) as f64);
-    let grid: Vec<f64> = std::iter::successors(Some(min_quantum), |s| Some(s * ratio))
-        .take(grid_points)
-        .collect();
-    let probes = (0..grid_points).step_by(PROBE_STRIDE);
-    let rest = (0..grid_points).filter(|g| g % PROBE_STRIDE != 0);
+    let k = (STEPS as f64 * (ratio - 1.0)).ceil().max(1.0) as usize;
+    let steps = (grid_points - 1)
+        .checked_mul(k)
+        .and_then(|n| n.checked_add(STEPS))
+        .unwrap_or_else(|| {
+            panic!("gittins_service_index: a grid of ratio {ratio} needs more steps than a usize counts")
+        });
+    let quanta: Vec<f64> = quanta(min_quantum, ratio, k).take(steps).collect();
+    let xs: Vec<f64> = quanta.iter().map(|t| attained + t).collect();
+    let mut survival = vec![0.0; xs.len()];
+    dist.sf_batch(&xs, &mut survival);
     let mut best = 0.0f64;
-    // One batch of the trapezoid's abscissae a + kh, k = 1..=STEPS, and
-    // their survival.
-    let mut xs = [0.0; CHUNK];
-    let mut sfs = [0.0; CHUNK];
-    'points: for s in probes.chain(rest).map(|g| grid[g]) {
-        let p_complete = dist.completion_rate(attained, s);
-        let h = s / STEPS as f64;
-        let mut integral = 0.0;
-        let mut prev = 1.0; // S(a + 0)/S(a)
-        for first in (1..=STEPS).step_by(CHUNK) {
-            // `integral` only grows, so the point cannot beat `best`. At
-            // the first batch `p_complete / 0` is +∞ or NaN: no exit.
-            if p_complete / integral < best {
-                continue 'points;
-            }
-            for (k, x) in (first..).zip(&mut xs) {
-                *x = attained + k as f64 * h;
-            }
-            dist.sf_batch(&xs, &mut sfs);
-            for &sf in &sfs {
-                let cur = sf / sa;
-                integral += 0.5 * (prev + cur) * h;
-                prev = cur;
-            }
-        }
-        if integral > 1e-12 {
-            best = best.max(p_complete / integral);
+    let mut integral = 0.0;
+    let (mut t_prev, mut s_prev) = (0.0, 1.0); // S(a + 0)/S(a)
+    for (step, (&t, &sf)) in (1..).zip(quanta.iter().zip(&survival)) {
+        let s = sf / sa;
+        integral += 0.5 * (s_prev + s) * (t - t_prev);
+        (t_prev, s_prev) = (t, s);
+        // Step STEPS ends at s_0, and every k-th step after it at a grid
+        // point.
+        if step >= STEPS && (step - STEPS).is_multiple_of(k) && integral > 1e-12 {
+            best = best.max((1.0 - s) / integral);
         }
     }
+    // E[S − a | S > a], the integral of running to completion.
+    let residual = (dist.mean() - survival_below(dist, attained, min_quantum)) / sa;
+    if residual > 1e-12 {
+        best = best.max(1.0 / residual);
+    }
     weight * best
+}
+
+/// The trapezoid's nodes: `STEPS` equal steps over `[0, s_0]`, then `k`
+/// equal steps over each interval `[s_{g−1}, s_g]` of the grid
+/// `s_g = s_{g−1} · ratio`, the last ending exactly at `s_g`. Unbounded.
+fn quanta(min_quantum: f64, ratio: f64, k: usize) -> impl Iterator<Item = f64> {
+    let first = (1..=STEPS).map(move |j| min_quantum * j as f64 / STEPS as f64);
+    let grid = std::iter::successors(Some(min_quantum), move |s| Some(s * ratio));
+    first.chain(grid.flat_map(move |s| {
+        let next = s * ratio;
+        (1..=k).map(move |i| {
+            if i == k {
+                next
+            } else {
+                s + (next - s) * i as f64 / k as f64
+            }
+        })
+    }))
+}
+
+/// `∫_0^a S`, from below for a nonincreasing `S`: the right-endpoint sum
+/// over `STEPS` equal steps up to `s_0` and then the nodes
+/// `s_0 (1 + 1 / STEPS)^n`, so a step at `t` is at most `max(t, s_0) / STEPS`
+/// as along the grid. The last step is cut at `a`. No work at `a = 0`.
+fn survival_below(dist: &dyn ServiceDistribution, attained: f64, min_quantum: f64) -> f64 {
+    if attained == 0.0 {
+        return 0.0;
+    }
+    let growth = 1.0 + 1.0 / STEPS as f64;
+    let nodes: Vec<f64> = (1..=STEPS)
+        .map(|j| min_quantum * j as f64 / STEPS as f64)
+        .chain((1..).map(|n| min_quantum * growth.powi(n)))
+        .take_while(|&t| t < attained)
+        .chain([attained])
+        .collect();
+    let mut survival = vec![0.0; nodes.len()];
+    dist.sf_batch(&nodes, &mut survival);
+    let mut t_prev = 0.0;
+    let mut sum = 0.0;
+    for (&t, &s) in nodes.iter().zip(&survival) {
+        sum += s * (t - t_prev);
+        t_prev = t;
+    }
+    sum
 }
 
 /// Outcome of one simulated preemptive schedule.
@@ -542,6 +589,14 @@ mod tests {
     #[should_panic(expected = "grid_points must be at least 2, got 1")]
     fn one_grid_point_is_rejected() {
         gittins_service_index(&Erlang::new(4, 4.0), 1.0, 0.0, 1e-3, 60.0, 1);
+    }
+
+    /// A ratio `horizon / min_quantum` of `+∞` makes every step past the
+    /// first quantum infinite.
+    #[test]
+    #[should_panic(expected = "a grid of ratio inf needs more steps than a usize counts")]
+    fn an_overflowing_grid_ratio_is_rejected() {
+        gittins_service_index(&Erlang::new(4, 4.0), 1.0, 0.0, 1e-300, 1e10, 2);
     }
 
     /// A NaN attained service gave the index +∞, top priority.

@@ -53,14 +53,6 @@ impl ServiceDistribution for Deterministic {
         0.0
     }
 
-    fn completion_rate(&self, a: f64, delta: f64) -> f64 {
-        if a + delta >= self.value {
-            1.0
-        } else {
-            0.0
-        }
-    }
-
     fn describe(&self) -> String {
         format!("Det({:.4})", self.value)
     }
@@ -82,12 +74,5 @@ mod tests {
         assert_eq!(d.sample(&mut rng), 3.0);
         assert_eq!(d.cdf(2.999), 0.0);
         assert_eq!(d.cdf(3.0), 1.0);
-    }
-
-    #[test]
-    fn completion_rate_is_step() {
-        let d = Deterministic::new(1.0);
-        assert_eq!(d.completion_rate(0.0, 0.5), 0.0);
-        assert_eq!(d.completion_rate(0.6, 0.5), 1.0);
     }
 }

@@ -73,10 +73,6 @@ impl ServiceDistribution for Exponential {
         Some(self.rate)
     }
 
-    fn completion_rate(&self, _a: f64, delta: f64) -> f64 {
-        1.0 - (-self.rate * delta).exp()
-    }
-
     fn describe(&self) -> String {
         format!("Exp(rate={:.4})", self.rate)
     }

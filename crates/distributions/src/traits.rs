@@ -68,18 +68,15 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
 
     /// Probability density (or, for discrete distributions, an impulse-free
     /// surrogate used only by numeric hazard computations).  Implementations
-    /// for discrete distributions may return `0.0`; callers that need
-    /// hazards of discrete distributions should use
-    /// [`ServiceDistribution::completion_rate`] instead.
+    /// for discrete distributions may return `0.0`; callers that need the
+    /// completion probabilities of discrete distributions should read them
+    /// from [`ServiceDistribution::sf`], as `1 - sf(a + delta) / sf(a)`.
     fn pdf(&self, x: f64) -> f64;
 
     /// Survival function `P(X > x)`, in `[0, 1]`.
     ///
     /// The default clamps `1 - cdf(x)` at 0, so a rounding error in `cdf`
-    /// never makes it negative. An override must stay nonnegative too: the
-    /// Gittins service index (`ss_batch::preemptive::gittins_service_index`)
-    /// stops a trapezoid early on the grounds that its terms, built from
-    /// these values, only add.
+    /// never makes it negative. An override must stay in `[0, 1]` too.
     fn sf(&self, x: f64) -> f64 {
         (1.0 - self.cdf(x)).max(0.0)
     }
@@ -136,20 +133,6 @@ pub trait ServiceDistribution: Send + Sync + fmt::Debug {
         }
     }
 
-    /// Probability that a job with attained service `a` completes within the
-    /// next `delta` units of service: `P(X <= a + delta | X > a)`.
-    ///
-    /// Used by discrete-review preemptive schedulers and by the numeric
-    /// Gittins-index construction for general distributions (including
-    /// discrete ones where the hazard is not defined).
-    fn completion_rate(&self, a: f64, delta: f64) -> f64 {
-        let sa = self.sf(a);
-        if sa <= 1e-300 {
-            return 1.0;
-        }
-        ((self.cdf(a + delta) - self.cdf(a)) / sa).clamp(0.0, 1.0)
-    }
-
     /// The stored rate when this is an exponential law, sampled as
     /// `-(1.0 - u).ln() / rate` from one uniform `u`; `None` for every
     /// other law, including those that happen to equal an exponential
@@ -179,17 +162,6 @@ mod tests {
         let d = Exponential::new(2.0); // mean 0.5, var 0.25
         assert!((d.second_moment() - 0.5).abs() < 1e-12);
         assert!((d.scv() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn completion_rate_is_a_probability() {
-        let d = Exponential::new(1.0);
-        for a in [0.0, 1.0, 3.0] {
-            for delta in [0.01, 0.1, 1.0] {
-                let p = d.completion_rate(a, delta);
-                assert!((0.0..=1.0).contains(&p));
-            }
-        }
     }
 
     /// The exponential reports its stored rate, which `1 / mean()` does not

@@ -3,8 +3,7 @@
 //! The survey highlights (citing Coffman–Hofri–Weiss 1989) that on two
 //! parallel machines with two-point processing times the simple index rules
 //! (SEPT/LEPT) are *not* optimal in general; experiment E5 reproduces that
-//! counterexample regime, so this family gets first-class support including
-//! exact conditional completion probabilities.
+//! counterexample regime, so this family gets first-class support.
 
 use crate::traits::{DistKind, ServiceDistribution};
 use rand::{Rng, RngCore};
@@ -80,14 +79,6 @@ impl ServiceDistribution for TwoPoint {
         0.0
     }
 
-    fn completion_rate(&self, a: f64, delta: f64) -> f64 {
-        let sa = self.sf(a);
-        if sa <= 0.0 {
-            return 1.0;
-        }
-        ((self.cdf(a + delta) - self.cdf(a)) / sa).clamp(0.0, 1.0)
-    }
-
     fn describe(&self) -> String {
         format!(
             "TwoPoint(p={:.3}: {:.3}|{:.3})",
@@ -118,16 +109,6 @@ mod tests {
         let lows = (0..n).filter(|_| d.sample(&mut rng) == 1.0).count();
         let frac = lows as f64 / n as f64;
         assert!((frac - 0.3).abs() < 0.01, "fraction {frac}");
-    }
-
-    #[test]
-    fn completion_rate_steps() {
-        let d = TwoPoint::new(0.5, 1.0, 4.0);
-        // Starting fresh, completing within 1 unit happens iff the job is short.
-        assert!((d.completion_rate(0.0, 1.0) - 0.5).abs() < 1e-12);
-        // Having survived past the short point, no completion before 4.
-        assert_eq!(d.completion_rate(2.0, 1.0), 0.0);
-        assert_eq!(d.completion_rate(3.5, 1.0), 1.0);
     }
 
     #[test]

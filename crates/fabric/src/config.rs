@@ -163,7 +163,12 @@ pub enum DisciplineKind {
     Fifo,
     /// The cµ rule (holding cost × service rate).
     Cmu,
-    /// Gittins service index at zero attained service.
+    /// The Gittins service index at zero attained service, `G_j(0)`.  A
+    /// heuristic: a fabric server cannot stop a request, and for linear
+    /// holding costs cµ is the optimal static order of such a server (Cox
+    /// and Smith 1961).  It ranks an increasing-hazard class by
+    /// `c_j / E[S_j]`, as cµ does, so the two differ only on
+    /// decreasing-hazard or non-monotone classes.
     Gittins,
     /// Whittle indices of the per-class queue-length birth–death projects.
     Whittle,

@@ -39,7 +39,7 @@ fn served_index_bits_match_the_recorded_digest() {
     let (digest, values) = served_index_digest();
     assert_eq!(
         (digest, values),
-        (0xf645_a16b_8252_3c95, 992),
+        (0xa0bc_de4e_701b_cc25, 992),
         "served index bits drifted: digest {digest:#018x} over {values} values"
     );
 }
