@@ -177,4 +177,15 @@ mod tests {
             );
         }
     }
+
+    /// A 2-point grid over the fabric's span `(1e-3, 60)` is one interval
+    /// of ratio 60,000: one `sf` at the attained service, 32 steps over
+    /// the first quantum and `⌈ln 60,000 / ln(33/32)⌉ = 358` growing steps
+    /// after it.  Equal steps within `t / 32` took 1,919,968 there.
+    #[test]
+    fn a_two_point_grid_evaluates_the_recorded_abscissae() {
+        let law = Counted::new(Erlang::with_mean(4, 1.0));
+        gittins_service_index(&*law, 1.0, 0.0, MIN_QUANTUM, HORIZON, 2);
+        assert_eq!(law.abscissae(), 1 + 32 + 358);
+    }
 }

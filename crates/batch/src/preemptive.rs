@@ -29,6 +29,9 @@ use ss_distributions::ServiceDistribution;
 /// is at most `t / STEPS`.
 const STEPS: usize = 32;
 
+/// The most a later step may grow the quantum: `t` to `t · GROWTH`.
+const GROWTH: f64 = 1.0 + 1.0 / STEPS as f64;
+
 /// Numerically evaluate the Gittins/Sevcik index of a job with weight
 /// `weight`, processing-time distribution `dist` and attained service `a`.
 ///
@@ -38,15 +41,17 @@ const STEPS: usize = 32;
 ///
 /// * **Along the grid**, one running trapezoid integrates the conditional
 ///   survival `S(a + t) / S(a)`: 32 equal steps over the first quantum
-///   `[0, s_0]`, then `k = max(1, ⌈32 (ratio − 1)⌉)` equal steps over each
-///   interval `[s_{g−1}, s_g]`, the last of them ending exactly at `s_g`.
-///   So a step at quantum `t` is at most `max(t, s_0) / 32`. At each grid
-///   point the ratio is the completion probability `1 − S(a + s_g) / S(a)`
-///   over the integral so far. `k` is 1 on the fabric's grid
-///   `(1e-3, 60, 400)`, 12 on [`PreemptiveConfig::default`]'s and 24 on
-///   E2's; it grows with `ratio − 1`, so a coarse grid costs more. All
-///   `1 + 32 + (grid_points − 1)·k` survival values come from one
-///   [`ServiceDistribution::sf_batch`] call and the one `sf(a)`.
+///   `[0, s_0]`, then `k = max(1, ⌈ln ratio / ln(33/32)⌉)` steps over each
+///   interval `[s_{g−1}, s_g]`, each node `ratio^(1/k)` times the last and
+///   the last node exactly `s_g`. So a step at quantum `t` is at most
+///   `max(t, s_0) / 32`. At each grid point the ratio is the completion
+///   probability `1 − S(a + s_g) / S(a)` over the integral so far. `k` is
+///   1 on the fabric's grid `(1e-3, 60, 400)`, 10 on
+///   [`PreemptiveConfig::default`]'s and 18 on E2's; it grows with
+///   `ln ratio`, so a grid's steps grow with the log of its span, however
+///   few its points (358 per interval for a 2-point grid over
+///   `(1e-3, 60)`). All `1 + 32 + (grid_points − 1)·k` survival values come
+///   from one [`ServiceDistribution::sf_batch`] call and the one `sf(a)`.
 /// * **Running to completion** has the ratio `S(a) / E[(S − a)⁺]`, with
 ///   `E[(S − a)⁺] = E[S] − ∫_0^a S`: `1 / E[S]` at `a = 0`. For `a > 0` the
 ///   integral is a right-endpoint sum over steps of at most
@@ -105,7 +110,7 @@ pub fn gittins_service_index(
         return f64::INFINITY;
     }
     let ratio = (horizon / min_quantum).powf(1.0 / (grid_points - 1) as f64);
-    let k = (STEPS as f64 * (ratio - 1.0)).ceil().max(1.0) as usize;
+    let k = (ratio.ln() / GROWTH.ln()).ceil().max(1.0) as usize;
     let steps = (grid_points - 1)
         .checked_mul(k)
         .and_then(|n| n.checked_add(STEPS))
@@ -138,35 +143,30 @@ pub fn gittins_service_index(
 }
 
 /// The trapezoid's nodes: `STEPS` equal steps over `[0, s_0]`, then `k`
-/// equal steps over each interval `[s_{g−1}, s_g]` of the grid
-/// `s_g = s_{g−1} · ratio`, the last ending exactly at `s_g`. Unbounded.
+/// steps over each interval `[s_{g−1}, s_g]` of the grid
+/// `s_g = s_{g−1} · ratio`, each node `ratio^(1/k)` times the last and the
+/// last exactly `s_g`. Unbounded.
 fn quanta(min_quantum: f64, ratio: f64, k: usize) -> impl Iterator<Item = f64> {
+    let growth = ratio.powf(1.0 / k as f64);
     let first = (1..=STEPS).map(move |j| min_quantum * j as f64 / STEPS as f64);
     let grid = std::iter::successors(Some(min_quantum), move |s| Some(s * ratio));
     first.chain(grid.flat_map(move |s| {
-        let next = s * ratio;
-        (1..=k).map(move |i| {
-            if i == k {
-                next
-            } else {
-                s + (next - s) * i as f64 / k as f64
-            }
-        })
+        let inner = std::iter::successors(Some(s * growth), move |t| Some(t * growth));
+        inner.take(k - 1).chain([s * ratio])
     }))
 }
 
 /// `∫_0^a S`, from below for a nonincreasing `S`: the right-endpoint sum
-/// over `STEPS` equal steps up to `s_0` and then the nodes
-/// `s_0 (1 + 1 / STEPS)^n`, so a step at `t` is at most `max(t, s_0) / STEPS`
-/// as along the grid. The last step is cut at `a`. No work at `a = 0`.
+/// over `STEPS` equal steps up to `s_0` and then the nodes `s_0 · GROWTH^n`,
+/// so a step at `t` is at most `max(t, s_0) / STEPS` as along the grid.
+/// The last step is cut at `a`. No work at `a = 0`.
 fn survival_below(dist: &dyn ServiceDistribution, attained: f64, min_quantum: f64) -> f64 {
     if attained == 0.0 {
         return 0.0;
     }
-    let growth = 1.0 + 1.0 / STEPS as f64;
     let nodes: Vec<f64> = (1..=STEPS)
         .map(|j| min_quantum * j as f64 / STEPS as f64)
-        .chain((1..).map(|n| min_quantum * growth.powi(n)))
+        .chain((1..).map(|n| min_quantum * GROWTH.powi(n)))
         .take_while(|&t| t < attained)
         .chain([attained])
         .collect();

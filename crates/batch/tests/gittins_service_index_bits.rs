@@ -92,7 +92,7 @@ fn index_bits_match_the_recorded_digest() {
     let (digest, values) = index_digest();
     assert_eq!(
         (digest, values),
-        (0x65c2_4464_1f9b_ef4a, 78),
+        (0xe2f4_a5c8_2a2e_0a5c, 78),
         "Gittins service index bits drifted: digest {digest:#018x} over {values} values"
     );
 }

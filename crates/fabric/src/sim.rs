@@ -38,11 +38,12 @@
 //! them on cannot perturb the arrival or service processes of an
 //! otherwise-identical scenario.
 //!
-//! Ties on the calendar resolve in schedule order (the `(time, seq)`
-//! contract of `ss_sim::events::EventQueue`), and every same-index decision
-//! (load balancing, discipline selection) breaks ties by the lowest id /
-//! earliest enqueue, so a replication is bit-for-bit reproducible and
-//! independent of how many replications run concurrently elsewhere.
+//! Ties on the calendar resolve in schedule order (the contract of
+//! `ss_sim::events::EventQueue`: time order, equal times first scheduled
+//! first served), and every same-index decision (load balancing,
+//! discipline selection) breaks ties by the lowest id / earliest enqueue,
+//! so a replication is bit-for-bit reproducible and independent of how
+//! many replications run concurrently elsewhere.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

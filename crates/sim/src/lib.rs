@@ -4,10 +4,9 @@
 //! used tool in applications of these models"; this crate is that tool for
 //! the workspace.  It provides:
 //!
-//! * [`events`] — a deterministic event calendar (a binary heap of packed
-//!   integer `(time, sequence)` keys over a payload slab, so simultaneous
-//!   events are processed in insertion order and runs are exactly
-//!   reproducible);
+//! * [`events`] — a deterministic event calendar (one vector of
+//!   `(time, payload)` entries sorted latest first, so simultaneous events
+//!   are processed in insertion order and runs are exactly reproducible);
 //! * [`rng`] — reproducible per-replication random-number streams derived
 //!   from a single master seed (ChaCha8, stream-split by replication index),
 //!   and [`rng::ExpStream`], which draws a stream's exponentials 32 at a

@@ -1,12 +1,12 @@
 //! Property tests of the event calendar's determinism contract.
 //!
 //! The service fabric (and every hand-written simulator) rests on two
-//! calendar invariants: events always pop in `(time, sequence)` order
-//! whatever the interleaving of schedules and pops, and simultaneous
-//! events resolve in first-scheduled-first-served order however many of
-//! them pile up.  These tests pin both under generated workloads, and a
-//! differential test replays random operations against a plain reference
-//! model of the same contract.
+//! calendar invariants: events always pop in time order, ties in schedule
+//! order, whatever the interleaving of schedules and pops, and
+//! simultaneous events resolve in first-scheduled-first-served order
+//! however many of them pile up.  These tests pin both under generated
+//! workloads, and a differential test replays random operations against a
+//! plain reference model of the same contract.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -118,7 +118,7 @@ proptest! {
             q.schedule(tie, payload);
             tied.push(payload);
             payload += 1;
-            // Interleave unrelated events so heap sift ordering is stressed.
+            // Interleave unrelated events so the insertion walk passes them.
             if i % 3 == 0 {
                 if let Some(&s) = spread_it.next() {
                     q.schedule(s as f64, payload);
@@ -192,15 +192,50 @@ const TIMES: [f64; 20] = [
 
 /// The calendar's contract written out on its own terms: pending
 /// `(time, seq, payload)` triples, the minimum popped by `partial_cmp` on
-/// the time and then by `seq`.
+/// the time and then by `seq`.  It counts the cases it meets in `census`.
 #[derive(Default)]
 struct Reference {
     pending: Vec<(f64, u64, u64)>,
     next_seq: u64,
+    census: Census,
+}
+
+/// How often [`Reference`] met each case that the calendar's insertion
+/// walk and horizon test must get right.  A schedule's case depends on the
+/// pending times alone: it is where the new event enters the calendar's
+/// sorted vector.
+#[derive(Debug, Default)]
+struct Census {
+    /// A schedule into an empty calendar.
+    into_empty: usize,
+    /// A schedule before every pending event, such as a zero-delay hold.
+    new_earliest: usize,
+    /// A schedule after every pending event.
+    new_latest: usize,
+    /// A schedule strictly between two pending times.
+    between: usize,
+    /// A schedule at the time of a pending event.
+    among_equal: usize,
+    /// A `pop_at_or_before` whose horizon lies before the earliest event.
+    horizon_before_earliest: usize,
 }
 
 impl Reference {
     fn schedule(&mut self, time: f64, payload: u64) {
+        let census = &mut self.census;
+        let mut times = self.pending.iter().map(|&(t, _, _)| t);
+        let case = if self.pending.is_empty() {
+            &mut census.into_empty
+        } else if times.clone().any(|t| t == time) {
+            &mut census.among_equal
+        } else if times.clone().all(|t| time < t) {
+            &mut census.new_earliest
+        } else if times.all(|t| t < time) {
+            &mut census.new_latest
+        } else {
+            &mut census.between
+        };
+        *case += 1;
         self.pending.push((time, self.next_seq, payload));
         self.next_seq += 1;
     }
@@ -223,26 +258,14 @@ impl Reference {
 
     fn pop_at_or_before(&mut self, horizon: f64) -> Option<(f64, u64)> {
         let i = self.earliest()?;
-        if self.pending[i].0 <= horizon {
+        let earliest = self.pending[i].0;
+        if earliest <= horizon {
             self.pop()
         } else {
+            self.census.horizon_before_earliest += usize::from(horizon < earliest);
             None
         }
     }
-}
-
-/// How often [`replay`] saw an open hole close, by the way it closed.  A
-/// pop that returns an event leaves the calendar's root as a hole, and
-/// the next operation closes it.
-#[derive(Debug, Default)]
-struct HoleExits {
-    /// A schedule wrote its node into the hole.
-    filled: usize,
-    /// A pop moved the last node into the hole, then popped an event.
-    refilled_by_a_pop: usize,
-    /// A `pop_at_or_before` refilled the hole, then found the earliest
-    /// pending event past its horizon and popped nothing.
-    refilled_past_the_horizon: usize,
 }
 
 /// Replay op words on an [`EventQueue`] and on [`Reference`]: every pop
@@ -251,13 +274,15 @@ struct HoleExits {
 /// (0..=13) or at the last popped time (14..=17; 0.0 before any pop),
 /// which right after a pop is a zero-delay hold, the fabric's return-hop
 /// pattern; `pop` (18..=24); or `pop_at_or_before` (25..=31) at −∞, NaN,
-/// +∞ or an awkward time.  `raw >> 5` picks the time.  Adds the ways open
-/// holes closed to `exits`.
-fn replay(ops: &[u32], exits: &mut HoleExits) -> Result<(), TestCaseError> {
+/// +∞ or an awkward time.  `raw >> 5` picks the time.  Adds the
+/// reference's counts to `census`.
+fn replay(ops: &[u32], census: &mut Census) -> Result<(), TestCaseError> {
     let mut q = EventQueue::new();
-    let mut reference = Reference::default();
+    let mut reference = Reference {
+        census: std::mem::take(census),
+        ..Reference::default()
+    };
     let mut payload = 0u64;
-    let mut hole = false;
     let mut last_popped = 0.0;
     let bits = |popped: Option<(f64, u64)>| popped.map(|(t, p)| (t.to_bits(), p));
     for (step, &raw) in ops.iter().enumerate() {
@@ -273,7 +298,6 @@ fn replay(ops: &[u32], exits: &mut HoleExits) -> Result<(), TestCaseError> {
                 q.schedule(time, payload);
                 reference.schedule(time, payload);
                 payload += 1;
-                exits.filled += usize::from(hole);
                 (None, None)
             }
             18..=24 => (q.pop(), reference.pop()),
@@ -290,18 +314,11 @@ fn replay(ops: &[u32], exits: &mut HoleExits) -> Result<(), TestCaseError> {
         };
         prop_assert_eq!(bits(got), bits(want), "step {}: op word {}", step, raw);
         prop_assert_eq!(q.len(), reference.pending.len(), "step {}", step);
-        if hole && op > 17 {
-            match want {
-                Some(_) => exits.refilled_by_a_pop += 1,
-                None if !reference.pending.is_empty() => exits.refilled_past_the_horizon += 1,
-                None => {}
-            }
-        }
-        hole = want.is_some();
         if let Some((time, _)) = want {
             last_popped = time;
         }
     }
+    *census = reference.census;
     Ok(())
 }
 
@@ -316,28 +333,33 @@ proptest! {
     fn matches_the_reference_calendar_on_awkward_times(
         ops in prop::collection::vec(0u32..u32::MAX, 1..600),
     ) {
-        replay(&ops, &mut HoleExits::default())?;
+        replay(&ops, &mut Census::default())?;
     }
 }
 
-/// The differential replay closes an open hole every way the calendar
-/// can: by a schedule, by a pop, and by a `pop_at_or_before` whose horizon
-/// the earliest pending event is past.  Each way is taken often enough
-/// that a calendar mishandling it fails [`replay`].
+/// The differential replay schedules into every position of the
+/// calendar's sorted vector: into an empty calendar, as the new earliest
+/// or the new latest event, strictly between two pending times, and among
+/// equal times.  It also stops `pop_at_or_before` at a horizon before the
+/// earliest event.  Each case comes often enough that a calendar
+/// mishandling it fails [`replay`].
 #[test]
-fn the_replay_closes_the_hole_every_way() {
+fn the_replay_schedules_into_every_position() {
     let mut rng = ChaCha8Rng::seed_from_u64(21);
-    let mut exits = HoleExits::default();
+    let mut census = Census::default();
     for case in 0..64 {
         let ops: Vec<u32> = (0..rng.gen_range(1..600)).map(|_| rng.gen()).collect();
-        if let Err(e) = replay(&ops, &mut exits) {
+        if let Err(e) = replay(&ops, &mut census) {
             panic!("case {case}: {e:?}");
         }
     }
     assert!(
-        exits.filled > 1_000
-            && exits.refilled_by_a_pop > 500
-            && exits.refilled_past_the_horizon > 100,
-        "{exits:?}"
+        census.into_empty > 100
+            && census.new_earliest > 1_000
+            && census.new_latest > 100
+            && census.between > 500
+            && census.among_equal > 2_000
+            && census.horizon_before_earliest > 500,
+        "{census:?}"
     );
 }
