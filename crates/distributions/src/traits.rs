@@ -46,9 +46,10 @@ impl fmt::Display for DistKind {
 ///
 /// The trait is object-safe so that heterogeneous job sets can be stored as
 /// `Arc<dyn ServiceDistribution>`.  Implementations must be cheap to query:
-/// the simulators call [`ServiceDistribution::sample`] in their inner loops
-/// and the preemptive schedulers call [`ServiceDistribution::hazard`] at
-/// every decision epoch.
+/// the simulators call [`ServiceDistribution::sample`] in their inner loops,
+/// and the Gittins service index that fills the preemptive scheduler's
+/// index table reads [`ServiceDistribution::sf_batch`] at every abscissa of
+/// its grid.
 pub trait ServiceDistribution: Send + Sync + fmt::Debug {
     /// Family tag.
     fn kind(&self) -> DistKind;

@@ -6,7 +6,8 @@
 //! One replication owns one [`RngStreams`] factory (seeded from the
 //! caller-supplied `seed`), and every stochastic ingredient draws from its
 //! own substream family so the sampled processes are independent and the
-//! schedule of draws is a pure function of the seed:
+//! schedule of draws is a pure function of the seed.  The family ids are
+//! entries of the stream-id registry in [`ss_sim::rng`]:
 //!
 //! | family | keyed by | drives | drawn ahead |
 //! |---|---|---|---|
@@ -53,29 +54,16 @@ use rand_chacha::ChaCha8Rng;
 use ss_core::discipline::Discipline;
 use ss_distributions::DynDist;
 use ss_sim::events::EventQueue;
-use ss_sim::rng::{ExpStream, RngStreams};
+use ss_sim::rng::{
+    ExpStream, RngStreams, ARRIVAL_FAMILY, FABRIC_SIM_STREAM, FAIL_FAMILY, LB_FAMILY, PHASE_FAMILY,
+    PROBE_FAMILY, RETRY_FAMILY, SERVICE_FAMILY, SLOWDOWN_FAMILY,
+};
 use ss_sim::stats::QuantileSketch;
 
 use crate::config::{ArrivalProcess, FabricConfig, LbPolicy};
 use crate::events::{FabricEvent, Request};
 use crate::metrics::{FabricReport, SlaWindowReport, TierReport};
 use crate::resilience::{CircuitBreaker, TokenBucket};
-
-/// Stream id of the fabric scenario runner's per-replication seeds
-/// (`"FABR"`): replication `rep` of scenario `s` derives its simulation
-/// seed from `substream(FABRIC_SIM_STREAM, s * 2^16 + rep)`.  Disjoint
-/// from every other stream family in DESIGN.md's stream-id table.
-pub const FABRIC_SIM_STREAM: u64 = 0x4641_4252;
-
-// Substream families *within* one replication's own `RngStreams`.
-const ARRIVAL_FAMILY: u64 = 0x4641_0001;
-const PHASE_FAMILY: u64 = 0x4641_0002;
-const SERVICE_FAMILY: u64 = 0x4641_0003;
-const LB_FAMILY: u64 = 0x4641_0004;
-const FAIL_FAMILY: u64 = 0x4641_0005;
-const RETRY_FAMILY: u64 = 0x4641_0006;
-const SLOWDOWN_FAMILY: u64 = 0x4641_0007;
-const PROBE_FAMILY: u64 = 0x4641_0009;
 
 /// The per-replication simulation seed of `(scenario, rep)` under the
 /// shared scheme used by the `fabric` binary and the determinism tests.

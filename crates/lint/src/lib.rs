@@ -102,14 +102,7 @@ pub fn run_workspace(root: &Path, selected: Option<&str>) -> Result<Report, Stri
         }
     }
     let files = scan::workspace_files(root)?;
-    let design_path = root.join("DESIGN.md");
-    let design_md = std::fs::read_to_string(&design_path)
-        .map_err(|e| format!("read {}: {e}", design_path.display()))?;
-    Ok(apply_allows(
-        rules::run(&files, &design_md, selected),
-        ALLOWS,
-        selected,
-    ))
+    Ok(apply_allows(rules::run(&files, selected), ALLOWS, selected))
 }
 
 /// Partition raw findings through the allow list.

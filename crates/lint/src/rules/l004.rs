@@ -1,261 +1,39 @@
-//! L004 — the RNG stream-constant registry.
+//! L004 — a stream id declared outside the registry.
 //!
 //! **Historical bug class:** the whole determinism architecture hangs on
-//! stream disjointness — every subsystem owns `*_STREAM` / `*_FAMILY`
-//! `u64` constants (DESIGN.md's stream table) so that adding an entity
-//! never perturbs another's draws.  A colliding constant would silently
-//! correlate two "independent" streams, and an unregistered one erodes
-//! the table the next subsystem consults before picking its IDs.  Until
-//! this rule, the table was hand-maintained prose.
-//!
-//! The rule collects every `const NAME_STREAM: u64 = <literal>;` /
-//! `const NAME_FAMILY: u64 = <literal>;` in the scan set and enforces:
-//!
-//! 1. values are **unique workspace-wide**;
-//! 2. every constant appears in DESIGN.md's machine-readable registry
-//!    (the table between the `ss-lint:stream-registry` markers) with the
-//!    **same value**;
-//! 3. every registry row matches a live constant — removing or renaming a
-//!    constant without updating the table (or vice versa) fails.
-//!
-//! Constants whose initializer is not a single literal are flagged too: a
-//! computed stream ID cannot be audited against the registry by reading.
+//! stream disjointness — every subsystem keys its streams with `*_STREAM`
+//! / `*_FAMILY` `u64` ids so that adding an entity never perturbs another's
+//! draws, and a colliding id would silently correlate two "independent"
+//! streams.  Every id is an entry of the `stream_ids!` registry in
+//! `crates/sim/src/rng.rs`, whose compile-time assert rejects a repeated id
+//! and whose `$id:literal` matcher rejects a computed one.  An id declared
+//! anywhere else escapes that check, so the rule flags every
+//! `const NAME_STREAM: u64` / `const NAME_FAMILY: u64` in the scan set.
 
 use crate::lexer::TokKind;
 use crate::rules::Finding;
 use crate::scan::SourceFile;
-use std::collections::BTreeMap;
 
-/// Marker lines DESIGN.md wraps the registry table in.
-pub const BEGIN_MARKER: &str = "<!-- ss-lint:stream-registry:begin -->";
-/// Closing marker.
-pub const END_MARKER: &str = "<!-- ss-lint:stream-registry:end -->";
-
-/// One discovered stream/family constant.
-#[derive(Debug, Clone)]
-struct StreamConst {
-    name: String,
-    value: Option<u64>,
-    path: String,
-    line: u32,
-}
-
-/// Run the rule over the whole scan set plus DESIGN.md's content.
-pub fn check_workspace(files: &[SourceFile], design_md: &str, findings: &mut Vec<Finding>) {
-    let consts = collect_consts(files);
-    for c in &consts {
-        if c.value.is_none() {
-            findings.push(Finding {
-                rule: "L004",
-                path: c.path.clone(),
-                line: c.line,
-                message: format!(
-                    "stream constant {} must be initialized with a single u64 literal so the \
-                     DESIGN.md registry can be audited by reading",
-                    c.name
-                ),
-            });
-        }
-    }
-
-    // 1. Workspace-wide value uniqueness.
-    let mut by_value: BTreeMap<u64, Vec<&StreamConst>> = BTreeMap::new();
-    for c in &consts {
-        if let Some(v) = c.value {
-            by_value.entry(v).or_default().push(c);
-        }
-    }
-    for (v, sites) in &by_value {
-        if sites.len() > 1 {
-            let others: Vec<String> = sites
-                .iter()
-                .map(|c| format!("{} ({}:{})", c.name, c.path, c.line))
-                .collect();
-            for c in sites {
-                findings.push(Finding {
-                    rule: "L004",
-                    path: c.path.clone(),
-                    line: c.line,
-                    message: format!(
-                        "stream constant value {v:#x} is not unique workspace-wide — also used \
-                         by {}; colliding stream IDs silently correlate \"independent\" streams",
-                        others
-                            .iter()
-                            .filter(|o| !o.contains(&format!("{}:{}", c.path, c.line)))
-                            .cloned()
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                });
-            }
-        }
-    }
-
-    // 2 + 3. Registry cross-check.
-    let registry = match parse_registry(design_md) {
-        Ok(r) => r,
-        Err(msg) => {
-            findings.push(Finding {
-                rule: "L004",
-                path: "DESIGN.md".to_string(),
-                line: 1,
-                message: msg,
-            });
-            return;
-        }
-    };
-    for c in &consts {
-        let Some(v) = c.value else { continue };
-        match registry.get(&c.name) {
-            None => findings.push(Finding {
-                rule: "L004",
-                path: c.path.clone(),
-                line: c.line,
-                message: format!(
-                    "stream constant {} ({v:#x}) is not registered in DESIGN.md's stream \
-                     registry table — add a row between the ss-lint:stream-registry markers",
-                    c.name
-                ),
-            }),
-            Some(&(rv, rline)) if rv != v => findings.push(Finding {
-                rule: "L004",
-                path: c.path.clone(),
-                line: c.line,
-                message: format!(
-                    "stream constant {} is {v:#x} in source but {rv:#x} in DESIGN.md's registry \
-                     (DESIGN.md:{rline}) — the table no longer describes the code",
-                    c.name
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for (name, &(rv, rline)) in &registry {
-        if !consts.iter().any(|c| &c.name == name) {
-            findings.push(Finding {
-                rule: "L004",
-                path: "DESIGN.md".to_string(),
-                line: rline,
-                message: format!(
-                    "stale registry row: {name} ({rv:#x}) matches no `const {name}: u64` in the \
-                     workspace — remove the row or restore the constant"
-                ),
-            });
-        }
-    }
-}
-
-/// Collect `const *_STREAM|*_FAMILY: u64 = …;` declarations.
-fn collect_consts(files: &[SourceFile]) -> Vec<StreamConst> {
-    let mut out = Vec::new();
-    for file in files {
-        let toks = &file.tokens;
-        for i in 0..toks.len() {
-            if !toks[i].is_ident("const") {
-                continue;
-            }
-            let Some(name_tok) = toks.get(i + 1) else {
-                continue;
-            };
-            if name_tok.kind != TokKind::Ident
-                || !(name_tok.text.ends_with("_STREAM") || name_tok.text.ends_with("_FAMILY"))
-            {
-                continue;
-            }
-            // `: u64 =`
-            let typed = toks.get(i + 2).is_some_and(|t| t.is_punct(':'))
-                && toks.get(i + 3).is_some_and(|t| t.is_ident("u64"))
-                && toks.get(i + 4).is_some_and(|t| t.is_punct('='));
-            if !typed {
-                continue;
-            }
-            // A single literal followed by `;` — anything else is computed.
-            let value = match (toks.get(i + 5), toks.get(i + 6)) {
-                (Some(lit), Some(semi)) if lit.kind == TokKind::Num && semi.is_punct(';') => {
-                    parse_u64(&lit.text)
-                }
-                _ => None,
-            };
-            out.push(StreamConst {
-                name: name_tok.text.clone(),
-                value,
-                path: file.rel_path.clone(),
-                line: name_tok.line,
-            });
-        }
-    }
-    out
-}
-
-/// Parse a Rust u64 literal (`0x4641_0001`, `1234`, with optional suffix).
-fn parse_u64(text: &str) -> Option<u64> {
-    let clean: String = text.chars().filter(|&c| c != '_').collect();
-    let clean = clean.strip_suffix("u64").unwrap_or(&clean).to_string();
-    if let Some(hex) = clean
-        .strip_prefix("0x")
-        .or_else(|| clean.strip_prefix("0X"))
-    {
-        u64::from_str_radix(hex, 16).ok()
-    } else if let Some(oct) = clean.strip_prefix("0o") {
-        u64::from_str_radix(oct, 8).ok()
-    } else if let Some(bin) = clean.strip_prefix("0b") {
-        u64::from_str_radix(bin, 2).ok()
-    } else {
-        clean.parse().ok()
-    }
-}
-
-/// Parse DESIGN.md's registry block: `| `NAME` | `0x…` | … |` rows between
-/// the markers.  Returns `name -> (value, design_md_line)`.
-fn parse_registry(design_md: &str) -> Result<BTreeMap<String, (u64, u32)>, String> {
-    let mut in_block = false;
-    let mut seen_block = false;
-    let mut rows = BTreeMap::new();
-    for (idx, line) in design_md.lines().enumerate() {
-        let lineno = (idx + 1) as u32;
-        let trimmed = line.trim();
-        if trimmed == BEGIN_MARKER {
-            in_block = true;
-            seen_block = true;
+/// Run the rule over one file.
+pub fn check(file: &SourceFile, findings: &mut Vec<Finding>) {
+    for w in file.tokens.windows(4) {
+        let [kw, name, colon, ty] = w else {
             continue;
-        }
-        if trimmed == END_MARKER {
-            in_block = false;
-            continue;
-        }
-        if !in_block || !trimmed.starts_with('|') {
-            continue;
-        }
-        // Cells: | `NAME` | `0x…` | crate | purpose |
-        let cells: Vec<&str> = trimmed
-            .trim_matches('|')
-            .split('|')
-            .map(str::trim)
-            .collect();
-        if cells.len() < 2 {
-            continue;
-        }
-        let name = cells[0].trim_matches('`');
-        if !(name.ends_with("_STREAM") || name.ends_with("_FAMILY")) {
-            continue; // header / separator rows
-        }
-        let value_text = cells[1].trim_matches('`');
-        let Some(value) = parse_u64(value_text) else {
-            return Err(format!(
-                "registry row for {name} (DESIGN.md:{lineno}) has unparseable value {value_text:?}"
-            ));
         };
-        if rows.insert(name.to_string(), (value, lineno)).is_some() {
-            return Err(format!(
-                "registry lists {name} twice (second at DESIGN.md:{lineno})"
-            ));
+        let is_id = name.kind == TokKind::Ident
+            && (name.text.ends_with("_STREAM") || name.text.ends_with("_FAMILY"));
+        if kw.is_ident("const") && is_id && colon.is_punct(':') && ty.is_ident("u64") {
+            findings.push(Finding {
+                rule: "L004",
+                path: file.rel_path.clone(),
+                line: name.line,
+                message: format!(
+                    "stream id {} is declared outside the registry: make it an entry of \
+                     `stream_ids!` in crates/sim/src/rng.rs, whose compile-time check keeps \
+                     every id distinct",
+                    name.text
+                ),
+            });
         }
     }
-    if !seen_block {
-        return Err(format!(
-            "DESIGN.md has no stream registry block — expected a table between \
-             {BEGIN_MARKER:?} and {END_MARKER:?}"
-        ));
-    }
-    Ok(rows)
 }

@@ -10,7 +10,7 @@
 //! | L001 | HashMap/HashSet in artifact-producing crates → map-ordering divergence (conform hint "map ordering") |
 //! | L002 | `SystemTime::now` / `Instant::now` outside audited wall-clock sites → timestamp leakage (conform hint "timestamp") |
 //! | L003 | `debug_assert!` guarding numeric validity/ordering → compiles out in release (the PR 6 horizon-drop and PR 9 NaN-selection bugs) |
-//! | L004 | duplicate or unregistered RNG stream-family constants → stream collision / undocumented stream (DESIGN.md registry is machine-checked) |
+//! | L004 | `*_STREAM`/`*_FAMILY` u64 constant outside the `stream_ids!` registry in `sim/src/rng.rs` → stream id that escapes the registry's compile-time distinctness check (stream collision) |
 //! | L005 | bare `{}` / `{:?}` float formatting in render modules → float-formatting divergence (conform hint "float formatting") |
 //! | L006 | hand-rolled seed arithmetic outside `sim/src/rng.rs` → ad-hoc stream derivation (the pattern PR 3 eradicated) |
 
@@ -76,9 +76,10 @@ pub const RULES: &[RuleMeta] = &[
     },
     RuleMeta {
         id: "L004",
-        title: "stream-constant registry",
-        summary: "*_STREAM/*_FAMILY u64 constants must be unique workspace-wide and registered \
-                  in DESIGN.md's stream registry table",
+        title: "unregistered stream id",
+        summary: "const *_STREAM/*_FAMILY: u64 outside the stream_ids! registry in \
+                  sim/src/rng.rs: the registry's compile-time check keeps ids distinct only for \
+                  its own entries",
     },
     RuleMeta {
         id: "L005",
@@ -100,9 +101,9 @@ pub fn meta(id: &str) -> Option<&'static RuleMeta> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// Run `selected` rules (or all) over the scan set plus DESIGN.md, and
-/// return findings sorted by `(path, line, rule)`.
-pub fn run(files: &[SourceFile], design_md: &str, selected: Option<&str>) -> Vec<Finding> {
+/// Run `selected` rules (or all) over the scan set, and return findings
+/// sorted by `(path, line, rule)`.
+pub fn run(files: &[SourceFile], selected: Option<&str>) -> Vec<Finding> {
     let wants = |id: &str| selected.is_none() || selected == Some(id);
     let mut findings: Vec<Finding> = Vec::new();
     for file in files {
@@ -115,15 +116,15 @@ pub fn run(files: &[SourceFile], design_md: &str, selected: Option<&str>) -> Vec
         if wants("L003") {
             l003::check(file, &mut findings);
         }
+        if wants("L004") {
+            l004::check(file, &mut findings);
+        }
         if wants("L005") {
             l005::check(file, &mut findings);
         }
         if wants("L006") {
             l006::check(file, &mut findings);
         }
-    }
-    if wants("L004") {
-        l004::check_workspace(files, design_md, &mut findings);
     }
     findings
         .sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));

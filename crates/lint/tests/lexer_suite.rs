@@ -8,17 +8,12 @@ use ss_lint::lexer::{lex, num_is_float, TokKind};
 use ss_lint::rules;
 use ss_lint::scan::SourceFile;
 
-/// A registry block with no rows: lets `rules::run` execute every rule
-/// (L004 included) without a real DESIGN.md.
-const EMPTY_REGISTRY: &str =
-    "<!-- ss-lint:stream-registry:begin -->\n<!-- ss-lint:stream-registry:end -->\n";
-
 /// Run *all* rules over `source` scanned under a path that is both an
 /// artifact crate and an L005 render module, so any token leak out of a
 /// literal or comment would fire something.
 fn all_findings(source: &str) -> Vec<String> {
     let file = SourceFile::from_source("crates/fabric/src/metrics.rs", source);
-    rules::run(std::slice::from_ref(&file), EMPTY_REGISTRY, None)
+    rules::run(std::slice::from_ref(&file), None)
         .into_iter()
         .map(|f| f.render())
         .collect()

@@ -1,22 +1,17 @@
 //! Per-rule fixture suite: every known-bad fixture must fire exactly its
 //! rule at exactly the marked lines, every known-good fixture must stay
-//! silent, L004's registry cross-check must fail in *both* directions,
-//! and the real workspace must scan clean (the acceptance criterion the
-//! CI `lint` job enforces).
+//! silent, and the real workspace must scan clean (the acceptance
+//! criterion the CI `lint` job enforces).
 
 use ss_lint::rules::{self, Finding};
 use ss_lint::run_workspace;
 use ss_lint::scan::SourceFile;
 use std::path::Path;
 
-/// A registry block with no rows, for rules that never consult it.
-const EMPTY_REGISTRY: &str =
-    "<!-- ss-lint:stream-registry:begin -->\n<!-- ss-lint:stream-registry:end -->\n";
-
 /// Run one rule over one synthetic file and return the lines it fires on.
 fn rule_lines(rule: &str, rel_path: &str, source: &str) -> Vec<u32> {
     let file = SourceFile::from_source(rel_path, source);
-    rules::run(std::slice::from_ref(&file), EMPTY_REGISTRY, Some(rule))
+    rules::run(std::slice::from_ref(&file), Some(rule))
         .into_iter()
         .map(|f| {
             assert_eq!(f.rule, rule, "selected rule only");
@@ -107,138 +102,25 @@ fn l003_known_good_is_silent() {
 
 // ------------------------------------------------------------------ L004
 
-const REGISTRY: &str = include_str!("fixtures/l004_registry.md");
-const CONSTS: &str = include_str!("fixtures/l004_consts.rs");
-
-/// Run L004 over synthetic (path, source) files against `registry`.
-fn run_l004(sources: &[(&str, &str)], registry: &str) -> Vec<Finding> {
-    let files: Vec<SourceFile> = sources
-        .iter()
-        .map(|(p, s)| SourceFile::from_source(p, s))
-        .collect();
-    rules::run(&files, registry, Some("L004"))
+#[test]
+fn l004_known_bad_fires_at_each_stream_id_declaration() {
+    // `DEFAULT_SEED` on line 5 is a `u64` constant but not a stream id.
+    let lines = rule_lines(
+        "L004",
+        "crates/fabric/src/sim.rs",
+        include_str!("fixtures/l004_bad.rs"),
+    );
+    assert_eq!(lines, vec![3, 4, 6, 9]);
 }
 
 #[test]
-fn l004_matching_registry_is_clean() {
-    let findings = run_l004(&[("crates/sim/src/streams.rs", CONSTS)], REGISTRY);
-    assert_eq!(findings.len(), 0, "{findings:?}");
-}
-
-#[test]
-fn l004_duplicate_values_fail_at_both_sites() {
-    let dup = "pub const GAMMA_STREAM: u64 = 0x0000_0001;\n";
-    let findings = run_l004(
-        &[
-            ("crates/sim/src/streams.rs", CONSTS),
-            ("crates/fabric/src/streams.rs", dup),
-        ],
-        REGISTRY,
+fn l004_known_good_is_silent() {
+    let lines = rule_lines(
+        "L004",
+        "crates/sim/src/rng.rs",
+        include_str!("fixtures/l004_good.rs"),
     );
-    let collisions: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.message.contains("not unique"))
-        .collect();
-    assert_eq!(collisions.len(), 2, "{findings:?}");
-    assert!(collisions
-        .iter()
-        .any(|f| f.path.ends_with("sim/src/streams.rs")));
-    assert!(collisions
-        .iter()
-        .any(|f| f.path.ends_with("fabric/src/streams.rs")));
-}
-
-#[test]
-fn l004_unregistered_constant_fails() {
-    let extra = "pub const GAMMA_STREAM: u64 = 0x0000_0003;\n";
-    let findings = run_l004(
-        &[
-            ("crates/sim/src/streams.rs", CONSTS),
-            ("crates/fabric/src/streams.rs", extra),
-        ],
-        REGISTRY,
-    );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("not registered"),
-        "{findings:?}"
-    );
-    assert_eq!(findings[0].path, "crates/fabric/src/streams.rs");
-    assert_eq!(findings[0].line, 1);
-}
-
-#[test]
-fn l004_removing_a_registry_row_fails() {
-    // The acceptance check for direction one: a constant whose table row
-    // was deleted is "unregistered" again.
-    let trimmed: String = REGISTRY
-        .lines()
-        .filter(|l| !l.contains("BETA_FAMILY"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    let findings = run_l004(&[("crates/sim/src/streams.rs", CONSTS)], &trimmed);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(findings[0].message.contains("BETA_FAMILY"), "{findings:?}");
-    assert!(
-        findings[0].message.contains("not registered"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn l004_stale_registry_row_fails() {
-    // Direction two: a table row whose constant was removed is stale.
-    let alpha_only = "pub const ALPHA_STREAM: u64 = 0x0000_0001;\n";
-    let findings = run_l004(&[("crates/sim/src/streams.rs", alpha_only)], REGISTRY);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].path, "DESIGN.md");
-    assert!(
-        findings[0].message.contains("stale registry row"),
-        "{findings:?}"
-    );
-    assert!(findings[0].message.contains("BETA_FAMILY"), "{findings:?}");
-}
-
-#[test]
-fn l004_value_mismatch_fails() {
-    let drifted = CONSTS.replace("0x0000_0001", "0x0000_0009");
-    let findings = run_l004(&[("crates/sim/src/streams.rs", &drifted)], REGISTRY);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("in source but"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn l004_missing_registry_block_fails() {
-    let findings = run_l004(
-        &[("crates/sim/src/streams.rs", CONSTS)],
-        "# DESIGN.md without the markers\n",
-    );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].path, "DESIGN.md");
-    assert!(
-        findings[0].message.contains("no stream registry block"),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn l004_computed_initializer_fails() {
-    let computed = "pub const DELTA_STREAM: u64 = base_value();\n";
-    let findings = run_l004(
-        &[
-            ("crates/sim/src/streams.rs", CONSTS),
-            ("crates/fabric/src/streams.rs", computed),
-        ],
-        REGISTRY,
-    );
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert!(
-        findings[0].message.contains("single u64 literal"),
-        "{findings:?}"
-    );
+    assert_eq!(lines, Vec::<u32>::new());
 }
 
 // ------------------------------------------------------------------ L005

@@ -9,8 +9,9 @@
 //!   are processed in insertion order and runs are exactly reproducible);
 //! * [`rng`] — reproducible per-replication random-number streams derived
 //!   from a single master seed (ChaCha8, stream-split by replication index),
-//!   and [`rng::ExpStream`], which draws a stream's exponentials 32 at a
-//!   time with the bits of drawing them one by one;
+//!   the registry of the workspace's stream ids, and [`rng::ExpStream`],
+//!   which draws a stream's exponentials 32 at a time with the bits of
+//!   drawing them one by one;
 //! * [`stats`] — Welford online moments, confidence intervals and the
 //!   deterministic quantile sketch;
 //! * [`replication`] — serial and parallel replication runners that return

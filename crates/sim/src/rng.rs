@@ -12,6 +12,23 @@
 //! A stream that serves nothing but exponential draws can be wrapped in an
 //! [`ExpStream`], which draws its unit exponentials 32 at a time with the
 //! bits of drawing them one at a time.
+//!
+//! ## Stream-id registry
+//!
+//! Every id that keys a family of streams, [`GENERATION_STREAM`] through
+//! [`PROBE_FAMILY`], is one entry of the `stream_ids!` invocation in this
+//! file, so adding an entity to one family never perturbs another's draws.
+//! A repeated id fails the build with "two stream ids are equal".  An
+//! entry takes only a literal, so every id can be read here.  ss-lint's
+//! L004 flags a `const NAME_STREAM: u64` or `const NAME_FAMILY: u64`
+//! declared anywhere else.  Pick a fresh value here when a subsystem needs
+//! a new family.
+//!
+//! The check does not cover the raw keys: ss-verify's
+//! `substream(scenario_id, rep)` and the replication runners' `stream(i)`
+//! pass small integers (a scenario id, a replication index) to the same
+//! factories.  Every registered id is at least `0x4641_0001`, far above
+//! those keys.
 
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
@@ -39,11 +56,6 @@ impl RngStreams {
         Self { master_seed }
     }
 
-    /// The master seed this factory was created with.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// The RNG for stream `stream_id` (e.g. the replication index).
     pub fn stream(&self, stream_id: u64) -> ChaCha8Rng {
         let mixed = splitmix64(self.master_seed ^ splitmix64(stream_id.wrapping_add(0xA5A5_5A5A)));
@@ -61,6 +73,56 @@ impl RngStreams {
         );
         ChaCha8Rng::seed_from_u64(mixed)
     }
+}
+
+/// Whether no two of `ids` are equal.
+const fn distinct(ids: &[u64]) -> bool {
+    let mut i = 0;
+    while i < ids.len() {
+        let mut j = i + 1;
+        while j < ids.len() {
+            if ids[i] == ids[j] {
+                return false;
+            }
+            j += 1;
+        }
+        i += 1;
+    }
+    true
+}
+
+/// Declares each entry as a `pub const` of type `u64` and fails the build
+/// when two entries are equal.
+macro_rules! stream_ids {
+    ($($(#[$doc:meta])* $name:ident = $id:literal;)*) => {
+        $($(#[$doc])* pub const $name: u64 = $id;)*
+        const _: () = assert!(distinct(&[$($id),*]), "two stream ids are equal");
+    };
+}
+
+stream_ids! {
+    /// Oracle-corpus generation (`"GENE"`): scenario `i` of the ss-verify
+    /// corpus draws its parameters from `substream(GENERATION_STREAM, i)`.
+    GENERATION_STREAM = 0x4745_4E45;
+    /// Fabric replication seeds (`"FABR"`): replication `rep` of scenario
+    /// `s` is seeded from `substream(FABRIC_SIM_STREAM, s * 2^16 + rep)`.
+    FABRIC_SIM_STREAM = 0x4641_4252;
+    /// Fabric arrival gaps, keyed by class.
+    ARRIVAL_FAMILY = 0x4641_0001;
+    /// Fabric MMPP phase sojourns, keyed by class.
+    PHASE_FAMILY = 0x4641_0002;
+    /// Fabric service times, keyed by `tier * 2^16 + server`.
+    SERVICE_FAMILY = 0x4641_0003;
+    /// Fabric weighted load-balancer draws, keyed by tier.
+    LB_FAMILY = 0x4641_0004;
+    /// Fabric failure/repair cycles, keyed by `tier * 2^16 + server`.
+    FAIL_FAMILY = 0x4641_0005;
+    /// Fabric retry backoff jitter, keyed by class.
+    RETRY_FAMILY = 0x4641_0006;
+    /// Fabric slowdown-epoch onsets and durations, keyed by tier.
+    SLOWDOWN_FAMILY = 0x4641_0007;
+    /// Fabric circuit-breaker open-period jitter, keyed by tier.
+    PROBE_FAMILY = 0x4641_0009;
 }
 
 /// A stream of unit exponentials `-(1.0 - u).ln()`, one per uniform `u`
@@ -154,6 +216,31 @@ mod tests {
         let mut a = f.substream(0, 0);
         let mut b = f.substream(0, 1);
         assert_ne!(a.gen::<u64>(), b.gen::<u64>());
+    }
+
+    #[test]
+    fn distinct_rejects_a_repeat_anywhere() {
+        assert!(!distinct(&[1, 1, 2, 3]), "first pair");
+        assert!(!distinct(&[1, 2, 3, 3]), "last pair");
+        assert!(!distinct(&[1, 2, 3, 1]), "non-adjacent pair");
+    }
+
+    #[test]
+    fn distinct_accepts_distinct_ids() {
+        assert!(distinct(&[]));
+        assert!(distinct(&[GENERATION_STREAM]));
+        assert!(distinct(&[
+            GENERATION_STREAM,
+            FABRIC_SIM_STREAM,
+            ARRIVAL_FAMILY,
+            PHASE_FAMILY,
+            SERVICE_FAMILY,
+            LB_FAMILY,
+            FAIL_FAMILY,
+            RETRY_FAMILY,
+            SLOWDOWN_FAMILY,
+            PROBE_FAMILY,
+        ]));
     }
 
     #[test]

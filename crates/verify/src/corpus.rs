@@ -2,14 +2,16 @@
 //!
 //! The corpus is a pure function of the master seed: scenario `i` draws its
 //! parameters from the dedicated generation substream
-//! `RngStreams::substream(GENERATION_STREAM, i)`, so **appending** scenario
+//! `RngStreams::substream(GENERATION_STREAM, i)`, keyed by the registered
+//! id [`ss_sim::rng::GENERATION_STREAM`], so **appending** scenario
 //! blocks at the end never perturbs the parameters of existing scenarios
 //! (inserting or re-ordering blocks shifts the ids — and therefore the
 //! substreams — of everything after the edit, re-baselining that tail; grow
 //! the corpus by appending).  The run-time replication streams (keyed by
-//! `(scenario_id, rep)` in [`crate::run`]) are disjoint from generation by
-//! the substream family split.  Diversity axes: service-distribution
-//! family x load level x priority structure x class/project count.
+//! `(scenario_id, rep)` in [`crate::run`]) are disjoint from generation
+//! because scenario ids stay far below every registered id.  Diversity
+//! axes: service-distribution family x load level x priority structure x
+//! class/project count.
 
 use crate::scenario::{QueueMode, Scenario, Spec};
 use rand::seq::SliceRandom;
@@ -26,11 +28,7 @@ use ss_distributions::{
 };
 use ss_lp::{standard_dual, standard_primal, LinearProgram};
 use ss_queueing::klimov::{klimov_order, KlimovNetwork};
-use ss_sim::rng::RngStreams;
-
-/// Stream id of the corpus-generation substream family (disjoint from the
-/// `(scenario_id, rep)` run-time families because scenario ids stay tiny).
-pub const GENERATION_STREAM: u64 = 0x4745_4E45; // "GENE"
+use ss_sim::rng::{RngStreams, GENERATION_STREAM};
 
 /// Number of service-distribution families [`service_family`] cycles over.
 pub const NUM_FAMILIES: usize = 10;

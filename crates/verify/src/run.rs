@@ -5,9 +5,10 @@
 //! Replication `rep` of scenario `id` draws from
 //! `RngStreams::substream(id, rep)` — disjoint across scenarios, across
 //! replications, and from the corpus-generation family
-//! ([`crate::corpus::GENERATION_STREAM`]).  Because every replication owns
-//! its stream and [`ss_sim::pool::parallel_indexed`] collects results in
-//! index order, a corpus run is bit-for-bit identical for any thread count.
+//! ([`ss_sim::rng::GENERATION_STREAM`]), since scenario ids stay far below
+//! every registered id.  Every replication owns its stream and
+//! [`ss_sim::pool::parallel_indexed`] collects results in index order, so a
+//! corpus run is bit-for-bit identical for any thread count.
 
 use crate::corpus::Corpus;
 use crate::oracle::{check, OraclePair, Tolerance, Verdict};
